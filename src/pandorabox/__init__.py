@@ -12,6 +12,7 @@ from .core import (
     Instance,
     InvariantError,
     MatroidSideConstraint,
+    OrderModel,
     PandoraError,
     ParseError,
     Rational,
@@ -26,7 +27,6 @@ from .core import (
     max_distribution,
     parse_rational,
     set_feasibility_violation,
-    side_allows,
     validate_instance,
     weitzman_reservation,
 )
@@ -57,7 +57,6 @@ from .oracle import (
     best_fixed_order,
     best_half_reward_benchmark,
     solve_exact,
-    solve_exact_negative_costs,
 )
 from .approx import (
     ApproxPolicy,
@@ -65,7 +64,6 @@ from .approx import (
     PreOrderIndex,
     build_preorder,
     exact_policy_value,
-    knapsack_oracle,
     run_approx,
     solve_approx,
     verify_guarantee,

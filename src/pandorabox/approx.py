@@ -24,6 +24,7 @@ strategy minus its full expected cost.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -34,7 +35,6 @@ from .core import (
     ConstraintKind,
     ExecutionState,
     Instance,
-    MatroidSideConstraint,
     UnsupportedConstraintError,
     ValidationError,
 )
@@ -93,95 +93,27 @@ def build_preorder(instance: Instance) -> PreOrderIndex:
     return PreOrderIndex(order=tuple(order), next_position=next_position)
 
 
-class TrivialOracle:
-    """No side constraint: a single always-feasible state."""
-
-    def initial(self) -> tuple:
-        return ()
-
-    def add(self, state: tuple, box_id: str) -> Optional[tuple]:
-        return state
-
-    def states(self) -> list[tuple]:
-        return [()]
-
-
-class KnapsackOracle:
-    """Weight-sum statistic clipped at the capacity; adding a box that
-    overflows any component yields the (single) infeasible state None."""
-
-    def __init__(self, weights: dict[str, tuple[int, ...]], capacity: tuple[int, ...]):
-        self.weights = weights
-        self.capacity = capacity
-
-    def initial(self) -> tuple[int, ...]:
-        return (0,) * len(self.capacity)
-
-    def add(self, state: tuple[int, ...], box_id: str) -> Optional[tuple[int, ...]]:
-        w = self.weights.get(box_id)
-        if w is None:
-            return state
-        out = tuple(s + x for s, x in zip(state, w))
-        if any(o > cap for o, cap in zip(out, self.capacity)):
-            return None
-        return out
-
-    def states(self) -> list[tuple[int, ...]]:
-        cells: list[tuple[int, ...]] = [()]
-        for cap in self.capacity:
-            cells = [c + (v,) for c in cells for v in range(cap + 1)]
-        return cells
-
-
-def knapsack_oracle(side: MatroidSideConstraint, n_boxes: int):
-    """Oblivious oracle for a side constraint (partition constraints are
-    encoded as unit-weight knapsacks, one dimension per part)."""
-    if side.kind == MatroidSideConstraint.NONE:
-        return TrivialOracle()
-    if side.kind == MatroidSideConstraint.KNAPSACK:
-        weights = {k: tuple(v) for k, v in side.weights.items()}
-        capacity = tuple(side.capacity)
-    elif side.kind == MatroidSideConstraint.PARTITION:
-        k = len(side.part_capacities)
-        weights = {
-            box_id: tuple(1 if j == part else 0 for j in range(k))
-            for box_id, part in side.parts.items()
-        }
-        capacity = tuple(side.part_capacities)
-    else:
-        raise ValidationError(f"unknown side constraint kind {side.kind!r}")
-    if len(capacity) > MAX_ORACLE_DIMENSION:
-        raise CapExceededError(
-            f"oracle dimension {len(capacity)} exceeds {MAX_ORACLE_DIMENSION}"
-        )
-    bound = CAPACITY_FACTOR * n_boxes
-    for cap in capacity:
-        if cap > bound:
-            raise CapExceededError(f"capacity entry {cap} exceeds the {bound} bound")
-    return KnapsackOracle(weights, capacity)
-
-
 @dataclass(frozen=True)
 class ApproxPolicy:
     """The DP table and the resolved action map.
 
     ``values[(i, y_index, state)]`` is the best sweep value from position i;
     ``actions[...]`` is None to terminate or the position to open next.  The
-    action must be looked up with the oracle state tracked along the run: two
-    histories can reach the same (position, best) with different remaining
-    capacity, so the state is part of the key.
+    oracle state is the side load of ``instance.order_model``.  The action
+    must be looked up with the state tracked along the run: two histories
+    can reach the same (position, best) with different remaining capacity,
+    so the state is part of the key.
     """
 
     instance: Instance
     preorder: PreOrderIndex
     grid: tuple[Fraction, ...]
-    oracle: object
     values: dict
     actions: dict
 
     @property
-    def start_state(self):
-        return self.oracle.initial()
+    def start_state(self) -> tuple[int, ...]:
+        return self.instance.order_model.empty_load
 
     @property
     def value(self) -> Fraction:
@@ -189,14 +121,21 @@ class ApproxPolicy:
         return self.values[(1, 0, self.start_state)]
 
 
-def solve_approx(instance: Instance, oracle=None) -> ApproxPolicy:
+def solve_approx(instance: Instance) -> ApproxPolicy:
     """Backward sweep over (position, best-reward grid, oracle state)."""
     preorder = build_preorder(instance)
-    if oracle is None:
-        oracle = knapsack_oracle(instance.side, instance.n)
+    model = instance.order_model
+    if len(model.capacity) > MAX_ORACLE_DIMENSION:
+        raise CapExceededError(
+            f"oracle dimension {len(model.capacity)} exceeds {MAX_ORACLE_DIMENSION}"
+        )
+    bound = CAPACITY_FACTOR * instance.n
+    for cap in model.capacity:
+        if cap > bound:
+            raise CapExceededError(f"capacity entry {cap} exceeds the {bound} bound")
     grid = instance.support_union()
     y_index = {y: k for k, y in enumerate(grid)}
-    states = oracle.states()
+    states = list(itertools.product(*(range(cap + 1) for cap in model.capacity)))
     n = preorder.n
     cells = (n + 1) * len(grid) * len(states)
     if cells > TABLE_CELL_CAP:
@@ -213,7 +152,7 @@ def solve_approx(instance: Instance, oracle=None) -> ApproxPolicy:
         box = instance.box_map[preorder.order[i - 1]]
         nxt = preorder.next_position[i - 1]
         for state in states:
-            after_open = oracle.add(state, box.id)
+            after_open = model.add(state, model.index[box.id])
             for yk, y in enumerate(grid):
                 skip_val = values[(nxt, yk, state)]
                 open_val = -box.cost
@@ -237,7 +176,6 @@ def solve_approx(instance: Instance, oracle=None) -> ApproxPolicy:
         instance=instance,
         preorder=preorder,
         grid=grid,
-        oracle=oracle,
         values=values,
         actions=actions,
     )
@@ -246,6 +184,7 @@ def solve_approx(instance: Instance, oracle=None) -> ApproxPolicy:
 def run_approx(instance: Instance, policy: ApproxPolicy, rng_seed: int, trial: int = 0) -> Trajectory:
     """Execute the policy with lazily sampled rewards."""
     sampler = RewardSampler(rng_seed, trial)
+    model = instance.order_model
     y_index = {y: k for k, y in enumerate(policy.grid)}
     pos = 1
     y = ZERO
@@ -264,7 +203,7 @@ def run_approx(instance: Instance, policy: ApproxPolicy, rng_seed: int, trial: i
         opened.append(box.id)
         if reward > y:
             y = reward
-        state = policy.oracle.add(state, box.id)
+        state = model.add(state, model.index[box.id])
         if state is None:
             raise ValidationError(f"policy opened {box.id!r} into an infeasible state")
         pos = act + 1
@@ -277,6 +216,7 @@ def run_approx(instance: Instance, policy: ApproxPolicy, rng_seed: int, trial: i
 def exact_policy_value(instance: Instance, policy: ApproxPolicy) -> Fraction:
     """Expected net revenue of the recorded actions, by an independent
     forward recursion (no reuse of the DP table's numbers)."""
+    model = instance.order_model
     y_index = {y: k for k, y in enumerate(policy.grid)}
     memo: dict = {}
 
@@ -290,7 +230,7 @@ def exact_policy_value(instance: Instance, policy: ApproxPolicy) -> Fraction:
             out = policy.grid[yk]
         else:
             box = instance.box_map[policy.preorder.order[act - 1]]
-            after = policy.oracle.add(state, box.id)
+            after = model.add(state, model.index[box.id])
             if after is None:
                 raise ValidationError(f"policy opens {box.id!r} into an infeasible state")
             out = -box.cost
@@ -325,6 +265,7 @@ def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fra
     n = preorder.n
     grid = policy.grid
     boxes = [instance.box_map[b] for b in preorder.order]
+    model = instance.order_model
     cdfs = [[box.reward.cdf(v) for v in grid] for box in boxes]
     psi_start = policy.value
 
@@ -351,7 +292,7 @@ def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fra
             return
         nxt = preorder.next_position[pos - 1]
         walk(nxt, state, cdf_prod, cost, chosen)  # skip the whole subtree
-        after = policy.oracle.add(state, boxes[pos - 1].id)
+        after = model.add(state, model.index[boxes[pos - 1].id])
         if after is not None:
             included = [a * b for a, b in zip(cdf_prod, cdfs[pos - 1])]
             walk(pos + 1, after, included, cost + boxes[pos - 1].cost,

@@ -87,6 +87,8 @@ def _read_thresholds(instance: Instance, path: Optional[str]) -> ThresholdPolicy
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read thresholds from {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ParseError(f"thresholds file {path} must hold a JSON object of box id to threshold")
     thresholds = {k: parse_rational(v) for k, v in raw.items()}
     return ThresholdPolicy.for_instance(instance, thresholds)
 

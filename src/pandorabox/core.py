@@ -144,9 +144,6 @@ class DiscreteDistribution:
     def max_value(self) -> Fraction:
         return self.atoms[-1][0]
 
-    def min_value(self) -> Fraction:
-        return self.atoms[0][0]
-
     def cdf(self, x: Fraction) -> Fraction:
         """P(X <= x)."""
         total = Fraction(0)
@@ -245,20 +242,21 @@ class MatroidSideConstraint:
             part_capacities=tuple(capacities),
         )
 
-    def is_feasible(self, ids: Iterable[str]) -> bool:
-        if self.kind == self.NONE:
-            return True
+    def vectors(self, ids: Sequence[str]) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+        """Weight vectors of ``ids`` and the capacity vector: a partition part
+        is a unit vector, and no side constraint is the empty vector."""
         if self.kind == self.KNAPSACK:
-            d = len(self.capacity)
-            total = [0] * d
-            for box_id in ids:
-                for j, w in enumerate(self.weights[box_id]):
-                    total[j] += w
-            return all(total[j] <= self.capacity[j] for j in range(d))
-        counts = [0] * len(self.part_capacities)
-        for box_id in ids:
-            counts[self.parts[box_id]] += 1
-        return all(c <= cap for c, cap in zip(counts, self.part_capacities))
+            zero = (0,) * len(self.capacity)
+            return [tuple(self.weights.get(i, zero)) for i in ids], tuple(self.capacity)
+        if self.kind == self.PARTITION:
+            k = len(self.part_capacities)
+            return ([tuple(int(j == self.parts.get(i)) for j in range(k)) for i in ids],
+                    tuple(self.part_capacities))
+        return [() for _ in ids], ()
+
+    def is_feasible(self, ids: Iterable[str]) -> bool:
+        weights, capacity = self.vectors(list(ids))
+        return all(sum(column) <= cap for column, cap in zip(zip(*weights), capacity))
 
 
 @dataclass(frozen=True)
@@ -277,8 +275,9 @@ class Instance:
     def box_map(self) -> dict[str, BoxSpec]:
         return {b.id: b for b in self.boxes}
 
-    def box(self, box_id: str) -> BoxSpec:
-        return self.box_map[box_id]
+    @cached_property
+    def order_model(self) -> "OrderModel":
+        return OrderModel.of(self)
 
     def support_union(self) -> tuple[Fraction, ...]:
         """Sorted union of {0} and every reward support value."""
@@ -318,18 +317,18 @@ def _validate_constraint(instance: Instance) -> None:
         return
 
     parents = graph.parents()
+    roots = [b.id for b in instance.boxes if b.id not in parents]
     if kind == ConstraintKind.DAG:
         for child, ps in parents.items():
             if len(set(ps)) != len(ps):
                 raise ValidationError(f"duplicate edge into box {child!r}")
         _check_acyclic(instance)
-        derived_roots = tuple(b.id for b in instance.boxes if b.id not in parents)
-        if not derived_roots:
+        if not roots:
             raise ValidationError("DAG constraint has no in-degree-0 box")
-        if graph.roots and set(graph.roots) != set(derived_roots):
+        if graph.roots and set(graph.roots) != set(roots):
             raise ValidationError(
                 f"declared roots {sorted(graph.roots)} differ from in-degree-0 "
-                f"boxes {sorted(derived_roots)}"
+                f"boxes {sorted(roots)}"
             )
         return
 
@@ -338,7 +337,6 @@ def _validate_constraint(instance: Instance) -> None:
         if len(ps) > 1:
             raise ValidationError(f"box {child!r} has multiple parents {sorted(ps)}")
     _check_acyclic(instance)
-    roots = [b.id for b in instance.boxes if b.id not in parents]
     if graph.roots and set(graph.roots) != set(roots):
         raise ValidationError(
             f"declared roots {sorted(graph.roots)} differ from parentless boxes {sorted(roots)}"
@@ -373,6 +371,11 @@ def _check_acyclic(instance: Instance) -> None:
         raise ValidationError(f"constraint contains a cycle through {stuck}")
 
 
+def _is_count(x: object) -> bool:
+    """A nonnegative int; JSON ``true``/``false`` are not counts."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _validate_side(instance: Instance) -> None:
     side = instance.side
     bound = CAPACITY_FACTOR * instance.n
@@ -383,7 +386,7 @@ def _validate_side(instance: Instance) -> None:
         if d < 1:
             raise ValidationError("knapsack constraint needs a nonempty capacity vector")
         for cap in side.capacity:
-            if not isinstance(cap, int) or cap < 0:
+            if not _is_count(cap):
                 raise ValidationError(f"capacity entry {cap!r} is not a nonnegative integer")
             if cap > bound:
                 raise ValidationError(f"capacity entry {cap} exceeds the {bound} (= {CAPACITY_FACTOR}n) bound")
@@ -393,7 +396,7 @@ def _validate_side(instance: Instance) -> None:
                 raise ValidationError(f"knapsack weights missing for box {box.id!r}")
             if len(w) != d:
                 raise ValidationError(f"weight vector for box {box.id!r} has dimension {len(w)}, expected {d}")
-            if any((not isinstance(x, int)) or x < 0 for x in w):
+            if not all(_is_count(x) for x in w):
                 raise ValidationError(f"weight vector for box {box.id!r} has a negative or non-integer entry")
         for extra in set(side.weights) - set(instance.box_map):
             raise ValidationError(f"knapsack weights reference unknown box {extra!r}")
@@ -403,7 +406,7 @@ def _validate_side(instance: Instance) -> None:
         if k < 1:
             raise ValidationError("partition constraint needs at least one part")
         for cap in side.part_capacities:
-            if not isinstance(cap, int) or cap < 0:
+            if not _is_count(cap):
                 raise ValidationError(f"part capacity {cap!r} is not a nonnegative integer")
             if cap > bound:
                 raise ValidationError(f"part capacity {cap} exceeds the {bound} (= {CAPACITY_FACTOR}n) bound")
@@ -411,7 +414,7 @@ def _validate_side(instance: Instance) -> None:
             part = side.parts.get(box.id)
             if part is None:
                 raise ValidationError(f"partition part missing for box {box.id!r}")
-            if not isinstance(part, int) or not (0 <= part < k):
+            if not _is_count(part) or part >= k:
                 raise ValidationError(f"box {box.id!r} has invalid part index {part!r}")
         for extra in set(side.parts) - set(instance.box_map):
             raise ValidationError(f"partition parts reference unknown box {extra!r}")
@@ -490,12 +493,12 @@ def _instance_from_obj(obj: object) -> Instance:
         raise ParseError("'constraint.edges' must be an array")
     edges = []
     for e in edges_raw:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise ParseError(f"edge {e!r} must be a [parent, child] pair")
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(x, str) for x in e)):
+            raise ParseError(f"edge {e!r} must be a [parent, child] pair of box ids")
         edges.append((e[0], e[1]))
     roots = raw_constraint.get("roots", [])
-    if not isinstance(roots, list):
-        raise ParseError("'constraint.roots' must be an array")
+    if not isinstance(roots, list) or not all(isinstance(r, str) for r in roots):
+        raise ParseError("'constraint.roots' must be an array of box ids")
     constraint = ConstraintGraph(
         kind=raw_constraint["kind"], edges=tuple(edges), roots=tuple(roots)
     )
@@ -617,69 +620,108 @@ def weitzman_reservation(box: BoxSpec) -> Fraction:
 # Openability semantics shared by the executors and the exact oracle
 # ---------------------------------------------------------------------------
 
-def constraint_allows(instance: Instance, opened: Iterable[str], box_id: str) -> bool:
-    """May ``box_id`` be opened next, given the opened set (order rule only)?
+@dataclass(frozen=True)
+class OrderModel:
+    """Openability of one instance, compiled once (``Instance.order_model``).
 
-    line/tree/forest: the parent must be open (roots are always allowed);
-    dag: at least one in-neighbour open, in-degree-0 boxes allowed from the
-    start; unconstrained: always.
+    Boxes are addressed by their position in ``Instance.boxes``: an opened
+    set is a bitmask over positions, and its side load is the sum of the
+    opened boxes' weight vectors.  One rule covers every constraint kind: a
+    box may be opened when it has no in-edge or some in-neighbour is open
+    (validation leaves line/tree/forest boxes at most one parent), and the
+    load after adding it stays within ``capacity``.  Weights are
+    nonnegative, so a load only grows as boxes open.
     """
-    kind = instance.constraint.kind
-    if kind == ConstraintKind.UNCONSTRAINED:
-        return True
-    opened_set = opened if isinstance(opened, (set, frozenset)) else set(opened)
-    parents = instance.constraint.parents().get(box_id, ())
-    if kind == ConstraintKind.DAG:
-        return not parents or any(p in opened_set for p in parents)
-    return not parents or parents[0] in opened_set
+
+    ids: tuple[str, ...]
+    index: Mapping[str, int]
+    parent_masks: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    weights: tuple[tuple[int, ...], ...]
+    capacity: tuple[int, ...]
+
+    @staticmethod
+    def of(instance: Instance) -> "OrderModel":
+        ids = tuple(b.id for b in instance.boxes)
+        index = {box_id: i for i, box_id in enumerate(ids)}
+        parent_masks = [0] * len(ids)
+        children: list[list[int]] = [[] for _ in ids]
+        for parent, child in instance.constraint.edges:
+            parent_masks[index[child]] |= 1 << index[parent]
+            children[index[parent]].append(index[child])
+        weights, capacity = instance.side.vectors(ids)
+        return OrderModel(ids, index, tuple(parent_masks), tuple(map(tuple, children)),
+                          tuple(weights), capacity)
+
+    @property
+    def empty_load(self) -> tuple[int, ...]:
+        return (0,) * len(self.capacity)
+
+    def order_allows(self, mask: int, i: int) -> bool:
+        parents = self.parent_masks[i]
+        return not parents or bool(mask & parents)
+
+    def try_open(self, mask: int, load: tuple[int, ...], i: int) -> Optional[tuple[int, ...]]:
+        """The load after opening box ``i`` next, or None when the box is open
+        already, its order rule fails or the load overflows."""
+        if mask >> i & 1 or not self.order_allows(mask, i):
+            return None
+        return self.add(load, i)
+
+    def add(self, load: tuple[int, ...], i: int) -> Optional[tuple[int, ...]]:
+        """The load after opening box ``i``, or None when it overflows."""
+        if not self.capacity:
+            return load
+        out = tuple(a + w for a, w in zip(load, self.weights[i]))
+        return out if all(o <= c for o, c in zip(out, self.capacity)) else None
+
+    def mask_of(self, ids: Iterable[str]) -> int:
+        mask = 0
+        for box_id in ids:
+            mask |= 1 << self.index[box_id]
+        return mask
+
+    def load_of(self, mask: int) -> Optional[tuple[int, ...]]:
+        """The load of an opened set, or None when the set overflows."""
+        load: Optional[tuple[int, ...]] = self.empty_load
+        for i in range(len(self.ids)):
+            if load is not None and mask >> i & 1:
+                load = self.add(load, i)
+        return load
 
 
-def side_allows(instance: Instance, opened: Iterable[str], box_id: str) -> bool:
-    """Does the opened set stay side-feasible after adding ``box_id``?"""
-    return instance.side.is_feasible(list(opened) + [box_id])
+def constraint_allows(instance: Instance, opened: Iterable[str], box_id: str) -> bool:
+    """May ``box_id`` be opened next, given the opened set (order rule only)?"""
+    model = instance.order_model
+    return model.order_allows(model.mask_of(opened), model.index[box_id])
 
 
 def feasible_next(instance: Instance, opened: Iterable[str]) -> list[str]:
     """Boxes openable next, in instance order."""
-    opened_set = opened if isinstance(opened, (set, frozenset)) else set(opened)
-    return [
-        b.id
-        for b in instance.boxes
-        if b.id not in opened_set
-        and constraint_allows(instance, opened_set, b.id)
-        and side_allows(instance, opened_set, b.id)
-    ]
+    model = instance.order_model
+    mask = model.mask_of(opened)
+    load = model.load_of(mask)
+    if load is None:
+        return []
+    return [box_id for i, box_id in enumerate(model.ids) if model.try_open(mask, load, i) is not None]
 
 
 def set_feasibility_violation(instance: Instance, ids: Iterable[str]) -> Optional[str]:
     """None when ``ids`` is a feasible set to open (in some order), else a
-    message naming the violated constraint."""
+    message naming the violated constraint.
+
+    The order graph is acyclic, so a set can be opened one box at a time
+    exactly when each of its boxes has no in-edge or a parent in the set.
+    """
     chosen = set(ids)
-    for box_id in chosen:
-        if box_id not in instance.box_map:
-            return f"unknown box {box_id!r}"
-    kind = instance.constraint.kind
-    parents = instance.constraint.parents()
-    if kind in (ConstraintKind.LINE, ConstraintKind.TREE, ConstraintKind.FOREST):
-        for box_id in chosen:
-            for parent in parents.get(box_id, ()):
-                if parent not in chosen:
-                    return f"order constraint: box {box_id!r} requires parent {parent!r}"
-    elif kind == ConstraintKind.DAG:
-        # Peel: the set is openable iff it can be built one box at a time.
-        reached: set[str] = set()
-        progress = True
-        while progress:
-            progress = False
-            for box_id in sorted(chosen - reached):
-                ps = parents.get(box_id, ())
-                if not ps or any(p in reached for p in ps):
-                    reached.add(box_id)
-                    progress = True
-        if reached != chosen:
-            stuck = sorted(chosen - reached)
-            return f"order constraint: boxes {stuck} are unreachable within the set"
-    if not instance.side.is_feasible(chosen):
+    for box_id in sorted(chosen - instance.box_map.keys()):
+        return f"unknown box {box_id!r}"
+    model = instance.order_model
+    mask = model.mask_of(chosen)
+    stuck = sorted(b for b in chosen if not model.order_allows(mask, model.index[b]))
+    if stuck:
+        return f"order constraint: boxes {stuck} have no parent in the set"
+    if model.load_of(mask) is None:
         return f"side constraint {instance.side.kind!r} violated"
     return None
 

@@ -105,9 +105,3 @@ def guard_line() -> Instance:
     constraint = ConstraintGraph(ConstraintKind.LINE, (("g1", "g2"),))
     return validate_instance(Instance(boxes=boxes, constraint=constraint))
 
-
-BUILTIN_EXAMPLES = {
-    "figure1": figure1,
-    "adaptivity-gap": adaptivity_gap,
-    "guard-line": guard_line,
-}

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import CapExceededError, Instance, constraint_allows, feasible_next
+from .core import CapExceededError, Instance, OrderModel, feasible_next
+from .line_solver import line_optimal_value
 
 ZERO = Fraction(0)
 
@@ -31,27 +32,25 @@ class OracleResult:
     e_max: Fraction
     e_cost: Fraction
     grid: tuple[Fraction, ...]
-    box_ids: tuple[str, ...]
+    model: OrderModel
     _policy: dict[tuple[int, int], Optional[int]]
     _values: dict[tuple[int, int], Fraction]
 
     def _key(self, opened: Sequence[str], best: Fraction) -> tuple[int, int]:
-        mask = 0
-        index = {b: i for i, b in enumerate(self.box_ids)}
-        for box_id in opened:
-            mask |= 1 << index[box_id]
-        return mask, self.grid.index(best)
+        return self.model.mask_of(opened), self.grid.index(best)
 
     def action(self, opened: Sequence[str], best: Fraction) -> Optional[str]:
         """Optimal next box id at this state, or None to stop."""
         choice = self._policy[self._key(opened, best)]
-        return None if choice is None else self.box_ids[choice]
+        return None if choice is None else self.model.ids[choice]
 
     def value_at(self, opened: Sequence[str], best: Fraction) -> Fraction:
         return self._values[self._key(opened, best)]
 
 
-def _engine(instance: Instance, initial_best: Fraction) -> OracleResult:
+def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fraction = Fraction(1)) -> OracleResult:
+    """Memoized Bellman recursion over (opened set, best reward); stopping
+    with best reward y pays ``terminal_weight * y``."""
     n = instance.n
     if n > HARD_BOX_CAP:
         raise CapExceededError(f"oracle handles at most {HARD_BOX_CAP} boxes, got {n}")
@@ -61,57 +60,35 @@ def _engine(instance: Instance, initial_best: Fraction) -> OracleResult:
         raise CapExceededError(
             f"state estimate 2^{n} * {len(grid)} = {estimate} exceeds cap {STATE_ESTIMATE_CAP}"
         )
+    model = instance.order_model
     boxes = instance.boxes
-    ids = tuple(b.id for b in boxes)
     y_index = {y: k for k, y in enumerate(grid)}
+    payoff = [terminal_weight * y for y in grid]
     atom_indices = [
         [(y_index[v], v, p) for v, p in b.reward.atoms] for b in boxes
     ]
     # Candidate iteration in ascending id order fixes the argmax tie-break.
-    by_id = sorted(range(n), key=lambda i: ids[i])
-    parents_of = instance.constraint.parents()
-    parent_masks = []
-    for b in boxes:
-        mask = 0
-        for p in parents_of.get(b.id, ()):
-            mask |= 1 << ids.index(p)
-        parent_masks.append(mask)
-
-    def openable(i: int, mask: int) -> bool:
-        if mask & (1 << i):
-            return False
-        kind = instance.constraint.kind
-        if kind == "unconstrained":
-            ok = True
-        elif kind == "dag":
-            ok = parent_masks[i] == 0 or (mask & parent_masks[i]) != 0
-        else:
-            ok = parent_masks[i] == 0 or (mask & parent_masks[i]) == parent_masks[i]
-        if not ok:
-            return False
-        if instance.side.kind == "none":
-            return True
-        chosen = [ids[j] for j in range(n) if mask & (1 << j)] + [ids[i]]
-        return instance.side.is_feasible(chosen)
+    by_id = sorted(range(n), key=lambda i: model.ids[i])
 
     values: dict[tuple[int, int], Fraction] = {}
     policy: dict[tuple[int, int], Optional[int]] = {}
 
-    def solve(mask: int, yk: int) -> Fraction:
+    def solve(mask: int, yk: int, load: tuple[int, ...]) -> Fraction:
         key = (mask, yk)
         cached = values.get(key)
         if cached is not None:
             return cached
         y = grid[yk]
-        best_val = y
+        best_val = payoff[yk]
         best_act: Optional[int] = None
         for i in by_id:
-            if not openable(i, mask):
+            after = model.try_open(mask, load, i)
+            if after is None:
                 continue
             val = -boxes[i].cost
             child = mask | (1 << i)
             for vk, v, p in atom_indices[i]:
-                val += p * solve(child, vk if v > y else yk)
+                val += p * solve(child, vk if v > y else yk, after)
             if val > best_val:
                 best_val = val
                 best_act = i
@@ -120,9 +97,9 @@ def _engine(instance: Instance, initial_best: Fraction) -> OracleResult:
         return best_val
 
     start = (0, y_index[initial_best])
-    total = solve(*start)
+    total = solve(*start, model.empty_load)
     for yk in range(len(grid)):
-        solve(0, yk)  # expose V(empty, y) on the whole grid for inspection
+        solve(0, yk, model.empty_load)  # expose V(empty, y) on the whole grid for inspection
 
     reward_part: dict[tuple[int, int], Fraction] = {}
     cost_part: dict[tuple[int, int], Fraction] = {}
@@ -152,7 +129,7 @@ def _engine(instance: Instance, initial_best: Fraction) -> OracleResult:
         e_max=e_max,
         e_cost=e_cost,
         grid=tuple(grid),
-        box_ids=ids,
+        model=model,
         _policy=policy,
         _values=values,
     )
@@ -167,27 +144,6 @@ def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResu
     return _engine(instance, initial_best)
 
 
-def solve_exact_negative_costs(instance: Instance, initial_best: Fraction = ZERO) -> OracleResult:
-    """Same recursion with the cost-nonnegativity convention relaxed; the
-    caller is expected to have built the instance without validation."""
-    return _engine(instance, initial_best)
-
-
-def _sequence_value(instance: Instance, order: Sequence[str], grid: Sequence[Fraction]) -> Fraction:
-    """Best adaptive-stopping value when forced to open along ``order``."""
-    current = {y: y for y in grid}
-    for box_id in reversed(list(order)):
-        box = instance.box_map[box_id]
-        nxt = {}
-        for y in grid:
-            cont = -box.cost
-            for v, p in box.reward.atoms:
-                cont += p * current[v if v > y else y]
-            nxt[y] = cont if cont > y else y
-        current = nxt
-    return current[ZERO]
-
-
 def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
     """Best strategy whose exploration order is fixed upfront.
 
@@ -199,7 +155,6 @@ def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
         raise CapExceededError(
             f"fixed-order enumeration handles at most {FIXED_ORDER_BOX_CAP} boxes, got {instance.n}"
         )
-    grid = instance.support_union()
     best: Optional[tuple[tuple[str, ...], Fraction]] = None
     seen = 0
 
@@ -212,7 +167,7 @@ def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
                 raise CapExceededError(
                     f"more than {FIXED_ORDER_SEQUENCE_CAP} feasible orders; instance too loose"
                 )
-            value = _sequence_value(instance, opened, grid)
+            value = line_optimal_value([instance.box_map[b] for b in opened])
             order = tuple(opened)
             if best is None or value > best[1] or (value == best[1] and order < best[0]):
                 best = (order, value)
@@ -234,38 +189,4 @@ def best_half_reward_benchmark(instance: Instance) -> Fraction:
     Bellman recursion attains the sup over every deterministic Markov
     policy exactly.
     """
-    n = instance.n
-    if n > HARD_BOX_CAP:
-        raise CapExceededError(f"benchmark handles at most {HARD_BOX_CAP} boxes, got {n}")
-    grid = list(instance.support_union())
-    y_index = {y: k for k, y in enumerate(grid)}
-    boxes = instance.boxes
-    ids = tuple(b.id for b in boxes)
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def solve(mask: int, yk: int) -> Fraction:
-        key = (mask, yk)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        y = grid[yk]
-        best_val = y / 2
-        for i in range(n):
-            if mask & (1 << i):
-                continue
-            if not constraint_allows(instance, {ids[j] for j in range(n) if mask & (1 << j)}, ids[i]):
-                continue
-            if instance.side.kind != "none":
-                chosen = [ids[j] for j in range(n) if mask & (1 << j)] + [ids[i]]
-                if not instance.side.is_feasible(chosen):
-                    continue
-            val = -boxes[i].cost
-            child = mask | (1 << i)
-            for v, p in boxes[i].reward.atoms:
-                val += p * solve(child, y_index[v] if v > y else yk)
-            if val > best_val:
-                best_val = val
-        memo[key] = best_val
-        return best_val
-
-    return solve(0, y_index[ZERO])
+    return _engine(instance, ZERO, terminal_weight=Fraction(1, 2)).value

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import DiscreteDistribution, InvariantError
 
@@ -34,10 +34,6 @@ class PiecewiseLinear:
     @staticmethod
     def identity() -> "PiecewiseLinear":
         return PiecewiseLinear((ZERO,), (ZERO,), ONE)
-
-    @staticmethod
-    def constant(y: Fraction) -> "PiecewiseLinear":
-        return PiecewiseLinear((ZERO,), (y,), ZERO)
 
     def __call__(self, x: Fraction) -> Fraction:
         xs, ys = self.xs, self.ys
@@ -113,15 +109,3 @@ class PiecewiseLinear:
         ys.append(z)
         return PiecewiseLinear(tuple(xs), tuple(ys), ONE)
 
-
-def mixture(plfs: Sequence[PiecewiseLinear], weights: Sequence[Fraction]) -> PiecewiseLinear:
-    """Pointwise weighted sum; domains must share their start."""
-    start = plfs[0].xs[0]
-    knots = sorted({x for f in plfs for x in f.xs})
-    if any(f.xs[0] != start for f in plfs):
-        raise InvariantError("mixture requires a common domain start")
-    values = tuple(
-        sum((w * f(k) for f, w in zip(plfs, weights)), ZERO) for k in knots
-    )
-    slope = sum((w * f.right_slope for f, w in zip(plfs, weights)), ZERO)
-    return PiecewiseLinear(tuple(knots), values, slope)

@@ -15,6 +15,7 @@ reproducible bit-for-bit across platforms.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,6 @@ from .core import (
     ExecutionState,
     Instance,
     ValidationError,
-    feasible_next,
     max_distribution,
     set_feasibility_violation,
 )
@@ -89,17 +89,34 @@ class RewardSampler:
 def fixed_opening_order(instance: Instance, policy: ThresholdPolicy) -> list[str]:
     """The realization-independent order in which the strategy visits boxes:
     greedy argmax threshold over currently openable boxes, until nothing is
-    openable.  Stopping is decided separately against this order."""
+    openable.  Stopping is decided separately against this order.
+
+    The openable boxes sit in a heap keyed by the greedy rule.  A popped box
+    that overflows the side load is dropped for good, since loads only grow.
+    """
+    model = instance.order_model
     rank = policy.rank()
-    opened: set[str] = set()
+
+    def entry(i: int) -> tuple:
+        box_id = model.ids[i]
+        return (-policy.thresholds[box_id], rank.get(box_id, 0), box_id, i)
+
+    heap = [entry(i) for i, parents in enumerate(model.parent_masks) if not parents]
+    heapq.heapify(heap)
+    mask = 0
+    load = model.empty_load
     order: list[str] = []
-    while True:
-        candidates = feasible_next(instance, opened)
-        if not candidates:
-            return order
-        best = min(candidates, key=lambda b: (-policy.thresholds[b], rank.get(b, 0), b))
-        order.append(best)
-        opened.add(best)
+    while heap:
+        _, _, box_id, i = heapq.heappop(heap)
+        after = model.try_open(mask, load, i)
+        if after is None:  # opened already through another parent, or overflows
+            continue
+        mask |= 1 << i
+        load = after
+        order.append(box_id)
+        for child in model.children[i]:
+            heapq.heappush(heap, entry(child))
+    return order
 
 
 def run_threshold(instance: Instance, policy: ThresholdPolicy, rng_seed: int,

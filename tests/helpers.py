@@ -18,7 +18,7 @@ from pandorabox import (
     DiscreteDistribution,
     Instance,
     MatroidSideConstraint,
-    feasible_next,
+    validate_instance,
 )
 from pandorabox.line_solver import macro_partition, solve_line
 
@@ -93,8 +93,93 @@ def rand_knapsack_side(rng: random.Random, ids, max_dim: int = 2) -> MatroidSide
     return MatroidSideConstraint.knapsack(weights, capacity)
 
 
+def rand_partition_side(rng: random.Random, ids, max_parts: int = 3) -> MatroidSideConstraint:
+    k = rng.randint(1, max_parts)
+    return MatroidSideConstraint.partition(
+        {i: rng.randrange(k) for i in ids}, tuple(rng.randint(0, 3) for _ in range(k))
+    )
+
+
 def with_side(instance: Instance, side: MatroidSideConstraint) -> Instance:
     return Instance(boxes=instance.boxes, constraint=instance.constraint, side=side)
+
+
+def rand_graph_instance(rng: random.Random, n: int, kind: str) -> Instance:
+    """Random validated tree, forest or DAG: box i takes its parents among
+    boxes 0..i-1 (exactly one for a tree, at most one for a forest, up to
+    three for a DAG)."""
+    boxes = tuple(rand_box(rng, i) for i in range(n))
+    edges = []
+    for i in range(1, n):
+        if kind == ConstraintKind.TREE:
+            k = 1
+        elif kind == ConstraintKind.FOREST:
+            k = rng.randint(0, 1)
+        else:
+            k = rng.randint(0, min(i, 3))
+        edges += [(boxes[j].id, boxes[i].id) for j in rng.sample(range(i), k)]
+    return validate_instance(Instance(boxes=boxes, constraint=ConstraintGraph(kind, tuple(edges))))
+
+
+# ---------------------------------------------------------------------------
+# Literal openability reference, written from the model's definition only
+# ---------------------------------------------------------------------------
+
+def reference_side_ok(instance: Instance, ids) -> bool:
+    """Summed side weights of ``ids`` within every capacity entry."""
+    side = instance.side
+    if side.kind == MatroidSideConstraint.KNAPSACK:
+        return all(
+            sum(side.weights[i][j] for i in ids) <= cap for j, cap in enumerate(side.capacity)
+        )
+    if side.kind == MatroidSideConstraint.PARTITION:
+        return all(
+            sum(1 for i in ids if side.parts[i] == part) <= cap
+            for part, cap in enumerate(side.part_capacities)
+        )
+    return True
+
+
+def reference_order_ok(instance: Instance, opened, box_id: str) -> bool:
+    """No in-edge into ``box_id``, or some in-neighbour already opened."""
+    in_neighbours = [p for p, c in instance.constraint.edges if c == box_id]
+    return not in_neighbours or any(p in opened for p in in_neighbours)
+
+
+def reference_next(instance: Instance, opened) -> list[str]:
+    """Boxes openable next, in instance order."""
+    return [
+        b.id
+        for b in instance.boxes
+        if b.id not in opened
+        and reference_order_ok(instance, opened, b.id)
+        and reference_side_ok(instance, set(opened) | {b.id})
+    ]
+
+
+def reference_set_feasible(instance: Instance, ids) -> bool:
+    """Can ``ids`` be opened one box at a time?  Peels reachable boxes."""
+    chosen = set(ids)
+    reached: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for box_id in sorted(chosen - reached):
+            if reference_order_ok(instance, reached, box_id):
+                reached.add(box_id)
+                grew = True
+    return reached == chosen and reference_side_ok(instance, chosen)
+
+
+def reference_greedy_order(instance: Instance, thresholds, rank) -> list[str]:
+    """The threshold rule's visiting order: repeatedly the openable box with
+    the largest threshold, ties by rank, then id."""
+    order: list[str] = []
+    while True:
+        candidates = reference_next(instance, order)
+        if not candidates:
+            return order
+        order.append(min(candidates, key=lambda b: (-thresholds[b], rank.get(b, 0), b)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +260,7 @@ def run_greedy_threshold_on_realization(instance: Instance, thresholds, values) 
     y = ZERO
     spent = ZERO
     while True:
-        candidates = feasible_next(instance, opened)
+        candidates = reference_next(instance, opened)
         if not candidates:
             return y - spent
         best_box = min(candidates, key=lambda b: (-thresholds[b], b))
@@ -193,7 +278,7 @@ def decision_tree_sup_half(instance: Instance) -> Fraction:
 
     def value(opened: tuple[str, ...], y: Fraction) -> Fraction:
         best = y / 2
-        for box_id in feasible_next(instance, opened):
+        for box_id in reference_next(instance, opened):
             box = instance.box_map[box_id]
             val = -box.cost
             for v, p in box.reward.atoms:

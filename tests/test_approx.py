@@ -16,7 +16,6 @@ from pandorabox import (
     build_preorder,
     evaluate_set,
     exact_policy_value,
-    knapsack_oracle,
     run_approx,
     solve_approx,
     solve_exact,
@@ -91,37 +90,41 @@ class TestBuildPreorder:
 
 
 class TestKnapsackOracle:
+    """The oblivious oracle state is the side load of ``Instance.order_model``."""
+
     def test_cardinality_counts(self):
         side = MatroidSideConstraint.knapsack({"a": (1,), "b": (1,)}, (1,))
-        oracle = knapsack_oracle(side, 2)
-        state = oracle.initial()
+        model = with_side(Instance(boxes=(coin_box("a"), coin_box("b"))), side).order_model
+        state = model.empty_load
         assert state == (0,)
-        state = oracle.add(state, "a")
+        state = model.add(state, 0)
         assert state == (1,)
-        assert oracle.add(state, "b") is None  # overflow
+        assert model.add(state, 1) is None  # overflow
 
     def test_partition_encoded_as_unit_knapsack(self):
         side = MatroidSideConstraint.partition({"a": 0, "b": 0, "c": 1}, (1, 1))
-        oracle = knapsack_oracle(side, 3)
-        s = oracle.add(oracle.initial(), "a")
+        boxes = (coin_box("a"), coin_box("b"), coin_box("c"))
+        model = with_side(Instance(boxes=boxes), side).order_model
+        s = model.add(model.empty_load, 0)
         assert s == (1, 0)
-        assert oracle.add(s, "b") is None
-        assert oracle.add(s, "c") == (1, 1)
+        assert model.add(s, 1) is None
+        assert model.add(s, 2) == (1, 1)
 
     def test_empty_set_always_feasible(self):
         side = MatroidSideConstraint.knapsack({"a": (5,)}, (0,))
-        oracle = knapsack_oracle(side, 1)
-        assert oracle.initial() == (0,)
+        model = with_side(Instance(boxes=(coin_box("a"),)), side).order_model
+        assert model.empty_load == (0,)
+        assert model.load_of(0) == (0,)
 
     def test_capacity_bound(self):
-        side = MatroidSideConstraint.knapsack({"a": (1,)}, (100,))
+        side = MatroidSideConstraint.knapsack({"a": (1,), "b": (1,)}, (100,))
         with pytest.raises(CapExceededError):
-            knapsack_oracle(side, 2)
+            solve_approx(with_side(Instance(boxes=(coin_box("a"), coin_box("b"))), side))
 
     def test_dimension_bound(self):
         side = MatroidSideConstraint.knapsack({"a": (1,) * 5}, (1,) * 5)
         with pytest.raises(CapExceededError):
-            knapsack_oracle(side, 1)
+            solve_approx(with_side(Instance(boxes=(coin_box("a"),)), side))
 
 
 class TestSolveApprox:
@@ -207,7 +210,7 @@ class TestSolveApprox:
                     spent += box.cost
                     if values[box.id] > y:
                         y = values[box.id]
-                    state = policy.oracle.add(state, box.id)
+                    state = inst.order_model.add(state, inst.order_model.index[box.id])
                     assert state is not None
                     pos = act + 1
                 total += prob * (y - spent)

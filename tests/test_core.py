@@ -127,6 +127,20 @@ class TestLoadInstance:
         again = load_instance(dump_instance(inst))
         assert again.side == side
 
+    @pytest.mark.parametrize(
+        "side",
+        [
+            MatroidSideConstraint.knapsack({"solo": (True,)}, (1,)),
+            MatroidSideConstraint.knapsack({"solo": (1,)}, (True,)),
+            MatroidSideConstraint.partition({"solo": False}, (1,)),
+            MatroidSideConstraint.partition({"solo": 0}, (True,)),
+        ],
+    )
+    def test_boolean_side_entries_rejected(self, side):
+        inst = load_instance(MINIMAL_DOC)
+        with pytest.raises(ValidationError):
+            validate_instance(Instance(boxes=inst.boxes, side=side))
+
     def test_capacity_bound_enforced(self):
         inst = load_instance(MINIMAL_DOC)
         side = MatroidSideConstraint.knapsack({"solo": (1,)}, (11,))

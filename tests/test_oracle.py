@@ -13,7 +13,6 @@ from pandorabox import (
     best_fixed_order,
     best_half_reward_benchmark,
     solve_exact,
-    solve_exact_negative_costs,
     solve_line,
     weitzman_reservation,
 )
@@ -137,7 +136,7 @@ class TestBestFixedOrder:
 class TestNegativeCosts:
     def test_free_money_box_always_opened(self):
         box = BoxSpec("a", F(-1), DiscreteDistribution.point(0))
-        res = solve_exact_negative_costs(Instance(boxes=(box,)))
+        res = solve_exact(Instance(boxes=(box,)))
         assert res.value == 1
         assert res.action((), F(0)) == "a"
 
@@ -150,7 +149,7 @@ class TestNegativeCosts:
             delta = F(rng.randint(1, 4), rng.choice((1, 2)))
             boxes = list(inst.boxes)
             boxes[i] = BoxSpec(boxes[i].id, boxes[i].cost - delta, boxes[i].reward)
-            shifted = solve_exact_negative_costs(
+            shifted = solve_exact(
                 Instance(boxes=tuple(boxes), constraint=inst.constraint)
             ).value
             assert F(0) <= shifted - base <= delta
@@ -161,7 +160,7 @@ class TestNegativeCosts:
         base = solve_exact(inst).value
         boxes = list(inst.boxes)
         boxes[-1] = BoxSpec(boxes[-1].id, F(-2), boxes[-1].reward)
-        bumped = solve_exact_negative_costs(
+        bumped = solve_exact(
             Instance(boxes=tuple(boxes), constraint=inst.constraint)
         ).value
         assert bumped >= base
