@@ -31,7 +31,6 @@ from .core import (
     weitzman_reservation,
 )
 from .line_solver import (
-    LineInstance,
     LineSolution,
     MacroBoxPartition,
     ThresholdTable,

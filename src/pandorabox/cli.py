@@ -85,7 +85,7 @@ def _read_thresholds(instance: Instance, path: Optional[str]) -> ThresholdPolicy
         return ThresholdPolicy.for_instance(instance, solution.thresholds, solution.order.ids())
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise ParseError(f"cannot read thresholds from {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"thresholds file {path} must hold a JSON object of box id to threshold")

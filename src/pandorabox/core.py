@@ -26,6 +26,7 @@ plus per-part capacities).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +39,13 @@ DUMMY_ROOT_ID = "__root__"
 
 # Capacities of side constraints must stay polynomially bounded in n.
 CAPACITY_FACTOR = 10
+
+# Largest decimal exponent parse_rational accepts (Python's default limit on
+# the digits of an int parsed from a string), so "1e999999999" cannot make
+# Fraction compute 10**999999999.
+MAX_DECIMAL_EXPONENT = 4300
+# The exponent as Fraction reads it: E or e, a sign, digits with underscores.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
 class PandoraError(Exception):
@@ -77,8 +85,12 @@ def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
             f"refusing to parse float {text!r}: write it as a string "
             f"(decimals convert exactly)"
         )
+    stripped = str(text).strip()
+    exponent = _EXPONENT.search(stripped)
     try:
-        return Fraction(str(text).strip())
+        if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise ParseError(f"exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
+        return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse rational from {text!r}: {exc}") from None
 
@@ -535,7 +547,7 @@ def load_instance(text: str) -> Instance:
     """Parse and validate an instance document."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
     return validate_instance(_instance_from_obj(obj))
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     BoxSpec,
+    CapExceededError,
     DiscreteDistribution,
     Instance,
     ValidationError,
@@ -29,6 +30,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 _SEED_MASK = (1 << 63) - 1
+# numpy's multinomial draw takes its sample count as an int64.
+MAX_SAMPLES = (1 << 63) - 1
 
 
 def sample_bound(n: int, epsilon: Fraction, delta: Fraction, mode: str = "tree",
@@ -46,6 +49,8 @@ def sample_bound(n: int, epsilon: Fraction, delta: Fraction, mode: str = "tree",
     dlt = float(delta)
     if not (0 < eps < 1) or not (0 < dlt < 1):
         raise ValidationError("epsilon and delta must lie in (0, 1)")
+    if not math.isfinite(constant):
+        raise ValidationError(f"constant {constant} must be finite")
     if mode == "general":
         raw = constant * n**3 / eps**3 * math.log(n / (eps * dlt))
     elif mode == "tree":
@@ -59,6 +64,8 @@ def sample_bound(n: int, epsilon: Fraction, delta: Fraction, mode: str = "tree",
         )
     else:
         raise ValidationError(f"unknown mode {mode!r}")
+    if raw > MAX_SAMPLES:  # an overflowed product is inf and fails here too
+        raise CapExceededError(f"sample bound {raw:.3g} exceeds {MAX_SAMPLES}")
     return max(1, math.ceil(raw))
 
 
@@ -85,6 +92,8 @@ class LearningConfig:
         if self.samples_per_box is not None:
             if self.samples_per_box < 1:
                 raise ValidationError("samples_per_box must be >= 1")
+            if self.samples_per_box > MAX_SAMPLES:
+                raise CapExceededError(f"sample count {self.samples_per_box} exceeds {MAX_SAMPLES}")
             return self.samples_per_box
         return sample_bound(n, self.epsilon, self.delta, "tree", self.constant)
 

@@ -18,44 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import cached_property
+from typing import Sequence
 
-from .core import (
-    BoxSpec,
-    ConstraintKind,
-    Instance,
-    UnsupportedConstraintError,
-    ValidationError,
-)
+from .core import BoxSpec, ValidationError
 from .piecewise import PiecewiseLinear
 
 ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class LineInstance:
-    """Boxes openable only in index order.  May be empty as a suffix."""
-
-    boxes: tuple[BoxSpec, ...]
-
-    @staticmethod
-    def from_instance(instance: Instance) -> "LineInstance":
-        kind = instance.constraint.kind
-        if kind == ConstraintKind.UNCONSTRAINED and instance.n == 1:
-            return LineInstance(instance.boxes)
-        if kind != ConstraintKind.LINE:
-            raise UnsupportedConstraintError(f"expected a line constraint, got {kind!r}")
-        children = instance.constraint.children()
-        parents = instance.constraint.parents()
-        root = next(b.id for b in instance.boxes if b.id not in parents)
-        order = [root]
-        while order[-1] in children:
-            order.append(children[order[-1]][0])
-        return LineInstance(tuple(instance.box_map[i] for i in order))
-
-    @property
-    def n(self) -> int:
-        return len(self.boxes)
 
 
 @dataclass(frozen=True)
@@ -69,16 +38,9 @@ class ValueTable:
     grid: tuple[Fraction, ...]
     levels: tuple[PiecewiseLinear, ...]  # levels[i-1] is V(., i)
 
-    @property
-    def n(self) -> int:
-        return len(self.levels) - 1
-
     def at(self, x: Fraction, i: int) -> Fraction:
         """V(x, i) for any x >= 0 (1-based i, i = n+1 is the horizon)."""
         return self.levels[i - 1](x)
-
-    def value(self, grid_index: int, i: int) -> Fraction:
-        return self.levels[i - 1](self.grid[grid_index])
 
 
 @dataclass(frozen=True)
@@ -92,10 +54,6 @@ class ThresholdTable:
     thresholds: tuple[Fraction, ...]
     horizons: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.thresholds)
-
 
 @dataclass(frozen=True)
 class MacroBoxPartition:
@@ -107,26 +65,31 @@ class MacroBoxPartition:
 
 @dataclass(frozen=True)
 class LineSolution:
-    line: LineInstance
-    value_table: ValueTable
-    thresholds: ThresholdTable
+    """What the backward recursion produces for a line: its boxes, the
+    levels V(., 1..n+1) and the thresholds z_1..z_n.  The value table and
+    the threshold table are derived from these once, on first read."""
+
+    boxes: tuple[BoxSpec, ...]
+    levels: tuple[PiecewiseLinear, ...]  # levels[i-1] is V(., i)
+    zs: tuple[Fraction, ...]
 
     @property
     def value(self) -> Fraction:
         """Optimal expected net revenue starting fresh (V(0, 1))."""
-        return self.value_table.at(ZERO, 1)
+        return self.levels[0](ZERO)
+
+    @cached_property
+    def value_table(self) -> ValueTable:
+        return _build_table(self.boxes, self.levels)
+
+    @cached_property
+    def thresholds(self) -> ThresholdTable:
+        return ThresholdTable(self.zs, _horizons(self.zs))
 
     def prepend(self, box: BoxSpec) -> "LineSolution":
-        """Solution of [box] + line, reusing this suffix's value functions."""
-        levels = self.value_table.levels
-        z, phi = _backward_step(levels[0], box)
-        new_line = LineInstance((box,) + self.line.boxes)
-        new_thresholds = (z,) + self.thresholds.thresholds
-        return LineSolution(
-            line=new_line,
-            value_table=_build_table(new_line, (phi,) + levels),
-            thresholds=ThresholdTable(new_thresholds, _horizons(new_thresholds)),
-        )
+        """Solution of [box] + line: one backward step over this suffix."""
+        z, phi = _backward_step(self.levels[0], box)
+        return LineSolution((box,) + self.boxes, (phi,) + self.levels, (z,) + self.zs)
 
 
 def _backward_step(next_level: PiecewiseLinear, box: BoxSpec) -> tuple[Fraction, PiecewiseLinear]:
@@ -148,33 +111,27 @@ def _horizons(thresholds: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _build_table(line: LineInstance, levels: tuple[PiecewiseLinear, ...]) -> ValueTable:
+def _build_table(boxes: Sequence[BoxSpec], levels: tuple[PiecewiseLinear, ...]) -> ValueTable:
     grid = {ZERO}
-    for box in line.boxes:
+    for box in boxes:
         grid.update(box.reward.values())
     for level in levels:
         grid.update(level.xs)
     return ValueTable(grid=tuple(sorted(grid)), levels=levels)
 
 
-def solve_line(line: Union[LineInstance, Sequence[BoxSpec]]) -> LineSolution:
-    """Solve the backward recursion; exact thresholds and value table."""
-    if not isinstance(line, LineInstance):
-        line = LineInstance(tuple(line))
-    solution = LineSolution(
-        line=LineInstance(()),
-        value_table=_build_table(LineInstance(()), (PiecewiseLinear.identity(),)),
-        thresholds=ThresholdTable((), ()),
-    )
-    for box in reversed(line.boxes):
+def solve_line(boxes: Sequence[BoxSpec]) -> LineSolution:
+    """Solve the backward recursion; exact levels and thresholds."""
+    solution = LineSolution((), (PiecewiseLinear.identity(),), ())
+    for box in reversed(boxes):
         solution = solution.prepend(box)
     return solution
 
 
-def compute_threshold(box: BoxSpec, line: Union[LineInstance, Sequence[BoxSpec]]) -> Fraction:
+def compute_threshold(box: BoxSpec, line: Sequence[BoxSpec]) -> Fraction:
     """Threshold box would get as a prefix of ``line`` (one extra backward
-    step over the line's value table)."""
-    return solve_line(line).prepend(box).thresholds.thresholds[0]
+    step over the line's levels)."""
+    return solve_line(line).prepend(box).zs[0]
 
 
 def macro_partition(thresholds: ThresholdTable) -> MacroBoxPartition:

@@ -116,8 +116,8 @@ def solve_tree(instance: Instance) -> TreeSolution:
     parents_map = {c: p for p, cs in tree.constraint.children().items() for c in cs}
     remaining = {b.id: len(children_map.get(b.id, ())) for b in tree.boxes}
 
-    lines: dict[str, AnnotatedLine] = {}
-    solutions: dict[str, LineSolution] = {}
+    # a solved subtree's line and line solution, until its parent uses them
+    solved: dict[str, tuple[AnnotatedLine, LineSolution]] = {}
     queue = deque(b.id for b in tree.boxes if remaining[b.id] == 0)
     root_id = next(b.id for b in tree.boxes if b.id not in parents_map)
 
@@ -125,21 +125,18 @@ def solve_tree(instance: Instance) -> TreeSolution:
     while queue:
         node = queue.popleft()
         processed += 1
-        kids = children_map.get(node, ())
+        kids = [solved.pop(k) for k in children_map.get(node, ())]
         if not kids:
             merged_line = AnnotatedLine(())
             merged_solution = solve_line([])
         elif len(kids) == 1:
-            merged_line = lines[kids[0]]
-            merged_solution = solutions[kids[0]]
+            merged_line, merged_solution = kids[0]
         else:
-            merged_line = merge([lines[k] for k in kids])
+            merged_line = merge([line for line, _ in kids])
             merged_solution = solve_line([tree.box_map[e.box_id] for e in merged_line.entries])
         solution = merged_solution.prepend(tree.box_map[node])
-        lines[node] = AnnotatedLine(
-            (AnnotatedEntry(node, solution.thresholds.thresholds[0]),) + merged_line.entries
-        )
-        solutions[node] = solution
+        line = AnnotatedLine((AnnotatedEntry(node, solution.zs[0]),) + merged_line.entries)
+        solved[node] = (line, solution)
         parent = parents_map.get(node)
         if parent is not None:
             remaining[parent] -= 1
@@ -148,8 +145,7 @@ def solve_tree(instance: Instance) -> TreeSolution:
     if processed != tree.n:
         raise ValidationError("constraint contains a cycle")  # pragma: no cover
 
-    full_line = lines[root_id]
-    full_solution = solutions[root_id]
+    full_line, full_solution = solved[root_id]
     entries = full_line.entries[1:] if has_dummy else full_line.entries
     return TreeSolution(
         thresholds={e.box_id: e.threshold for e in entries},

@@ -67,3 +67,49 @@ def test_thresholds_file_that_is_not_an_object_exits_2(tmp_path, content):
     res = run_cli("evaluate", "--input", str(inst), "--thresholds", str(thresholds))
     assert_clean_exit_2(res)
     assert str(thresholds) in res.stderr
+
+
+def test_instance_with_integer_over_the_digit_limit_exits_2(tmp_path):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    path = tmp_path / "inst.json"
+    path.write_text("1" * 5000)
+    assert_clean_exit_2(run_cli("solve", "--input", str(path)))
+
+
+def test_thresholds_with_integer_over_the_digit_limit_exits_2(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(dump_instance(guard_line()))
+    thresholds = tmp_path / "z.json"
+    thresholds.write_text('{"g1": ' + "1" * 5000 + ', "g2": 0}')
+    res = run_cli("evaluate", "--input", str(inst), "--thresholds", str(thresholds))
+    assert_clean_exit_2(res)
+    assert str(thresholds) in res.stderr
+
+
+LEARNABLE = {
+    "boxes": [
+        {"id": "a", "cost": "1/10", "reward": [
+            {"value": "0", "prob": "1/2"}, {"value": "1", "prob": "1/2"}]},
+        {"id": "b", "cost": "0", "reward": [{"value": "1/2", "prob": "1"}]},
+    ],
+    "constraint": {"kind": "tree", "edges": [["a", "b"]]},
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value, code",
+    [
+        ("--constant", "nan", 2),
+        ("--constant", "inf", 2),
+        ("--constant", "1e300", 3),  # a finite bound far above an int64 count
+        ("--samples", "100000000000000000000", 3),
+    ],
+)
+def test_learn_sample_count_out_of_range_exits_cleanly(tmp_path, flag, value, code):
+    path = tmp_path / "learnable.json"
+    path.write_text(json.dumps(LEARNABLE))
+    res = run_cli("learn", "--input", str(path), "--epsilon", "1/10", "--delta", "1/10",
+                  "--seed", "7", flag, value)
+    assert res.returncode == code
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr

@@ -67,6 +67,16 @@ class TestParseRational:
         with pytest.raises(ParseError):
             parse_rational(0.25)
 
+    @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1e4_400", "1E+4301"])
+    def test_rejects_exponent_beyond_the_bound(self, text):
+        with pytest.raises(ParseError):
+            parse_rational(text)
+
+    def test_accepts_exponent_at_the_bound(self):
+        assert parse_rational("1e4300") == 10**4300
+        assert parse_rational("1e-4300") == F(1, 10**4300)
+        assert parse_rational(" 1E1_0 ") == 10**10
+
 
 class TestLoadInstance:
     def test_minimal_document(self):

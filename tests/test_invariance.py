@@ -1,0 +1,120 @@
+"""Metamorphic checks that guard refactors of the solvers.
+
+Scaling every cost and reward by a positive factor scales every value and
+threshold by it; renaming the boxes leaves every value unchanged; adding a
+free zero box as a separate root changes no value and no other threshold.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from pandorabox import (
+    BoxSpec,
+    ConstraintGraph,
+    ConstraintKind,
+    DiscreteDistribution,
+    Instance,
+    ThresholdPolicy,
+    evaluate_threshold_exact,
+    solve_approx,
+    solve_exact,
+    solve_tree,
+    validate_instance,
+)
+
+from helpers import (
+    line_instance_of,
+    rand_forest_of_paths,
+    rand_knapsack_side,
+    rand_line_boxes,
+    rand_partition_side,
+    rand_tree_instance,
+    with_side,
+)
+
+F = Fraction
+LAMBDA = F(3, 7)
+
+
+def rand_instances(seed: int, count: int):
+    """Lines, trees and forests of paths with at most six boxes."""
+    rng = random.Random(seed)
+    for k in range(count):
+        shape = k % 3
+        if shape == 0:
+            yield rng, line_instance_of(rand_line_boxes(rng, rng.randint(1, 5)))
+        elif shape == 1:
+            yield rng, rand_tree_instance(rng, rng.randint(1, 6))
+        else:
+            yield rng, rand_forest_of_paths(rng, max_paths=3, max_total=6)
+
+
+def tree_values(instance: Instance) -> tuple[dict[str, Fraction], Fraction, Fraction]:
+    """Thresholds and value of solve_tree, and the exact value of its policy."""
+    solution = solve_tree(instance)
+    policy = ThresholdPolicy.for_instance(instance, solution.thresholds, solution.order.ids())
+    return solution.thresholds, solution.value, evaluate_threshold_exact(instance, policy)
+
+
+def scaled(instance: Instance, lam: Fraction) -> Instance:
+    boxes = tuple(
+        BoxSpec(b.id, b.cost * lam, DiscreteDistribution.of([(v * lam, p) for v, p in b.reward.atoms]))
+        for b in instance.boxes
+    )
+    return Instance(boxes=boxes, constraint=instance.constraint, side=instance.side)
+
+
+def renamed(instance: Instance, rng: random.Random) -> Instance:
+    ids = [b.id for b in instance.boxes]
+    new_ids = [f"r{k:02d}" for k in range(len(ids))]
+    rng.shuffle(new_ids)
+    name = dict(zip(ids, new_ids))
+    boxes = tuple(BoxSpec(name[b.id], b.cost, b.reward) for b in instance.boxes)
+    edges = tuple((name[p], name[c]) for p, c in instance.constraint.edges)
+    return validate_instance(Instance(boxes=boxes, constraint=ConstraintGraph(instance.constraint.kind, edges)))
+
+
+def with_free_root(instance: Instance) -> Instance:
+    free = BoxSpec("free", F(0), DiscreteDistribution.point(0))
+    graph = ConstraintGraph(ConstraintKind.FOREST, instance.constraint.edges)
+    return validate_instance(Instance(boxes=instance.boxes + (free,), constraint=graph))
+
+
+def test_scaling_costs_and_rewards_scales_values_and_thresholds():
+    for rng, inst in rand_instances(101, 60):
+        big = scaled(inst, LAMBDA)
+        thresholds, value, evaluated = tree_values(inst)
+        big_thresholds, big_value, big_evaluated = tree_values(big)
+        assert big_thresholds == {i: LAMBDA * z for i, z in thresholds.items()}
+        assert big_value == LAMBDA * value
+        assert big_evaluated == LAMBDA * evaluated
+        assert solve_exact(big).value == LAMBDA * solve_exact(inst).value
+        ids = [b.id for b in inst.boxes]
+        side = rand_knapsack_side(rng, ids) if rng.random() < 0.5 else rand_partition_side(rng, ids)
+        assert (
+            solve_approx(with_side(big, side)).value
+            == LAMBDA * solve_approx(with_side(inst, side)).value
+        )
+
+
+def test_renaming_ids_keeps_values():
+    for rng, inst in rand_instances(103, 60):
+        other = renamed(inst, rng)
+        _, value, evaluated = tree_values(inst)
+        _, other_value, other_evaluated = tree_values(other)
+        assert other_value == value
+        assert other_evaluated == evaluated
+        assert solve_exact(other).value == solve_exact(inst).value
+
+
+def test_free_zero_root_keeps_values_and_thresholds():
+    for _, inst in rand_instances(107, 60):
+        extended = with_free_root(inst)
+        thresholds, value, evaluated = tree_values(inst)
+        ext_thresholds, ext_value, ext_evaluated = tree_values(extended)
+        assert ext_value == value
+        assert ext_evaluated == evaluated
+        assert {i: ext_thresholds[i] for i in thresholds} == thresholds
+        assert solve_exact(extended).value == solve_exact(inst).value

@@ -16,7 +16,7 @@ from pandorabox import (
     solve_line,
     weitzman_reservation,
 )
-from pandorabox.line_solver import LineInstance, ThresholdTable
+from pandorabox.line_solver import ThresholdTable
 
 from helpers import (
     check_line_submartingale,
@@ -90,10 +90,12 @@ class TestComputeThreshold:
         for _ in range(50):
             boxes = rand_line_boxes(rng, rng.randint(1, 5))
             head = rand_box(rng, 99)
-            assert (
-                compute_threshold(head, boxes)
-                == solve_line([head] + boxes).thresholds.thresholds[0]
-            )
+            full = solve_line([head] + boxes)
+            assert compute_threshold(head, boxes) == full.thresholds.thresholds[0]
+            stepped = solve_line(boxes).prepend(head)
+            assert stepped.thresholds == full.thresholds
+            assert stepped.value_table.grid == full.value_table.grid
+            assert stepped.value_table.levels == full.value_table.levels
 
 
 class TestMacroPartition:
@@ -275,10 +277,3 @@ class TestDegenerateLines:
         assert all(a >= b for a, b in zip(zs, zs[1:]))
         assert zs[-1] == weitzman_reservation(boxes[-1]) == 6
 
-
-class TestLineInstance:
-    def test_from_instance_orders_by_edges(self):
-        boxes = rand_line_boxes(random.Random(43), 4)
-        inst = line_instance_of(list(reversed(boxes)))
-        line = LineInstance.from_instance(inst)
-        assert [b.id for b in line.boxes] == [b.id for b in reversed(boxes)]
