@@ -15,9 +15,11 @@ from .core import (
     OrderModel,
     PandoraError,
     ParseError,
+    PreOrderIndex,
     Rational,
     UnsupportedConstraintError,
     ValidationError,
+    build_preorder,
     constraint_allows,
     dump_instance,
     expected_excess,
@@ -60,8 +62,6 @@ from .oracle import (
 from .approx import (
     ApproxPolicy,
     GuaranteeReport,
-    PreOrderIndex,
-    build_preorder,
     exact_policy_value,
     run_approx,
     solve_approx,

@@ -32,11 +32,11 @@ from typing import Optional
 from .core import (
     CAPACITY_FACTOR,
     CapExceededError,
-    ConstraintKind,
     ExecutionState,
     Instance,
-    UnsupportedConstraintError,
+    PreOrderIndex,
     ValidationError,
+    build_preorder,
 )
 from .oracle import solve_exact
 from .strategy import RewardSampler, Trajectory
@@ -47,50 +47,6 @@ MAX_ORACLE_DIMENSION = 4
 TABLE_CELL_CAP = 2_000_000
 SET_ENUMERATION_CAP = 12
 ORACLE_COMPARISON_CAP = 10
-
-
-@dataclass(frozen=True)
-class PreOrderIndex:
-    """Pre-order positions (1-based) and the first-position-outside-the-
-    subtree jump table; ``next_position[i-1]`` is n+1 past the last tree."""
-
-    order: tuple[str, ...]
-    next_position: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-
-def build_preorder(instance: Instance) -> PreOrderIndex:
-    """Pre-order over a line/tree/forest, children in ascending id order;
-    forests are traversed root by root (ascending id)."""
-    kind = instance.constraint.kind
-    if kind not in (
-        ConstraintKind.LINE,
-        ConstraintKind.TREE,
-        ConstraintKind.FOREST,
-        ConstraintKind.UNCONSTRAINED,
-    ):
-        raise UnsupportedConstraintError(f"pre-order needs a tree-like constraint, not {kind!r}")
-    children = {k: sorted(v) for k, v in instance.constraint.children().items()}
-    parents = instance.constraint.parents()
-    roots = sorted(b.id for b in instance.boxes if b.id not in parents)
-    order: list[str] = []
-    subtree: dict[str, int] = {}
-
-    def visit(node: str) -> int:
-        order.append(node)
-        size = 1
-        for child in children.get(node, ()):
-            size += visit(child)
-        subtree[node] = size
-        return size
-
-    for root in roots:
-        visit(root)
-    next_position = tuple(i + 1 + subtree[node] for i, node in enumerate(order))
-    return PreOrderIndex(order=tuple(order), next_position=next_position)
 
 
 @dataclass(frozen=True)
@@ -215,33 +171,37 @@ def run_approx(instance: Instance, policy: ApproxPolicy, rng_seed: int, trial: i
 
 def exact_policy_value(instance: Instance, policy: ApproxPolicy) -> Fraction:
     """Expected net revenue of the recorded actions, by an independent
-    forward recursion (no reuse of the DP table's numbers)."""
+    forward pass (no reuse of the DP table's numbers): the states reachable
+    from the start are found first, then valued backwards by position, as
+    every outcome of opening a box sits at a later position."""
     model = instance.order_model
     y_index = {y: k for k, y in enumerate(policy.grid)}
-    memo: dict = {}
-
-    def value(pos: int, yk: int, state) -> Fraction:
-        key = (pos, yk, state)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    start = (1, 0, policy.start_state)
+    moves: dict = {}  # state -> (value on stopping or -cost, [(probability, next state)])
+    stack = [start]
+    while stack:
+        key = stack.pop()
+        if key in moves:
+            continue
+        _, yk, state = key
         act = policy.actions[key]
         if act is None:
-            out = policy.grid[yk]
-        else:
-            box = instance.box_map[policy.preorder.order[act - 1]]
-            after = model.add(state, model.index[box.id])
-            if after is None:
-                raise ValidationError(f"policy opens {box.id!r} into an infeasible state")
-            out = -box.cost
-            y = policy.grid[yk]
-            for v, p in box.reward.atoms:
-                vk = y_index[v] if v > y else yk
-                out += p * value(act + 1, vk, after)
-        memo[key] = out
-        return out
+            moves[key] = (policy.grid[yk], [])
+            continue
+        box = instance.box_map[policy.preorder.order[act - 1]]
+        after = model.add(state, model.index[box.id])
+        if after is None:
+            raise ValidationError(f"policy opens {box.id!r} into an infeasible state")
+        y = policy.grid[yk]
+        outcomes = [(p, (act + 1, y_index[v] if v > y else yk, after)) for v, p in box.reward.atoms]
+        moves[key] = (-box.cost, outcomes)
+        stack.extend(nxt for _, nxt in outcomes)
 
-    return value(1, 0, policy.start_state)
+    value: dict = {}
+    for key in sorted(moves, key=lambda k: k[0], reverse=True):
+        base, outcomes = moves[key]
+        value[key] = base + sum(p * value[nxt] for p, nxt in outcomes)
+    return value[start]
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ def emit(pairs: Sequence[tuple[str, object]], as_json: bool) -> None:
 def _read_instance(path: str) -> Instance:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return load_instance(text)
 
@@ -85,7 +85,7 @@ def _read_thresholds(instance: Instance, path: Optional[str]) -> ThresholdPolicy
         return ThresholdPolicy.for_instance(instance, solution.thresholds, solution.order.ids())
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ParseError(f"cannot read thresholds from {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"thresholds file {path} must hold a JSON object of box id to threshold")

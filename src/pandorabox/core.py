@@ -35,7 +35,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 Rational = Fraction
 
 RESERVED_ID_PREFIX = "__"
-DUMMY_ROOT_ID = "__root__"
 
 # Capacities of side constraints must stay polynomially bounded in n.
 CAPACITY_FACTOR = 10
@@ -434,7 +433,7 @@ def _validate_side(instance: Instance) -> None:
     raise ValidationError(f"unknown side constraint kind {side.kind!r}")
 
 
-def validate_instance(instance: Instance, allow_negative_costs: bool = False) -> Instance:
+def validate_instance(instance: Instance) -> Instance:
     """Check every model invariant; raises :class:`ValidationError` naming the
     offending box or edge.  Returns the instance for chaining."""
     if instance.n < 1:
@@ -448,7 +447,7 @@ def validate_instance(instance: Instance, allow_negative_costs: bool = False) ->
         seen.add(box.id)
         if box.id.startswith(RESERVED_ID_PREFIX):
             raise ValidationError(f"box id {box.id!r} uses the reserved prefix {RESERVED_ID_PREFIX!r}")
-        if box.cost < 0 and not allow_negative_costs:
+        if box.cost < 0:
             raise ValidationError(f"box {box.id!r} has negative cost {box.cost}")
         # DiscreteDistribution validates itself on construction; re-check the
         # probability sum here so load errors name the box.
@@ -533,7 +532,7 @@ def _instance_from_obj(obj: object) -> Instance:
             side = MatroidSideConstraint.partition(
                 dict(raw_side["parts"]), tuple(raw_side["capacities"])
             )
-        except (KeyError, TypeError, AttributeError):
+        except (KeyError, TypeError, AttributeError, ValueError):  # ValueError: parts ["a"]
             raise ParseError("malformed partition side constraint") from None
     elif raw_side["kind"] == MatroidSideConstraint.NONE:
         side = MatroidSideConstraint.none()
@@ -549,6 +548,8 @@ def load_instance(text: str) -> Instance:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     return validate_instance(_instance_from_obj(obj))
 
 
@@ -700,6 +701,49 @@ class OrderModel:
             if load is not None and mask >> i & 1:
                 load = self.add(load, i)
         return load
+
+
+@dataclass(frozen=True)
+class PreOrderIndex:
+    """Pre-order positions (1-based) and the first-position-outside-the-
+    subtree jump table; ``next_position[i-1]`` is n+1 past the last tree.
+
+    The children of position i are i+1, next(i+1), ... before next(i), and
+    the roots are the same chain from position 1 to n+1.
+    """
+
+    order: tuple[str, ...]
+    next_position: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.order)
+
+
+def build_preorder(instance: Instance) -> PreOrderIndex:
+    """Pre-order over a line/tree/forest, roots and children in ascending id
+    order, walked with an explicit stack so depth costs no recursion."""
+    kind = instance.constraint.kind
+    if kind == ConstraintKind.DAG or kind not in ConstraintKind.ALL:
+        raise UnsupportedConstraintError(f"pre-order needs a tree-like constraint, not {kind!r}")
+    model = instance.order_model
+    if any(mask & (mask - 1) for mask in model.parent_masks):
+        raise ValidationError("pre-order needs at most one parent per box")
+    by_id = model.ids.__getitem__
+    stack = sorted((i for i, mask in enumerate(model.parent_masks) if not mask), key=by_id, reverse=True)
+    order: list[int] = []
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        stack.extend(sorted(model.children[i], key=by_id, reverse=True))
+    if len(order) != len(model.ids):
+        raise ValidationError("constraint contains a cycle")
+    size = [1] * len(order)
+    for i in reversed(order):  # children follow their parent in pre-order
+        if model.parent_masks[i]:
+            size[model.parent_masks[i].bit_length() - 1] += size[i]
+    return PreOrderIndex(order=tuple(model.ids[i] for i in order),
+                         next_position=tuple(p + 1 + size[i] for p, i in enumerate(order)))
 
 
 def constraint_allows(instance: Instance, opened: Iterable[str], box_id: str) -> bool:

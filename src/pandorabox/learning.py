@@ -45,25 +45,28 @@ def sample_bound(n: int, epsilon: Fraction, delta: Fraction, mode: str = "tree",
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    eps = float(epsilon)
-    dlt = float(delta)
-    if not (0 < eps < 1) or not (0 < dlt < 1):
+    # compared exactly: a value below the float range is still in (0, 1)
+    if not (0 < epsilon < 1) or not (0 < delta < 1):
         raise ValidationError("epsilon and delta must lie in (0, 1)")
     if not math.isfinite(constant):
         raise ValidationError(f"constant {constant} must be finite")
-    if mode == "general":
-        raw = constant * n**3 / eps**3 * math.log(n / (eps * dlt))
-    elif mode == "tree":
-        raw = (
-            constant
-            * n
-            / eps**2
-            * math.log(1 / eps) ** 2
-            * math.log(n / eps)
-            * math.log(n / (eps * dlt))
-        )
-    else:
+    if mode not in ("general", "tree"):
         raise ValidationError(f"unknown mode {mode!r}")
+    eps = float(epsilon)
+    dlt = float(delta)
+    ratio = n / (eps * dlt) if eps * dlt else math.inf
+    if ratio < math.inf:
+        confidence = math.log(ratio)
+    else:  # log(n / (epsilon * delta)) is finite even where the float ratio is not
+        exact = n / (Fraction(epsilon) * Fraction(delta))
+        confidence = math.log(exact.numerator) - math.log(exact.denominator)
+    try:
+        if mode == "general":
+            raw = constant * n**3 / eps**3 * confidence
+        else:
+            raw = constant * n / eps**2 * math.log(1 / eps) ** 2 * math.log(n / eps) * confidence
+    except (ZeroDivisionError, OverflowError):  # a power of epsilon leaves the float range
+        raw = math.inf
     if raw > MAX_SAMPLES:  # an overflowed product is inf and fails here too
         raise CapExceededError(f"sample bound {raw:.3g} exceeds {MAX_SAMPLES}")
     return max(1, math.ceil(raw))

@@ -4,8 +4,9 @@ Subtrees are solved bottom-up: each solved subtree collapses into a line of
 boxes annotated with their thresholds; sibling lines are merged front-first
 by decreasing threshold (preserving within-line order), the parent is
 prepended and gets its threshold from one extra backward step of the line
-DP.  A forest gains a zero-cost zero-reward dummy root, which is excluded
-from the reported thresholds and order.
+DP.  Nodes are solved in reverse pre-order (:func:`.core.build_preorder`),
+so every child is solved before its parent.  The roots of a forest are
+merged once at the end, and the value is that merged line's value.
 """
 
 from __future__ import annotations
@@ -15,19 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (
-    BoxSpec,
-    ConstraintGraph,
-    ConstraintKind,
-    DiscreteDistribution,
-    DUMMY_ROOT_ID,
-    Instance,
-    UnsupportedConstraintError,
-    ValidationError,
-)
+from .core import Instance, ValidationError, build_preorder
 from .line_solver import LineSolution, solve_line
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -85,70 +75,37 @@ def merge(lines: Sequence[AnnotatedLine]) -> AnnotatedLine:
     return AnnotatedLine(tuple(out))
 
 
-def _forest_to_tree(instance: Instance) -> tuple[Instance, bool]:
-    """Attach a dummy root to forest/unconstrained instances."""
-    kind = instance.constraint.kind
-    if kind in (ConstraintKind.TREE, ConstraintKind.LINE):
-        return instance, False
-    if kind not in (ConstraintKind.FOREST, ConstraintKind.UNCONSTRAINED):
-        raise UnsupportedConstraintError(
-            f"tree solver handles line/tree/forest constraints, not {kind!r}"
-        )
-    parents = instance.constraint.parents()
-    roots = [b.id for b in instance.boxes if b.id not in parents]
-    dummy = BoxSpec(DUMMY_ROOT_ID, ZERO, DiscreteDistribution.point(0))
-    edges = tuple(instance.constraint.edges) + tuple(
-        (DUMMY_ROOT_ID, r) for r in roots
-    )
-    tree = Instance(
-        boxes=(dummy,) + instance.boxes,
-        constraint=ConstraintGraph(kind=ConstraintKind.TREE, edges=edges),
-        side=instance.side,
-    )
-    return tree, True
-
-
 def solve_tree(instance: Instance) -> TreeSolution:
     """Optimal thresholds, exploration order and value for a line, tree or
     forest instance (unconstrained treated as a forest of singletons)."""
-    tree, has_dummy = _forest_to_tree(instance)
-    children_map = tree.constraint.children()
-    parents_map = {c: p for p, cs in tree.constraint.children().items() for c in cs}
-    remaining = {b.id: len(children_map.get(b.id, ())) for b in tree.boxes}
+    index = build_preorder(instance)
+    # a solved subtree's line and line solution by pre-order position, until
+    # its parent (or the final merge of the roots) uses them
+    solved: dict[int, tuple[AnnotatedLine, LineSolution]] = {}
 
-    # a solved subtree's line and line solution, until its parent uses them
-    solved: dict[str, tuple[AnnotatedLine, LineSolution]] = {}
-    queue = deque(b.id for b in tree.boxes if remaining[b.id] == 0)
-    root_id = next(b.id for b in tree.boxes if b.id not in parents_map)
-
-    processed = 0
-    while queue:
-        node = queue.popleft()
-        processed += 1
-        kids = [solved.pop(k) for k in children_map.get(node, ())]
+    def merged(first: int, stop: int) -> tuple[AnnotatedLine, LineSolution]:
+        """Merge the solved subtrees at positions first, next(first), ...
+        before stop."""
+        kids = []
+        while first < stop:
+            kids.append(solved.pop(first))
+            first = index.next_position[first - 1]
         if not kids:
-            merged_line = AnnotatedLine(())
-            merged_solution = solve_line([])
-        elif len(kids) == 1:
-            merged_line, merged_solution = kids[0]
-        else:
-            merged_line = merge([line for line, _ in kids])
-            merged_solution = solve_line([tree.box_map[e.box_id] for e in merged_line.entries])
-        solution = merged_solution.prepend(tree.box_map[node])
-        line = AnnotatedLine((AnnotatedEntry(node, solution.zs[0]),) + merged_line.entries)
-        solved[node] = (line, solution)
-        parent = parents_map.get(node)
-        if parent is not None:
-            remaining[parent] -= 1
-            if remaining[parent] == 0:
-                queue.append(parent)
-    if processed != tree.n:
-        raise ValidationError("constraint contains a cycle")  # pragma: no cover
+            return AnnotatedLine(()), solve_line([])
+        if len(kids) == 1:
+            return kids[0]
+        line = merge([kid for kid, _ in kids])
+        return line, solve_line([instance.box_map[e.box_id] for e in line.entries])
 
-    full_line, full_solution = solved[root_id]
-    entries = full_line.entries[1:] if has_dummy else full_line.entries
+    for i in range(index.n, 0, -1):
+        line, solution = merged(i + 1, index.next_position[i - 1])
+        box = instance.box_map[index.order[i - 1]]
+        solution = solution.prepend(box)
+        solved[i] = (AnnotatedLine((AnnotatedEntry(box.id, solution.zs[0]),) + line.entries), solution)
+
+    line, solution = merged(1, index.n + 1)
     return TreeSolution(
-        thresholds={e.box_id: e.threshold for e in entries},
-        order=AnnotatedLine(entries),
-        value=full_solution.value,
+        thresholds={e.box_id: e.threshold for e in line.entries},
+        order=line,
+        value=solution.value,
     )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,15 +14,19 @@ from pandorabox import (
     Instance,
     MatroidSideConstraint,
     UnsupportedConstraintError,
+    ValidationError,
     build_preorder,
+    dump_instance,
     evaluate_set,
     exact_policy_value,
+    format_rational,
     run_approx,
     solve_approx,
     solve_exact,
     solve_tree,
     verify_guarantee,
 )
+from pandorabox import cli
 from pandorabox.instances import figure1, figure1_tree_matroid, guard_line
 
 from helpers import (
@@ -87,6 +92,29 @@ class TestBuildPreorder:
     def test_dag_rejected(self):
         with pytest.raises(UnsupportedConstraintError):
             build_preorder(figure1())
+
+    def test_roots_and_children_in_ascending_id(self):
+        # neither box order nor edge order decides the pre-order
+        boxes = tuple(coin_box(b) for b in ("z", "y", "c", "b", "a"))
+        edges = (("y", "c"), ("z", "b"), ("y", "a"))
+        pre = build_preorder(Instance(boxes=boxes, constraint=ConstraintGraph("forest", edges)))
+        assert pre.order == ("y", "a", "c", "z", "b")
+        assert pre.next_position == (4, 3, 4, 6, 6)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            (("a", "c"), ("b", "c")),  # two parents
+            (("b", "c"), ("c", "b")),  # a cycle no root reaches
+        ],
+    )
+    def test_unvalidated_non_forest_rejected(self, edges):
+        inst = Instance(
+            boxes=(coin_box("a"), coin_box("b"), coin_box("c")),
+            constraint=ConstraintGraph("tree", edges),
+        )
+        with pytest.raises(ValidationError):
+            build_preorder(inst)
 
 
 class TestKnapsackOracle:
@@ -299,3 +327,32 @@ class TestVerifyGuarantee:
                 res.e_max / 2 - res.e_cost
             )
             assert report.benchmark_margin >= 0
+
+
+class TestLongLine:
+    """A line deeper than the interpreter's recursion limit."""
+
+    N = 1500
+
+    def line(self) -> Instance:
+        boxes = tuple(
+            BoxSpec(f"b{i:04d}", F(1, 10), DiscreteDistribution.of([(0, "1/2"), (1 + i % 3, "1/2")]))
+            for i in range(self.N)
+        )
+        edges = tuple((a.id, b.id) for a, b in zip(boxes, boxes[1:]))
+        return Instance(boxes=boxes, constraint=ConstraintGraph("line", edges))
+
+    def test_solve_and_approx_agree(self, tmp_path, capsys):
+        assert self.N > sys.getrecursionlimit()
+        inst = self.line()
+        policy = solve_approx(inst)
+        value = solve_tree(inst).value
+        assert policy.value == value
+        assert exact_policy_value(inst, policy) == policy.value
+
+        path = tmp_path / "line.json"
+        path.write_text(dump_instance(inst))
+        for command in ("solve", "approx"):
+            assert cli.main([command, "--input", str(path)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[-1] == f"value={format_rational(value)}"

@@ -58,6 +58,15 @@ def test_boolean_side_entries_exit_2(tmp_path, side):
     assert_clean_exit_2(run_cli("approx", "--input", str(path)))
 
 
+def test_partition_parts_that_are_not_pairs_exit_2(tmp_path):
+    # dict(["g1"]) raises ValueError, not TypeError
+    doc = guard_doc()
+    doc["side"] = {"kind": "partition", "parts": ["g1"], "capacities": [2]}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert_clean_exit_2(run_cli("approx", "--input", str(path)))
+
+
 @pytest.mark.parametrize("content", [["g1", "g2"], 3])
 def test_thresholds_file_that_is_not_an_object_exits_2(tmp_path, content):
     inst = tmp_path / "inst.json"
@@ -81,6 +90,33 @@ def test_thresholds_with_integer_over_the_digit_limit_exits_2(tmp_path):
     inst.write_text(dump_instance(guard_line()))
     thresholds = tmp_path / "z.json"
     thresholds.write_text('{"g1": ' + "1" * 5000 + ', "g2": 0}')
+    res = run_cli("evaluate", "--input", str(inst), "--thresholds", str(thresholds))
+    assert_clean_exit_2(res)
+    assert str(thresholds) in res.stderr
+
+
+def test_instance_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_bytes(b"\xff\xfe{")
+    res = run_cli("solve", "--input", str(path))
+    assert_clean_exit_2(res)
+    assert len(res.stderr.splitlines()) == 1
+
+
+def test_instance_nested_too_deeply_exits_2(tmp_path):
+    # json.loads raises RecursionError here, not a ValueError
+    path = tmp_path / "inst.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    res = run_cli("solve", "--input", str(path))
+    assert_clean_exit_2(res)
+    assert len(res.stderr.splitlines()) == 1
+
+
+def test_thresholds_nested_too_deeply_exits_2(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(dump_instance(guard_line()))
+    thresholds = tmp_path / "z.json"
+    thresholds.write_text("[" * 100_000 + "]" * 100_000)
     res = run_cli("evaluate", "--input", str(inst), "--thresholds", str(thresholds))
     assert_clean_exit_2(res)
     assert str(thresholds) in res.stderr
@@ -113,3 +149,22 @@ def test_learn_sample_count_out_of_range_exits_cleanly(tmp_path, flag, value, co
     assert res.returncode == code
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "epsilon, delta, code",
+    [
+        ("1e-200", "1/10", 3),  # epsilon**2 underflows to 0.0; the bound is far above the cap
+        ("1e-400", "1/10", 3),  # epsilon itself is 0.0 as a float
+        ("1/10", "1e-400", 0),  # delta is 0.0 as a float, but log(1/delta) is only ~921
+    ],
+)
+def test_learn_epsilon_or_delta_below_the_float_range(tmp_path, epsilon, delta, code):
+    path = tmp_path / "learnable.json"
+    path.write_text(json.dumps(LEARNABLE))
+    res = run_cli("learn", "--input", str(path), "--epsilon", epsilon, "--delta", delta,
+                  "--seed", "7")
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr
+    if code:
+        assert res.stderr.startswith("error: ")

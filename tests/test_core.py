@@ -125,10 +125,6 @@ class TestLoadInstance:
         doc["boxes"][0]["cost"] = "-1"
         with pytest.raises(ValidationError, match="negative"):
             load_instance(json.dumps(doc))
-        inst = Instance(
-            boxes=(BoxSpec("solo", F(-1), coin(3)),),
-        )
-        validate_instance(inst, allow_negative_costs=True)
 
     def test_side_constraint_round_trip(self):
         inst = load_instance(MINIMAL_DOC)

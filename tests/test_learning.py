@@ -8,6 +8,7 @@ import pytest
 
 from pandorabox import (
     BoxSpec,
+    CapExceededError,
     ConstraintGraph,
     DiscreteDistribution,
     Instance,
@@ -71,6 +72,21 @@ class TestSampleBound:
         base = sample_bound(5, F(1, 10), F(1, 10), "tree", constant=1.0)
         doubled = sample_bound(5, F(1, 10), F(1, 10), "tree", constant=2.0)
         assert doubled >= 2 * base - 1
+
+    def test_epsilon_below_the_float_range_exceeds_the_cap(self):
+        for eps in (F(1, 10**200), F(1, 10**400)):
+            for mode in ("tree", "general"):
+                with pytest.raises(CapExceededError):
+                    sample_bound(3, eps, F(1, 10), mode)
+
+    def test_delta_below_the_float_range_is_finite(self):
+        # log(n / (eps * delta)) read exactly: 10**-400 adds 400 log 10 to it
+        n, eps = 3, 0.1
+        confidence = math.log(n / eps) + 400 * math.log(10)
+        expected = math.ceil(n / eps**2 * math.log(1 / eps) ** 2 * math.log(n / eps) * confidence)
+        got = sample_bound(n, F(1, 10), F(1, 10**400), "tree")
+        assert abs(got - expected) <= 1
+        assert got > sample_bound(n, F(1, 10), F(1, 10**300), "tree")
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
