@@ -327,58 +327,45 @@ def _validate_constraint(instance: Instance) -> None:
             raise ValidationError("unconstrained instances must not declare edges")
         return
 
-    parents = graph.parents()
-    roots = [b.id for b in instance.boxes if b.id not in parents]
-    if kind == ConstraintKind.DAG:
-        for child, ps in parents.items():
-            if len(set(ps)) != len(ps):
-                raise ValidationError(f"duplicate edge into box {child!r}")
-        _check_acyclic(instance)
-        if not roots:
-            raise ValidationError("DAG constraint has no in-degree-0 box")
-        if graph.roots and set(graph.roots) != set(roots):
-            raise ValidationError(
-                f"declared roots {sorted(graph.roots)} differ from in-degree-0 "
-                f"boxes {sorted(roots)}"
-            )
-        return
-
-    # line / tree / forest: at most one parent each, no cycles.
-    for child, ps in parents.items():
-        if len(ps) > 1:
-            raise ValidationError(f"box {child!r} has multiple parents {sorted(ps)}")
-    _check_acyclic(instance)
+    edges = set()
+    for parent, child in graph.edges:  # parent masks below merge duplicates
+        if (parent, child) in edges:
+            raise ValidationError(f"duplicate edge into box {child!r}")
+        edges.add((parent, child))
+    model = instance.order_model
+    if kind != ConstraintKind.DAG:  # line / tree / forest: at most one parent each
+        for _, child in graph.edges:
+            mask = model.parent_masks[model.index[child]]
+            if mask & (mask - 1):
+                parents = sorted(p for j, p in enumerate(model.ids) if mask >> j & 1)
+                raise ValidationError(f"box {child!r} has multiple parents {parents}")
+    _check_acyclic(model)
+    roots = [box_id for box_id, mask in zip(model.ids, model.parent_masks) if not mask]
     if graph.roots and set(graph.roots) != set(roots):
-        raise ValidationError(
-            f"declared roots {sorted(graph.roots)} differ from parentless boxes {sorted(roots)}"
-        )
+        what = "in-degree-0 boxes" if kind == ConstraintKind.DAG else "parentless boxes"
+        raise ValidationError(f"declared roots {sorted(graph.roots)} differ from {what} {sorted(roots)}")
     if kind in (ConstraintKind.LINE, ConstraintKind.TREE) and len(roots) != 1:
         raise ValidationError(f"{kind} constraint needs exactly one root, found {sorted(roots)}")
     if kind == ConstraintKind.LINE:
-        children = instance.constraint.children()
-        for parent, cs in children.items():
-            if len(cs) > 1:
-                raise ValidationError(f"line constraint branches at box {parent!r}")
-        if len(graph.edges) != instance.n - 1:
-            raise ValidationError("line constraint must chain every box exactly once")
+        for box_id, children in zip(model.ids, model.children):
+            if len(children) > 1:
+                raise ValidationError(f"line constraint branches at box {box_id!r}")
 
 
-def _check_acyclic(instance: Instance) -> None:
-    children = instance.constraint.children()
-    indegree = {b.id: 0 for b in instance.boxes}
-    for _, child in instance.constraint.edges:
-        indegree[child] += 1
-    queue = [box_id for box_id, deg in indegree.items() if deg == 0]
+def _check_acyclic(model: "OrderModel") -> None:
+    """Kahn's algorithm over the compiled parent masks and child lists."""
+    indegree = [mask.bit_count() for mask in model.parent_masks]
+    queue = [i for i, deg in enumerate(indegree) if deg == 0]
     seen = 0
     while queue:
-        node = queue.pop()
+        i = queue.pop()
         seen += 1
-        for child in children.get(node, ()):
+        for child in model.children[i]:
             indegree[child] -= 1
             if indegree[child] == 0:
                 queue.append(child)
-    if seen != instance.n:
-        stuck = sorted(box_id for box_id, deg in indegree.items() if deg > 0)
+    if seen != len(indegree):
+        stuck = sorted(box_id for box_id, deg in zip(model.ids, indegree) if deg > 0)
         raise ValidationError(f"constraint contains a cycle through {stuck}")
 
 
@@ -553,7 +540,7 @@ def load_instance(text: str) -> Instance:
     return validate_instance(_instance_from_obj(obj))
 
 
-def dump_instance(instance: Instance, indent: Optional[int] = 2) -> str:
+def dump_instance(instance: Instance) -> str:
     """Serialize an instance back into the document format."""
     obj: dict[str, object] = {
         "boxes": [
@@ -586,7 +573,7 @@ def dump_instance(instance: Instance, indent: Optional[int] = 2) -> str:
             "parts": dict(side.parts),
             "capacities": list(side.part_capacities),
         }
-    return json.dumps(obj, indent=indent)
+    return json.dumps(obj, indent=2)
 
 
 # ---------------------------------------------------------------------------

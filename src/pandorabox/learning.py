@@ -2,9 +2,9 @@
 the empirical instance, and measure the learned policy's true value.
 
 Rewards and costs must lie in [0, 1].  Sampled rewards are rounded down to a
-grid of step ``grid_step`` (default: the accuracy target), tallied into
-exact empirical distributions (counts over the sample size), and the
-empirical instance is solved like any other.  Costs are not rounded.
+grid of step epsilon (the accuracy target), tallied into exact empirical
+distributions (counts over the sample size), and the empirical instance is
+solved like any other.  Costs are not rounded.
 """
 
 from __future__ import annotations
@@ -77,19 +77,13 @@ class LearningConfig:
     epsilon: Fraction
     delta: Fraction
     samples_per_box: Optional[int] = None  # None: use the tree-mode bound
-    grid_step: Optional[Fraction] = None  # None: use epsilon
     constant: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0 < self.epsilon < 1) or not (0 < self.delta < 1):
             raise ValidationError("epsilon and delta must lie in (0, 1)")
-        step = self.resolved_grid_step
-        if step <= 0 or step > 1 or (1 / step).denominator != 1:
-            raise ValidationError(f"grid step {step} must divide 1 exactly")
-
-    @property
-    def resolved_grid_step(self) -> Fraction:
-        return self.grid_step if self.grid_step is not None else self.epsilon
+        if (1 / self.epsilon).denominator != 1:  # epsilon is the grid step
+            raise ValidationError(f"grid step {self.epsilon} must divide 1 exactly")
 
     def sample_count(self, n: int) -> int:
         if self.samples_per_box is not None:
@@ -108,7 +102,6 @@ class EmpiricalModel:
 
     counts: dict[str, tuple[tuple[Fraction, int], ...]]
     samples_per_box: int
-    grid_step: Fraction
 
     def distribution(self, box_id: str) -> DiscreteDistribution:
         return DiscreteDistribution.of(
@@ -145,7 +138,6 @@ def learn_model(instance: Instance, config: LearningConfig, rng_seed: int) -> Em
     """
     _check_learning_regime(instance)
     n_samples = config.sample_count(instance.n)
-    step = config.resolved_grid_step
     counts: dict[str, tuple[tuple[Fraction, int], ...]] = {}
     for index, box in enumerate(instance.boxes):
         seq = np.random.SeedSequence([rng_seed & _SEED_MASK, index])
@@ -156,10 +148,10 @@ def learn_model(instance: Instance, config: LearningConfig, rng_seed: int) -> Em
         for (value, _), count in zip(box.reward.atoms, drawn):
             if count == 0:
                 continue
-            rounded = round_down_to_grid(value, step)
+            rounded = round_down_to_grid(value, config.epsilon)
             tally[rounded] = tally.get(rounded, 0) + int(count)
         counts[box.id] = tuple(sorted(tally.items()))
-    return EmpiricalModel(counts=counts, samples_per_box=n_samples, grid_step=step)
+    return EmpiricalModel(counts=counts, samples_per_box=n_samples)
 
 
 @dataclass(frozen=True)

@@ -147,14 +147,14 @@ def macro_partition(thresholds: ThresholdTable) -> MacroBoxPartition:
     return MacroBoxPartition(tuple(boundaries))
 
 
-def line_optimal_value(boxes: Sequence[BoxSpec], start: Fraction = ZERO) -> Fraction:
+def line_optimal_value(boxes: Sequence[BoxSpec]) -> Fraction:
     """Optimal expected net revenue of a line without threshold extraction.
 
     Values are only ever queried at observed-max points, so a DP restricted
-    to {start} plus the support union is exact.  Cheaper than
+    to {0} plus the support union is exact.  Cheaper than
     :func:`solve_line` for long lines.
     """
-    grid = {start}
+    grid = {ZERO}
     for box in boxes:
         grid.update(box.reward.values())
     points = sorted(grid)
@@ -167,4 +167,4 @@ def line_optimal_value(boxes: Sequence[BoxSpec], start: Fraction = ZERO) -> Frac
                 cont += p * current[v if v > y else y]
             nxt[y] = cont if cont > y else y
         current = nxt
-    return current[start]
+    return current[ZERO]

@@ -98,8 +98,6 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
 
     start = (0, y_index[initial_best])
     total = solve(*start, model.empty_load)
-    for yk in range(len(grid)):
-        solve(0, yk, model.empty_load)  # expose V(empty, y) on the whole grid for inspection
 
     reward_part: dict[tuple[int, int], Fraction] = {}
     cost_part: dict[tuple[int, int], Fraction] = {}

@@ -1,19 +1,22 @@
 """Optimal threshold strategies for tree and forest constraints.
 
-Subtrees are solved bottom-up: each solved subtree collapses into a line of
-boxes annotated with their thresholds; sibling lines are merged front-first
-by decreasing threshold (preserving within-line order), the parent is
-prepended and gets its threshold from one extra backward step of the line
-DP.  Nodes are solved in reverse pre-order (:func:`.core.build_preorder`),
-so every child is solved before its parent.  The roots of a forest are
-merged once at the end, and the value is that merged line's value.
+Subtrees are solved bottom-up, and a solved subtree is the line solution of
+its linearized boxes.  A box's threshold depends only on its own subtree, so
+sibling lines are merged front-first by decreasing threshold (preserving
+within-line order) and the merged line, re-solved, gives every box back the
+threshold it had; the parent is prepended and gets its threshold from one
+extra backward step.  Nodes are solved in reverse pre-order
+(:func:`.core.build_preorder`), so every child is solved before its parent.
+The roots of a forest are merged once at the end, and the value is that
+merged line's value.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 from .core import Instance, ValidationError, build_preorder
@@ -58,54 +61,44 @@ def merge(lines: Sequence[AnnotatedLine]) -> AnnotatedLine:
             if entry.box_id in seen:
                 raise ValidationError(f"duplicate box id {entry.box_id!r} across merged lines")
             seen.add(entry.box_id)
-    # (line key, deque of entries); lines keep their identity while draining.
-    pending = [
-        (line.entries[0].box_id, deque(line.entries))
-        for line in lines
-        if line.entries
-    ]
-    pending.sort(key=lambda item: item[0])
-    out: list[AnnotatedEntry] = []
-    while pending:
-        best = max(range(len(pending)), key=lambda k: pending[k][1][0].threshold)
-        # max() keeps the first (smallest line key) among equal thresholds
-        out.append(pending[best][1].popleft())
-        if not pending[best][1]:
-            pending.pop(best)
-    return AnnotatedLine(tuple(out))
+    ordered = sorted((line.entries for line in lines if line.entries), key=lambda es: es[0].box_id)
+    # heapq.merge pops the largest front key and breaks ties by input position
+    return AnnotatedLine(tuple(heapq.merge(*ordered, key=attrgetter("threshold"), reverse=True)))
+
+
+def _annotated(solution: LineSolution) -> AnnotatedLine:
+    return AnnotatedLine(tuple(map(AnnotatedEntry, (b.id for b in solution.boxes), solution.zs)))
 
 
 def solve_tree(instance: Instance) -> TreeSolution:
     """Optimal thresholds, exploration order and value for a line, tree or
     forest instance (unconstrained treated as a forest of singletons)."""
     index = build_preorder(instance)
-    # a solved subtree's line and line solution by pre-order position, until
-    # its parent (or the final merge of the roots) uses them
-    solved: dict[int, tuple[AnnotatedLine, LineSolution]] = {}
+    # a solved subtree's line solution by pre-order position, until its
+    # parent (or the final merge of the roots) uses it
+    solved: dict[int, LineSolution] = {}
 
-    def merged(first: int, stop: int) -> tuple[AnnotatedLine, LineSolution]:
+    def merged(first: int, stop: int) -> LineSolution:
         """Merge the solved subtrees at positions first, next(first), ...
-        before stop."""
+        before stop, and re-solve the merged line: every box keeps the
+        threshold it got inside its own subtree."""
         kids = []
         while first < stop:
             kids.append(solved.pop(first))
             first = index.next_position[first - 1]
-        if not kids:
-            return AnnotatedLine(()), solve_line([])
         if len(kids) == 1:
             return kids[0]
-        line = merge([kid for kid, _ in kids])
-        return line, solve_line([instance.box_map[e.box_id] for e in line.entries])
+        line = merge([_annotated(kid) for kid in kids])
+        return solve_line([instance.box_map[e.box_id] for e in line.entries])
 
     for i in range(index.n, 0, -1):
-        line, solution = merged(i + 1, index.next_position[i - 1])
         box = instance.box_map[index.order[i - 1]]
-        solution = solution.prepend(box)
-        solved[i] = (AnnotatedLine((AnnotatedEntry(box.id, solution.zs[0]),) + line.entries), solution)
+        solved[i] = merged(i + 1, index.next_position[i - 1]).prepend(box)
 
-    line, solution = merged(1, index.n + 1)
+    root = merged(1, index.n + 1)
+    order = _annotated(root)
     return TreeSolution(
-        thresholds={e.box_id: e.threshold for e in line.entries},
-        order=line,
-        value=solution.value,
+        thresholds={e.box_id: e.threshold for e in order.entries},
+        order=order,
+        value=root.value,
     )

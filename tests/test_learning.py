@@ -205,9 +205,8 @@ class TestLearnAndSolve:
 class TestLearningConfig:
     def test_grid_step_must_divide_one(self):
         with pytest.raises(ValidationError, match="divide"):
-            LearningConfig(F(1, 10), F(1, 10), grid_step=F(3, 10))
+            LearningConfig(F(3, 10), F(1, 10))
 
     def test_defaults(self):
         config = LearningConfig(F(1, 10), F(1, 10))
-        assert config.resolved_grid_step == F(1, 10)
         assert config.sample_count(5) == sample_bound(5, F(1, 10), F(1, 10), "tree")

@@ -57,7 +57,7 @@ class TestSolveExact:
         for _ in range(25):
             inst = rand_tree_instance(rng, rng.randint(1, 5))
             res = solve_exact(inst)
-            values = [res.value_at((), y) for y in res.grid]
+            values = [solve_exact(inst, initial_best=y).value for y in res.grid]
             for y, v in zip(res.grid, values):
                 assert v >= y
             for (a, va), (b, vb) in zip(zip(res.grid, values), zip(res.grid[1:], values[1:])):

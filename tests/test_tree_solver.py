@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,18 @@ class TestMerge:
         for line in lines:
             ids = line.ids()
             assert all(position[a] < position[b] for a, b in zip(ids, ids[1:]))
+
+    def test_many_singletons_merge_as_a_sort(self):
+        # a star or an unconstrained instance merges one line per box; the
+        # merge must not rescan every pending line for each entry it pops
+        rng = random.Random(97)
+        entries = [AnnotatedEntry(f"s{k:04d}", F(rng.randint(0, 30), 4)) for k in range(4000)]
+        rng.shuffle(entries)
+        start = time.perf_counter()
+        merged = merge([AnnotatedLine((e,)) for e in entries])
+        elapsed = time.perf_counter() - start
+        assert merged.entries == tuple(sorted(entries, key=lambda e: (-e.threshold, e.box_id)))
+        assert elapsed < 2.0
 
 
 class TestSolveTree:
@@ -218,6 +231,46 @@ class TestSolveTree:
                 for delta in (F(1, 3), F(1, 64)):
                     probe = z - delta
                     assert solve_exact(sub, initial_best=probe).value > probe
+
+
+def tie_heavy_instance(rng: random.Random, n: int, forest: bool) -> Instance:
+    """Random tree or forest whose boxes come from a small palette, so equal
+    thresholds are common; box i takes its parent among boxes 0..i-1."""
+    palette = [(F(c, 2), DiscreteDistribution.of([(F(v), F(1, 2)) for v in vs]))
+               for c in (0, 1, 2) for vs in ((0, 2), (1, 3), (0, 4))]
+    boxes = tuple(BoxSpec(f"b{i:02d}", *rng.choice(palette)) for i in range(n))
+    edges = tuple((boxes[rng.randrange(i)].id, boxes[i].id) for i in range(1, n)
+                  if not forest or rng.random() < 0.6)
+    kind = "unconstrained" if not edges else ("forest" if forest else "tree")
+    return Instance(boxes=boxes, constraint=ConstraintGraph(kind, edges))
+
+
+class TestSubtreeThresholds:
+    def test_threshold_depends_only_on_own_subtree(self):
+        # the tree DP re-solves each merged child line and reads every box's
+        # threshold off it; that is exact because a box's threshold equals
+        # the one it gets from its subtree alone, and from solve_line on the
+        # subtree's order
+        rng = random.Random(109)
+        for trial in range(300):
+            inst = tie_heavy_instance(rng, rng.randint(1, 10), forest=trial % 2 == 1)
+            sol = solve_tree(inst)
+            children = inst.constraint.children()
+            for box in inst.boxes:
+                ids, stack = set(), [box.id]
+                while stack:
+                    node = stack.pop()
+                    ids.add(node)
+                    stack.extend(children.get(node, ()))
+                sub_edges = tuple(e for e in inst.constraint.edges if e[0] in ids)
+                sub = Instance(
+                    boxes=tuple(b for b in inst.boxes if b.id in ids),
+                    constraint=ConstraintGraph("tree" if sub_edges else "unconstrained", sub_edges),
+                )
+                sub_sol = solve_tree(sub)
+                assert sub_sol.thresholds[box.id] == sol.thresholds[box.id]
+                line = solve_line([inst.box_map[i] for i in sub_sol.order.ids()])
+                assert line.zs == tuple(sol.thresholds[i] for i in sub_sol.order.ids())
 
 
 class TestTies:
