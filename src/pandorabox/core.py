@@ -25,11 +25,14 @@ plus per-part capacities).
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Fraction
@@ -593,26 +596,26 @@ def weitzman_reservation(box: BoxSpec) -> Fraction:
     """Smallest z with E[(X - z)_+] = cost.
 
     The excess is piecewise linear, convex and nonincreasing in z with
-    breakpoints at the support values, so the crossing segment can be
+    breakpoints at the support values.  One scan from the top keeps the
+    tail mass M and tail sum S of the atoms at or above the current
+    segment, on which the excess is S - z*M, so the crossing segment is
     inverted exactly.  Negative when cost > E[X]; equals the top of the
     support when cost = 0.
     """
     cost = box.cost
     if cost < 0:
         raise ValidationError(f"box {box.id!r} has negative cost {cost}")
-    values = box.reward.values()
+    atoms = box.reward.atoms
     if cost == 0:
-        return values[-1]
-    # Below the support the excess is E[X] - z.
-    low = values[0]
-    if expected_excess(box.reward, low) <= cost:
-        return box.reward.expectation() - cost
-    for left, right in zip(values, values[1:]):
-        e_left = expected_excess(box.reward, left)
-        e_right = expected_excess(box.reward, right)
-        if e_right <= cost:
-            # Linear between the two support values; invert.
-            return left + (e_left - cost) * (right - left) / (e_left - e_right)
+        return atoms[-1][0]
+    mass = tail = Fraction(0)
+    for j in range(len(atoms) - 1, -1, -1):
+        value, prob = atoms[j]
+        mass += prob
+        tail += prob * value
+        # below the support (j = 0) the excess is E[X] - z
+        if j == 0 or tail - atoms[j - 1][0] * mass > cost:
+            return (tail - cost) / mass
     raise InvariantError(f"no reservation value found for box {box.id!r}")  # pragma: no cover
 
 
@@ -770,16 +773,20 @@ def set_feasibility_violation(instance: Instance, ids: Iterable[str]) -> Optiona
 
 
 def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
-    """Exact distribution of max(X_1, ..., X_k) for independent X_i."""
+    """Exact distribution of max(X_1, ..., X_k) for independent X_i.
+
+    One sweep over the sorted atoms of all inputs, keeping a running CDF
+    per input; the CDF of the max is their product."""
     if not dists:
         raise ValidationError("max_distribution needs at least one distribution")
-    support = sorted({v for d in dists for v in d.values()})
+    events = sorted((v, j, p) for j, d in enumerate(dists) for v, p in d.atoms)
+    cdfs = [Fraction(0)] * len(dists)
     atoms = []
     prev_cdf = Fraction(0)
-    for v in support:
-        cdf = Fraction(1)
-        for d in dists:
-            cdf *= d.cdf(v)
+    for v, group in itertools.groupby(events, key=itemgetter(0)):
+        for _, j, p in group:
+            cdfs[j] += p
+        cdf = math.prod(cdfs)
         if cdf > prev_cdf:
             atoms.append((v, cdf - prev_cdf))
         prev_cdf = cdf

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     BoxSpec,
     CapExceededError,
@@ -134,8 +132,11 @@ def learn_model(instance: Instance, config: LearningConfig, rng_seed: int) -> Em
     Per-box counts come from a multinomial draw over the true atoms (the
     tally of N independent samples has exactly that law); streams are
     derived from (seed, box index) so results do not depend on box order of
-    evaluation or batching.
+    evaluation or batching.  numpy is imported here, so only callers that
+    learn pay for its import.
     """
+    import numpy as np
+
     _check_learning_regime(instance)
     n_samples = config.sample_count(instance.n)
     counts: dict[str, tuple[tuple[Fraction, int], ...]] = {}

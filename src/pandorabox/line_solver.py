@@ -5,13 +5,18 @@ The value of being in front of box ``i`` with best reward ``x`` satisfies
     V(x, n+1) = x
     V(x, i)   = max(x, -c_i + E[V(max(x, X_i), i+1)])
 
-Each ``V(., i)`` is nondecreasing, 1-Lipschitz and piecewise linear, so it is
-represented exactly (:mod:`.piecewise`).  The threshold of box ``i`` is the
-smallest fixed point of ``V(., i)``; it can sit strictly between support
-values (the fixed point of a later level is itself a breakpoint), which is
-why the representation carries breakpoints instead of a fixed support grid.
-Thresholds can be negative when a prefix is cost-dominated; they are kept
-(the executor simply never opens such a box from a nonnegative best).
+A solved suffix is one exact distribution, its capped value kappa_i, with
+V(x, i) = E[max(x, kappa_i)] for x >= 0 (Kleinberg, Waggoner & Weyl,
+"Descending Price Optimally Coordinates Search", EC 2016); kappa_{n+1} = 0.
+With W = max(X_i, kappa_{i+1}), the threshold z_i (the smallest fixed point
+of V(., i)) solves E[(W - z)^+] = c_i, and kappa_i = min(W, max(z_i, 0)),
+because for x < z_i
+
+    -c_i + E[max(x, W)] = x + E[(W - x)^+] - E[(W - z_i)^+] = E[max(x, min(W, z_i))].
+
+Rewards are nonnegative, so the cap at 0 for a negative z_i changes no value
+at x >= 0.  Negative thresholds (cost-dominated prefixes) are kept; the
+executor simply never opens such a box from a nonnegative best.
 """
 
 from __future__ import annotations
@@ -21,18 +26,21 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .core import BoxSpec, ValidationError
+from .core import BoxSpec, DiscreteDistribution, ValidationError, max_distribution, weitzman_reservation
 from .piecewise import PiecewiseLinear
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
+NOTHING = DiscreteDistribution.point(0)  # the capped value of an empty line
 
 
 @dataclass(frozen=True)
 class ValueTable:
     """Tabulated optimal values V(x, i) for i = 1..n+1 on a common grid.
 
-    The grid is {0}, every support value and every breakpoint discovered
-    while solving; above the grid V(x, i) = x.
+    The grid is {0}, every support value and every knot of a level (the
+    support of each kappa_i, which holds every nonnegative threshold);
+    above the grid V(x, i) = x.
     """
 
     grid: tuple[Fraction, ...]
@@ -66,36 +74,59 @@ class MacroBoxPartition:
 @dataclass(frozen=True)
 class LineSolution:
     """What the backward recursion produces for a line: its boxes, the
-    levels V(., 1..n+1) and the thresholds z_1..z_n.  The value table and
-    the threshold table are derived from these once, on first read."""
+    thresholds z_1..z_n and the capped values kappa_1..kappa_{n+1}.  The
+    value table and the threshold table are derived from these once, on
+    first read."""
 
     boxes: tuple[BoxSpec, ...]
-    levels: tuple[PiecewiseLinear, ...]  # levels[i-1] is V(., i)
     zs: tuple[Fraction, ...]
+    kappas: tuple[DiscreteDistribution, ...]  # kappas[i-1] is kappa_i
 
     @property
     def value(self) -> Fraction:
         """Optimal expected net revenue starting fresh (V(0, 1))."""
-        return self.levels[0](ZERO)
+        return self.kappas[0].expectation()
 
     @cached_property
     def value_table(self) -> ValueTable:
-        return _build_table(self.boxes, self.levels)
+        """Levels V(., i) = x -> E[max(x, kappa_i)] on their common grid."""
+        dists = [b.reward for b in self.boxes] + list(self.kappas)
+        grid = sorted({ZERO}.union(*(d.values() for d in dists)))
+        return ValueTable(tuple(grid), tuple(map(_level, self.kappas)))
 
     @cached_property
     def thresholds(self) -> ThresholdTable:
         return ThresholdTable(self.zs, _horizons(self.zs))
 
     def prepend(self, box: BoxSpec) -> "LineSolution":
-        """Solution of [box] + line: one backward step over this suffix."""
-        z, phi = _backward_step(self.levels[0], box)
-        return LineSolution((box,) + self.boxes, (phi,) + self.levels, (z,) + self.zs)
+        """Solution of [box] + line: one capped-value step over this suffix."""
+        z, kappa = capped_step(box, self.kappas[:1])
+        return LineSolution((box,) + self.boxes, (z,) + self.zs, (kappa,) + self.kappas)
 
 
-def _backward_step(next_level: PiecewiseLinear, box: BoxSpec) -> tuple[Fraction, PiecewiseLinear]:
-    continue_value = next_level.expectation_of_max(box.reward).shift(-box.cost)
-    z = continue_value.smallest_fixed_point()
-    return z, continue_value.max_with_identity(fixed_point=z)
+def capped_step(box: BoxSpec, after: Sequence[DiscreteDistribution]) -> tuple[Fraction, DiscreteDistribution]:
+    """Threshold and capped value of ``box`` when what it unlocks is worth
+    E[max(x, kappa_1, ..., kappa_k)] for the independent capped values
+    ``after`` (one per solved suffix or subtree)."""
+    w = max_distribution((box.reward, *after))
+    z = weitzman_reservation(BoxSpec(box.id, box.cost, w))
+    # min(W, top) with top <= max W: every atom at or above top moves onto it
+    top = max(z, ZERO)
+    kept = tuple(a for a in w.atoms if a[0] < top)
+    return z, DiscreteDistribution(kept + ((top, ONE - sum((p for _, p in kept), ZERO)),))
+
+
+def _level(kappa: DiscreteDistribution) -> PiecewiseLinear:
+    """x -> E[max(x, kappa)] = x P(kappa <= x) + E[kappa; kappa > x], with
+    knots at {0} and the support and slope 1 above them."""
+    mass, tail = ZERO, kappa.expectation()
+    knots = [] if kappa.atoms[0][0] == 0 else [(ZERO, tail)]
+    for v, p in kappa.atoms:
+        mass += p
+        tail -= p * v
+        knots.append((v, v * mass + tail))
+    xs, ys = zip(*knots)
+    return PiecewiseLinear(xs, ys, ONE)
 
 
 def _horizons(thresholds: Sequence[Fraction]) -> tuple[int, ...]:
@@ -111,26 +142,17 @@ def _horizons(thresholds: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _build_table(boxes: Sequence[BoxSpec], levels: tuple[PiecewiseLinear, ...]) -> ValueTable:
-    grid = {ZERO}
-    for box in boxes:
-        grid.update(box.reward.values())
-    for level in levels:
-        grid.update(level.xs)
-    return ValueTable(grid=tuple(sorted(grid)), levels=levels)
-
-
 def solve_line(boxes: Sequence[BoxSpec]) -> LineSolution:
-    """Solve the backward recursion; exact levels and thresholds."""
-    solution = LineSolution((), (PiecewiseLinear.identity(),), ())
+    """Solve the backward recursion; exact thresholds and capped values."""
+    solution = LineSolution((), (), (NOTHING,))
     for box in reversed(boxes):
         solution = solution.prepend(box)
     return solution
 
 
 def compute_threshold(box: BoxSpec, line: Sequence[BoxSpec]) -> Fraction:
-    """Threshold box would get as a prefix of ``line`` (one extra backward
-    step over the line's levels)."""
+    """Threshold box would get as a prefix of ``line`` (one capped-value
+    step over the line's first capped value)."""
     return solve_line(line).prepend(box).zs[0]
 
 
@@ -148,23 +170,6 @@ def macro_partition(thresholds: ThresholdTable) -> MacroBoxPartition:
 
 
 def line_optimal_value(boxes: Sequence[BoxSpec]) -> Fraction:
-    """Optimal expected net revenue of a line without threshold extraction.
-
-    Values are only ever queried at observed-max points, so a DP restricted
-    to {0} plus the support union is exact.  Cheaper than
-    :func:`solve_line` for long lines.
-    """
-    grid = {ZERO}
-    for box in boxes:
-        grid.update(box.reward.values())
-    points = sorted(grid)
-    current = {y: y for y in points}
-    for box in reversed(boxes):
-        nxt = {}
-        for y in points:
-            cont = -box.cost
-            for v, p in box.reward.atoms:
-                cont += p * current[v if v > y else y]
-            nxt[y] = cont if cont > y else y
-        current = nxt
-    return current[ZERO]
+    """Optimal expected net revenue of a line, E[max(0, kappa_1)] from the
+    same recursion as :func:`solve_line`."""
+    return solve_line(boxes).value

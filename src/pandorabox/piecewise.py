@@ -1,6 +1,6 @@
 """Exact piecewise-linear functions on [0, inf) over rationals.
 
-Used for value functions of the stopping DPs: knots are exact rationals, the
+Used for the value levels of a solved line: knots are exact rationals, the
 function is linear between consecutive knots and extends linearly beyond the
 last knot with an explicit right slope.  Fixed points are found by scanning
 segments, so "smallest solution" questions are answered without tolerances.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .core import DiscreteDistribution, InvariantError
 
@@ -31,10 +30,6 @@ class PiecewiseLinear:
             if b <= a:
                 raise InvariantError("knot abscissae must be strictly increasing")
 
-    @staticmethod
-    def identity() -> "PiecewiseLinear":
-        return PiecewiseLinear((ZERO,), (ZERO,), ONE)
-
     def __call__(self, x: Fraction) -> Fraction:
         xs, ys = self.xs, self.ys
         if x < xs[0]:
@@ -52,9 +47,6 @@ class PiecewiseLinear:
         x0, x1 = xs[lo], xs[hi]
         y0, y1 = ys[lo], ys[hi]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-    def shift(self, c: Fraction) -> "PiecewiseLinear":
-        return PiecewiseLinear(self.xs, tuple(y + c for y in self.ys), self.right_slope)
 
     def expectation_of_max(self, dist: DiscreteDistribution) -> "PiecewiseLinear":
         """x -> E[f(max(x, X))] for X ~ dist (support nonnegative).
@@ -95,12 +87,12 @@ class PiecewiseLinear:
             raise InvariantError("no fixed point: function stays above the identity")
         return prev_x + prev_gap / (1 - self.right_slope)
 
-    def max_with_identity(self, fixed_point: Optional[Fraction] = None) -> "PiecewiseLinear":
+    def max_with_identity(self) -> "PiecewiseLinear":
         """x -> max(x, f(x)) on [0, inf), given f(x) - x nonincreasing.
 
         Equals f below the smallest fixed point and the identity above it.
         """
-        z = self.smallest_fixed_point() if fixed_point is None else fixed_point
+        z = self.smallest_fixed_point()
         if z <= self.xs[0]:
             return PiecewiseLinear((self.xs[0],), (self.xs[0],), ONE)
         xs = [x for x in self.xs if x < z]

@@ -1,14 +1,15 @@
 """Optimal threshold strategies for tree and forest constraints.
 
-Subtrees are solved bottom-up, and a solved subtree is the line solution of
-its linearized boxes.  A box's threshold depends only on its own subtree, so
-sibling lines are merged front-first by decreasing threshold (preserving
-within-line order) and the merged line, re-solved, gives every box back the
-threshold it had; the parent is prepended and gets its threshold from one
-extra backward step.  Nodes are solved in reverse pre-order
+A solved subtree is its capped value kappa (see :mod:`.line_solver`): the
+value of being in front of it with best reward x is E[max(x, kappa)].
+Sibling subtrees are independent, so a box whose children have capped
+values kappa_1..kappa_k sees W = max(X_b, kappa_1, ..., kappa_k), a product
+of CDFs, and one capped-value step gives its threshold and its own kappa.
+Nothing is ever re-solved.  Nodes are solved in reverse pre-order
 (:func:`.core.build_preorder`), so every child is solved before its parent.
-The roots of a forest are merged once at the end, and the value is that
-merged line's value.
+A forest's value is E[max(0, kappa_root1, ...)].  The exploration order of
+a subtree is its root followed by its children's orders merged front-first
+by decreasing threshold (preserving within-line order).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Sequence
 
-from .core import Instance, ValidationError, build_preorder
-from .line_solver import LineSolution, solve_line
+from .core import DiscreteDistribution, Instance, ValidationError, build_preorder, max_distribution
+from .line_solver import capped_step, solve_line  # noqa: F401 (an alias bench/selftest.py traces)
 
 
 @dataclass(frozen=True)
@@ -66,39 +67,32 @@ def merge(lines: Sequence[AnnotatedLine]) -> AnnotatedLine:
     return AnnotatedLine(tuple(heapq.merge(*ordered, key=attrgetter("threshold"), reverse=True)))
 
 
-def _annotated(solution: LineSolution) -> AnnotatedLine:
-    return AnnotatedLine(tuple(map(AnnotatedEntry, (b.id for b in solution.boxes), solution.zs)))
-
-
 def solve_tree(instance: Instance) -> TreeSolution:
     """Optimal thresholds, exploration order and value for a line, tree or
     forest instance (unconstrained treated as a forest of singletons)."""
     index = build_preorder(instance)
-    # a solved subtree's line solution by pre-order position, until its
-    # parent (or the final merge of the roots) uses it
-    solved: dict[int, LineSolution] = {}
+    # capped value and order of each solved subtree, by pre-order position
+    solved: dict[int, tuple[DiscreteDistribution, AnnotatedLine]] = {}
 
-    def merged(first: int, stop: int) -> LineSolution:
-        """Merge the solved subtrees at positions first, next(first), ...
-        before stop, and re-solve the merged line: every box keeps the
-        threshold it got inside its own subtree."""
-        kids = []
+    def pop_subtrees(first: int, stop: int) -> tuple[list[DiscreteDistribution], AnnotatedLine]:
+        """Capped values and merged orders of the subtrees at first, next(first), ... < stop."""
+        kappas, lines = [], []
         while first < stop:
-            kids.append(solved.pop(first))
+            kappa, line = solved.pop(first)
+            kappas.append(kappa)
+            lines.append(line)
             first = index.next_position[first - 1]
-        if len(kids) == 1:
-            return kids[0]
-        line = merge([_annotated(kid) for kid in kids])
-        return solve_line([instance.box_map[e.box_id] for e in line.entries])
+        return kappas, lines[0] if len(lines) == 1 else merge(lines)
 
     for i in range(index.n, 0, -1):
         box = instance.box_map[index.order[i - 1]]
-        solved[i] = merged(i + 1, index.next_position[i - 1]).prepend(box)
+        kappas, line = pop_subtrees(i + 1, index.next_position[i - 1])
+        z, kappa = capped_step(box, kappas)
+        solved[i] = kappa, AnnotatedLine((AnnotatedEntry(box.id, z),) + line.entries)
 
-    root = merged(1, index.n + 1)
-    order = _annotated(root)
+    kappas, order = pop_subtrees(1, index.n + 1)
     return TreeSolution(
         thresholds={e.box_id: e.threshold for e in order.entries},
         order=order,
-        value=root.value,
+        value=max_distribution(kappas).expectation(),
     )

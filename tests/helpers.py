@@ -18,9 +18,13 @@ from pandorabox import (
     DiscreteDistribution,
     Instance,
     MatroidSideConstraint,
+    expected_excess,
+    merge,
     validate_instance,
 )
 from pandorabox.line_solver import macro_partition, solve_line
+from pandorabox.piecewise import PiecewiseLinear
+from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine
 
 F = Fraction
 ZERO = F(0)
@@ -56,6 +60,44 @@ def rand_box(rng: random.Random, index: int, max_cost: int = 5) -> BoxSpec:
 
 def rand_line_boxes(rng: random.Random, n: int) -> list[BoxSpec]:
     return [rand_box(rng, i) for i in range(n)]
+
+
+TIE_DISTS = (
+    DiscreteDistribution.of([(0, "1/2"), (4, "1/2")]),
+    DiscreteDistribution.of([(1, "1/3"), (3, "2/3")]),
+    DiscreteDistribution.point(2),
+    DiscreteDistribution.point(0),
+)
+TIE_COSTS = (F(0), F(0), F(1, 2), F(1), F(2), F(3), F(5))
+
+
+def rand_tie_box(rng: random.Random, index: int) -> BoxSpec:
+    """Half the boxes come from a few shared (cost, reward) choices, so equal
+    thresholds, zero costs and cost-dominated (negative) thresholds are
+    common; the rest are :func:`rand_box`."""
+    if rng.random() < 0.5:
+        return BoxSpec(f"b{index:02d}", rng.choice(TIE_COSTS), rng.choice(TIE_DISTS))
+    return rand_box(rng, index)
+
+
+def rand_tie_instance(rng: random.Random, kind: str, max_n: int = 9) -> Instance:
+    """Random validated line, tree, forest or unconstrained set of tie-heavy
+    boxes, with boxes and edges listed in shuffled order."""
+    n = rng.randint(1, max_n)
+    boxes = [rand_tie_box(rng, i) for i in range(n)]
+    rng.shuffle(boxes)
+    if kind == ConstraintKind.LINE:
+        edges = [(boxes[i].id, boxes[i + 1].id) for i in range(n - 1)]
+    elif kind == ConstraintKind.TREE:
+        edges = [(boxes[rng.randrange(i)].id, boxes[i].id) for i in range(1, n)]
+    elif kind == ConstraintKind.FOREST:
+        edges = [(boxes[rng.randrange(i)].id, boxes[i].id) for i in range(1, n) if rng.random() < 0.6]
+    else:
+        edges = []
+    if n == 1 or (not edges and kind != ConstraintKind.FOREST):
+        kind = ConstraintKind.UNCONSTRAINED
+    rng.shuffle(edges)
+    return validate_instance(Instance(boxes=tuple(boxes), constraint=ConstraintGraph(kind, tuple(edges))))
 
 
 def line_instance_of(boxes) -> Instance:
@@ -180,6 +222,75 @@ def reference_greedy_order(instance: Instance, thresholds, rank) -> list[str]:
         if not candidates:
             return order
         order.append(min(candidates, key=lambda b: (-thresholds[b], rank.get(b, 0), b)))
+
+
+# ---------------------------------------------------------------------------
+# Slow references for the exact primitives and the line and tree DPs
+# ---------------------------------------------------------------------------
+
+def quadratic_max_distribution(dists) -> list[tuple[Fraction, Fraction]]:
+    """Distribution of the max as the product of the inputs' CDFs, each
+    CDF summed afresh at every point of the union support."""
+    atoms, prev = [], ZERO
+    for v in sorted({v for d in dists for v in d.values()}):
+        cdf = F(1)
+        for d in dists:
+            cdf *= sum((p for u, p in d.atoms if u <= v), ZERO)
+        if cdf > prev:
+            atoms.append((v, cdf - prev))
+        prev = cdf
+    return atoms
+
+
+def quadratic_reservation(box: BoxSpec) -> Fraction:
+    """Smallest z with E[(X - z)^+] = cost, by evaluating the excess afresh
+    at both ends of every support segment and inverting the crossing one."""
+    values = box.reward.values()
+    if box.cost == 0:
+        return values[-1]
+    if expected_excess(box.reward, values[0]) <= box.cost:
+        return box.reward.expectation() - box.cost
+    for left, right in zip(values, values[1:]):
+        e_left = expected_excess(box.reward, left)
+        e_right = expected_excess(box.reward, right)
+        if e_right <= box.cost:
+            return left + (e_left - box.cost) * (right - left) / (e_left - e_right)
+    raise AssertionError("no crossing")
+
+
+def reference_solve_line(boxes) -> tuple[list[Fraction], list[PiecewiseLinear]]:
+    """Thresholds z_1..z_n and levels V(., 1..n+1) by the piecewise-linear
+    backward step: x -> -c_i + E[V(max(x, X_i), i+1)], its smallest fixed
+    point z_i, and its max with the identity as V(., i)."""
+    levels = [PiecewiseLinear((ZERO,), (ZERO,), F(1))]
+    zs: list[Fraction] = []
+    for box in reversed(boxes):
+        reach = levels[0].expectation_of_max(box.reward)
+        step = PiecewiseLinear(reach.xs, tuple(y - box.cost for y in reach.ys), reach.right_slope)
+        zs.insert(0, step.smallest_fixed_point())
+        levels.insert(0, step.max_with_identity())
+    return zs, levels
+
+
+def reference_solve_tree(instance: Instance) -> tuple[Fraction, tuple[str, ...], dict[str, Fraction]]:
+    """Value, exploration order and thresholds of a line, tree, forest or
+    unconstrained instance: at every node the children's lines are merged,
+    and the node followed by the merged line is re-solved as a line; the
+    roots' lines are merged and re-solved once more for the value."""
+    children = instance.constraint.children()
+    parents = instance.constraint.parents()
+
+    def annotated(ids) -> tuple[AnnotatedLine, Fraction]:
+        zs, levels = reference_solve_line([instance.box_map[b] for b in ids])
+        return AnnotatedLine(tuple(map(AnnotatedEntry, ids, zs))), levels[0](ZERO)
+
+    def solve(box_id: str) -> AnnotatedLine:
+        below = merge([solve(child) for child in children.get(box_id, [])])
+        return annotated((box_id,) + below.ids())[0]
+
+    roots = merge([solve(b.id) for b in instance.boxes if b.id not in parents])
+    line, value = annotated(roots.ids())
+    return value, line.ids(), {e.box_id: e.threshold for e in line.entries}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from pandorabox import (
 )
 from pandorabox.instances import figure1
 
-from helpers import brute_max_distribution, rand_dist
+from helpers import brute_max_distribution, quadratic_max_distribution, quadratic_reservation, rand_dist
 
 F = Fraction
 
@@ -233,6 +233,16 @@ class TestWeitzmanReservation:
                     # cost 0: the smallest zero of the excess is the top value
                     assert zeta == box.reward.max_value()
 
+    def test_top_down_scan_matches_quadratic_scan(self):
+        rng = random.Random(71)
+        for k in range(600):
+            dist = rand_dist(rng, max_support=7, max_value=30)
+            mean = dist.expectation()
+            # zero cost, a cost inside (0, E[X]], and a cost above E[X]
+            cost = (F(0), mean * F(rng.randint(1, 8), 8), mean + F(rng.randint(1, 6), 3))[k % 3]
+            box = BoxSpec("a", cost, dist)
+            assert weitzman_reservation(box) == quadratic_reservation(box)
+
 
 class TestMaxDistribution:
     def test_identity(self):
@@ -254,6 +264,15 @@ class TestMaxDistribution:
             result = max_distribution(dists)
             assert list(result.atoms) == brute_max_distribution(dists)
             assert sum(result.probs()) == 1
+
+    def test_one_sweep_matches_quadratic_sweep(self):
+        rng = random.Random(73)
+        for _ in range(300):
+            dists = [rand_dist(rng, max_support=6, max_value=20) for _ in range(rng.randint(1, 6))]
+            result = list(max_distribution(dists).atoms)
+            assert result == quadratic_max_distribution(dists)
+            if len(dists) <= 3:
+                assert result == brute_max_distribution(dists)
 
 
 class TestDistributionValidation:

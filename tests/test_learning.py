@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -210,3 +212,11 @@ class TestLearningConfig:
     def test_defaults(self):
         config = LearningConfig(F(1, 10), F(1, 10))
         assert config.sample_count(5) == sample_bound(5, F(1, 10), F(1, 10), "tree")
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is imported inside learn_model, so every CLI command but learn
+    # skips its import
+    code = "import sys, pandorabox.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

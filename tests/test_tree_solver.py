@@ -31,6 +31,7 @@ from helpers import (
     rand_dist,
     rand_forest_of_paths,
     rand_line_boxes,
+    rand_tie_instance,
     rand_tree_instance,
 )
 
@@ -233,27 +234,13 @@ class TestSolveTree:
                     assert solve_exact(sub, initial_best=probe).value > probe
 
 
-def tie_heavy_instance(rng: random.Random, n: int, forest: bool) -> Instance:
-    """Random tree or forest whose boxes come from a small palette, so equal
-    thresholds are common; box i takes its parent among boxes 0..i-1."""
-    palette = [(F(c, 2), DiscreteDistribution.of([(F(v), F(1, 2)) for v in vs]))
-               for c in (0, 1, 2) for vs in ((0, 2), (1, 3), (0, 4))]
-    boxes = tuple(BoxSpec(f"b{i:02d}", *rng.choice(palette)) for i in range(n))
-    edges = tuple((boxes[rng.randrange(i)].id, boxes[i].id) for i in range(1, n)
-                  if not forest or rng.random() < 0.6)
-    kind = "unconstrained" if not edges else ("forest" if forest else "tree")
-    return Instance(boxes=boxes, constraint=ConstraintGraph(kind, edges))
-
-
 class TestSubtreeThresholds:
     def test_threshold_depends_only_on_own_subtree(self):
-        # the tree DP re-solves each merged child line and reads every box's
-        # threshold off it; that is exact because a box's threshold equals
-        # the one it gets from its subtree alone, and from solve_line on the
-        # subtree's order
+        # a box's threshold equals the one it gets from its subtree alone,
+        # and from solve_line on the subtree's order
         rng = random.Random(109)
         for trial in range(300):
-            inst = tie_heavy_instance(rng, rng.randint(1, 10), forest=trial % 2 == 1)
+            inst = rand_tie_instance(rng, ("tree", "forest")[trial % 2], max_n=10)
             sol = solve_tree(inst)
             children = inst.constraint.children()
             for box in inst.boxes:
@@ -285,3 +272,23 @@ class TestTies:
         sol = solve_tree(inst)
         assert sol.order.ids() == ("r", "t0", "t1", "t2")
         assert sol.value == solve_exact(inst).value
+
+
+class TestScaling:
+    def test_caterpillar_and_long_line_solve_fast(self):
+        # each box is solved once, so these take well under a second; a
+        # solver that re-solves merged lines takes about a minute on the
+        # caterpillar
+        rng = random.Random(113)
+        boxes = tuple(rand_box(rng, i) for i in range(400))
+        spine = boxes[0::2]
+        edges = tuple((a.id, b.id) for a, b in zip(spine, spine[1:]))
+        edges += tuple((boxes[k].id, boxes[k + 1].id) for k in range(0, 400, 2))
+        inst = Instance(boxes=boxes, constraint=ConstraintGraph("tree", edges))
+        start = time.perf_counter()
+        assert solve_tree(inst).value > 0
+        assert time.perf_counter() - start < 5.0
+        line = rand_line_boxes(rng, 1500)
+        start = time.perf_counter()
+        assert solve_line(line).value > 0
+        assert time.perf_counter() - start < 5.0
