@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -776,18 +775,25 @@ def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribut
     """Exact distribution of max(X_1, ..., X_k) for independent X_i.
 
     One sweep over the sorted atoms of all inputs, keeping a running CDF
-    per input; the CDF of the max is their product."""
+    per input; the CDF of the max is their product, kept as the number of
+    inputs still at CDF 0 and the product of the others, so after the sort
+    each atom costs O(1) rational operations, however many inputs."""
     if not dists:
         raise ValidationError("max_distribution needs at least one distribution")
     events = sorted((v, j, p) for j, d in enumerate(dists) for v, p in d.atoms)
     cdfs = [Fraction(0)] * len(dists)
+    at_zero, product = len(dists), Fraction(1)
     atoms = []
     prev_cdf = Fraction(0)
     for v, group in itertools.groupby(events, key=itemgetter(0)):
         for _, j, p in group:
-            cdfs[j] += p
-        cdf = math.prod(cdfs)
-        if cdf > prev_cdf:
-            atoms.append((v, cdf - prev_cdf))
-        prev_cdf = cdf
+            old, cdfs[j] = cdfs[j], cdfs[j] + p
+            if old:
+                product = product * cdfs[j] / old
+            else:
+                at_zero -= 1
+                product *= cdfs[j]
+        if not at_zero and product > prev_cdf:
+            atoms.append((v, product - prev_cdf))
+            prev_cdf = product
     return DiscreteDistribution(tuple(atoms))

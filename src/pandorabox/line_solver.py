@@ -170,6 +170,23 @@ def macro_partition(thresholds: ThresholdTable) -> MacroBoxPartition:
 
 
 def line_optimal_value(boxes: Sequence[BoxSpec]) -> Fraction:
-    """Optimal expected net revenue of a line, E[max(0, kappa_1)] from the
-    same recursion as :func:`solve_line`."""
-    return solve_line(boxes).value
+    """Optimal expected net revenue of a line without threshold extraction.
+
+    Values are only ever queried at observed-max points, so a DP restricted
+    to {0} plus the support union is exact.  It shares no step with
+    :func:`solve_line`, so each checks the other.
+    """
+    grid = {ZERO}
+    for box in boxes:
+        grid.update(box.reward.values())
+    points = sorted(grid)
+    current = {y: y for y in points}
+    for box in reversed(boxes):
+        nxt = {}
+        for y in points:
+            cont = -box.cost
+            for v, p in box.reward.atoms:
+                cont += p * current[v if v > y else y]
+            nxt[y] = cont if cont > y else y
+        current = nxt
+    return current[ZERO]

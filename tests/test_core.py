@@ -267,8 +267,15 @@ class TestMaxDistribution:
 
     def test_one_sweep_matches_quadratic_sweep(self):
         rng = random.Random(73)
-        for _ in range(300):
-            dists = [rand_dist(rng, max_support=6, max_value=20) for _ in range(rng.randint(1, 6))]
+        cases = [[rand_dist(rng, max_support=6, max_value=20) for _ in range(rng.randint(1, 6))] for _ in range(300)]
+        # wide maxima with point masses: running CDFs leave 0 at different
+        # atoms and several reach 1 early
+        for _ in range(20):
+            wide = [rand_dist(rng, max_support=4, max_value=12) for _ in range(rng.randint(20, 60))]
+            wide += [DiscreteDistribution.point(rng.randint(0, 12)) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(wide)
+            cases.append(wide)
+        for dists in cases:
             result = list(max_distribution(dists).atoms)
             assert result == quadratic_max_distribution(dists)
             if len(dists) <= 3:

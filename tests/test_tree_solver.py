@@ -234,13 +234,28 @@ class TestSolveTree:
                     assert solve_exact(sub, initial_best=probe).value > probe
 
 
+def tie_heavy_instance(rng: random.Random, n: int, forest: bool) -> Instance:
+    """Random tree or forest whose boxes come from a small palette, so equal
+    thresholds are common; box i takes its parent among boxes 0..i-1."""
+    palette = [(F(c, 2), DiscreteDistribution.of([(F(v), F(1, 2)) for v in vs]))
+               for c in (0, 1, 2) for vs in ((0, 2), (1, 3), (0, 4))]
+    boxes = tuple(BoxSpec(f"b{i:02d}", *rng.choice(palette)) for i in range(n))
+    edges = tuple((boxes[rng.randrange(i)].id, boxes[i].id) for i in range(1, n)
+                  if not forest or rng.random() < 0.6)
+    kind = "unconstrained" if not edges else ("forest" if forest else "tree")
+    return Instance(boxes=boxes, constraint=ConstraintGraph(kind, edges))
+
+
 class TestSubtreeThresholds:
     def test_threshold_depends_only_on_own_subtree(self):
         # a box's threshold equals the one it gets from its subtree alone,
-        # and from solve_line on the subtree's order
+        # and from solve_line on the subtree's order; all-palette instances
+        # make equal thresholds common, and the mixed tie-heavy ones add
+        # zero costs and negative thresholds
         rng = random.Random(109)
-        for trial in range(300):
-            inst = rand_tie_instance(rng, ("tree", "forest")[trial % 2], max_n=10)
+        instances = [tie_heavy_instance(rng, rng.randint(1, 10), forest=trial % 2 == 1) for trial in range(300)]
+        instances += [rand_tie_instance(rng, ("tree", "forest")[trial % 2], max_n=10) for trial in range(100)]
+        for inst in instances:
             sol = solve_tree(inst)
             children = inst.constraint.children()
             for box in inst.boxes:
