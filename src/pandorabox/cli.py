@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -232,11 +231,19 @@ def cmd_learn(args) -> None:
     )
 
 
+def _write_example(instance: Instance, path: Optional[str]) -> None:
+    if not path:
+        return
+    try:
+        Path(path).write_text(dump_instance(instance))
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
+
+
 def _example_figure1(args) -> list[tuple[str, object]]:
     epsilon = parse_rational(args.epsilon) if args.epsilon else Fraction(3, 2)
     instance = figure1(epsilon)
-    if args.out:
-        Path(args.out).write_text(dump_instance(instance))
+    _write_example(instance, args.out)
     result = solve_exact(instance)
     _, fixed_value = best_fixed_order(instance)
     high = result.action(("A",), Fraction(5, 2))
@@ -256,10 +263,9 @@ def _example_figure1(args) -> list[tuple[str, object]]:
 
 def _example_adaptivity_gap(args) -> list[tuple[str, object]]:
     p = parse_rational(args.p) if args.p else Fraction(1, 10)
-    n = args.n if args.n is not None else math.ceil(5 / (p * p))
-    instance = adaptivity_gap(p, n)
-    if args.out:
-        Path(args.out).write_text(dump_instance(instance))
+    instance = adaptivity_gap(p, args.n)
+    _write_example(instance, args.out)
+    n = instance.n
     adaptive = line_optimal_value(instance.boxes)
     jackpot = 1 / (p * p)
     hit = p * p
@@ -287,8 +293,7 @@ def _example_adaptivity_gap(args) -> list[tuple[str, object]]:
 
 def _example_guard_line(args) -> list[tuple[str, object]]:
     instance = guard_line()
-    if args.out:
-        Path(args.out).write_text(dump_instance(instance))
+    _write_example(instance, args.out)
     solution = solve_tree(instance)
     pairs: list[tuple[str, object]] = [("name", "guard-line")]
     for entry in solution.order.entries:

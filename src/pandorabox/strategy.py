@@ -8,8 +8,17 @@ random.  That reduction makes exact evaluation a one-dimensional sweep and
 simulation a cheap walk down a precomputed order.
 
 Sampling is counter-based: each draw hashes (seed, trial, step, box) with
-SHA-256 and inverts the exact CDF at the resulting 64-bit point, so runs are
-reproducible bit-for-bit across platforms.
+SHA-256 to a 64-bit point u and inverts the exact CDF at u/2^64, so runs are
+reproducible bit-for-bit across platforms.  The inversion is integer-only:
+atom k's cut point is ceil(P(X <= v_k)·2^64), and u draws the first atom
+whose cut point exceeds u (``bisect_right``), which is the first atom with
+u/2^64 < P(X <= v_k).
+
+``simulate`` walks the same stream on integer ranks.  Rewards become ranks
+in the sorted support of the opened boxes (0 included), each step's
+threshold becomes the smallest rank that stops there, and each trial is only
+counted under its (stop step, best rank).  The exact mean and variance are
+formed from those counts once, after the loop.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -31,7 +41,6 @@ from .core import (
 )
 
 ZERO = Fraction(0)
-_U64 = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -75,15 +84,19 @@ class RewardSampler:
         payload = f"{self.seed}|{self.trial}|{step}|{box_id}".encode()
         return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
+    @staticmethod
+    def cut_points(dist: DiscreteDistribution) -> list[int]:
+        """ceil(P(X <= v_k)·2^64) per atom; the last one is 2^64."""
+        cuts = []
+        cum = ZERO
+        for _, p in dist.atoms:
+            cum += p
+            cuts.append(-((-cum.numerator << 64) // cum.denominator))
+        return cuts
+
     def draw(self, dist: DiscreteDistribution, step: int, box_id: str) -> Fraction:
         u = self.uniform_u64(step, box_id)
-        cum = ZERO
-        for v, p in dist.atoms:
-            cum += p
-            # u/2^64 < cum  <=>  u * den < num << 64
-            if u * cum.denominator < cum.numerator << 64:
-                return v
-        return dist.atoms[-1][0]  # pragma: no cover
+        return dist.atoms[bisect_right(self.cut_points(dist), u)][0]
 
 
 def fixed_opening_order(instance: Instance, policy: ThresholdPolicy) -> list[str]:
@@ -209,23 +222,39 @@ def simulate(instance: Instance, policy: ThresholdPolicy, trials: int, rng_seed:
         raise ValidationError("trials must be >= 1")
     order = fixed_opening_order(instance, policy)
     boxes = [instance.box_map[b] for b in order]
-    thresholds = [policy.thresholds[b] for b in order]
+    values = sorted({ZERO}.union(*(box.reward.values() for box in boxes)))
+    rank = {v: r for r, v in enumerate(values)}
+    # per step: (smallest best rank that stops, box id, cut points, atom ranks)
+    plan = [
+        (bisect_left(values, policy.thresholds[box.id]), box.id,
+         RewardSampler.cut_points(box.reward), [rank[v] for v in box.reward.values()])
+        for box in boxes
+    ]
+    n = len(plan)
+    tally: dict[tuple[int, int], int] = {}
+    for t in range(trials):
+        uniform = RewardSampler(rng_seed, t).uniform_u64
+        best = 0  # rank of the reward 0
+        step = 0
+        while step < n:
+            stop, box_id, cuts, ranks = plan[step]
+            if best >= stop:
+                break
+            r = ranks[bisect_right(cuts, uniform(step, box_id))]
+            if r > best:
+                best = r
+            step += 1
+        key = (step, best)
+        tally[key] = tally.get(key, 0) + 1
+    spent = [ZERO]
+    for box in boxes:
+        spent.append(spent[-1] + box.cost)
     total = ZERO
     total_sq = ZERO
-    for t in range(trials):
-        sampler = RewardSampler(rng_seed, t)
-        best = ZERO
-        spent = ZERO
-        for step, box in enumerate(boxes):
-            if best >= thresholds[step]:
-                break
-            spent += box.cost
-            reward = sampler.draw(box.reward, step, box.id)
-            if reward > best:
-                best = reward
-        net = best - spent
-        total += net
-        total_sq += net * net
+    for (step, best), count in tally.items():
+        net = values[best] - spent[step]
+        total += count * net
+        total_sq += count * net * net
     mean = total / trials
     if trials > 1:
         variance = (total_sq - trials * mean * mean) / (trials - 1)

@@ -8,6 +8,7 @@ memoization) so they can serve as independent cross-checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,10 +19,15 @@ from pandorabox import (
     DiscreteDistribution,
     Instance,
     MatroidSideConstraint,
+    SimulationSummary,
+    ThresholdPolicy,
+    ValidationError,
     expected_excess,
+    fixed_opening_order,
     merge,
     validate_instance,
 )
+from pandorabox.strategy import RewardSampler
 from pandorabox.line_solver import macro_partition, solve_line
 from pandorabox.piecewise import PiecewiseLinear
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine
@@ -225,7 +231,8 @@ def reference_greedy_order(instance: Instance, thresholds, rank) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Slow references for the exact primitives and the line and tree DPs
+# Slow references for the exact primitives, the line and tree DPs and the
+# simulator
 # ---------------------------------------------------------------------------
 
 def quadratic_max_distribution(dists) -> list[tuple[Fraction, Fraction]]:
@@ -291,6 +298,52 @@ def reference_solve_tree(instance: Instance) -> tuple[Fraction, tuple[str, ...],
     roots = merge([solve(b.id) for b in instance.boxes if b.id not in parents])
     line, value = annotated(roots.ids())
     return value, line.ids(), {e.box_id: e.threshold for e in line.entries}
+
+
+def reference_draw(dist: DiscreteDistribution, u: int) -> Fraction:
+    """The atom at the 64-bit point u by a literal CDF scan: the first value
+    whose cumulative probability exceeds u/2^64."""
+    cum = ZERO
+    for v, p in dist.atoms:
+        cum += p
+        # u/2^64 < cum  <=>  u * den < num << 64
+        if u * cum.denominator < cum.numerator << 64:
+            return v
+    raise AssertionError(f"u={u} beyond the CDF")
+
+
+def reference_simulate(instance: Instance, policy: ThresholdPolicy, trials: int,
+                       rng_seed: int) -> SimulationSummary:
+    """Per-trial rational walk of the sampler stream: sums each trial's net
+    revenue and its square as ``Fraction``s."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    order = fixed_opening_order(instance, policy)
+    boxes = [instance.box_map[b] for b in order]
+    thresholds = [policy.thresholds[b] for b in order]
+    total = ZERO
+    total_sq = ZERO
+    for t in range(trials):
+        sampler = RewardSampler(rng_seed, t)
+        best = ZERO
+        spent = ZERO
+        for step, box in enumerate(boxes):
+            if best >= thresholds[step]:
+                break
+            spent += box.cost
+            reward = reference_draw(box.reward, sampler.uniform_u64(step, box.id))
+            if reward > best:
+                best = reward
+        net = best - spent
+        total += net
+        total_sq += net * net
+    mean = total / trials
+    if trials > 1:
+        variance = (total_sq - trials * mean * mean) / (trials - 1)
+        stddev = math.sqrt(float(variance)) if variance > 0 else 0.0
+    else:
+        stddev = 0.0
+    return SimulationSummary(mean=mean, stddev=stddev, trials=trials, seed=rng_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -168,3 +168,18 @@ def test_learn_epsilon_or_delta_below_the_float_range(tmp_path, epsilon, delta, 
     assert "Traceback" not in res.stderr
     if code:
         assert res.stderr.startswith("error: ")
+
+
+def test_adaptivity_gap_with_p_zero_exits_2():
+    res = run_cli("example", "adaptivity-gap", "--p", "0")
+    assert_clean_exit_2(res)
+    assert res.stderr == "error: p must be in (0, 1), got 0\n"
+
+
+@pytest.mark.parametrize("name", ["figure1", "adaptivity-gap", "guard-line"])
+def test_example_out_path_that_cannot_be_written_exits_2(tmp_path, name):
+    out = tmp_path / "missing" / "inst.json"
+    res = run_cli("example", name, "--out", str(out))
+    assert_clean_exit_2(res)
+    assert res.stderr.startswith(f"error: cannot write {out}: ")
+    assert len(res.stderr.splitlines()) == 1

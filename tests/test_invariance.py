@@ -1,8 +1,10 @@
 """Metamorphic checks that guard refactors of the solvers.
 
 Scaling every cost and reward by a positive factor scales every value and
-threshold by it; renaming the boxes leaves every value unchanged; adding a
-free zero box as a separate root changes no value and no other threshold.
+threshold by it, and also the simulated mean under the same seed, since the
+sampler stream reads only the seed, trial, step, id and probabilities;
+renaming the boxes leaves every value unchanged; adding a free zero box as a
+separate root changes no value and no other threshold.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pandorabox import (
     Instance,
     ThresholdPolicy,
     evaluate_threshold_exact,
+    simulate,
     solve_approx,
     solve_exact,
     solve_tree,
@@ -49,6 +52,11 @@ def rand_instances(seed: int, count: int):
             yield rng, rand_tree_instance(rng, rng.randint(1, 6))
         else:
             yield rng, rand_forest_of_paths(rng, max_paths=3, max_total=6)
+
+
+def tree_policy(instance: Instance) -> ThresholdPolicy:
+    solution = solve_tree(instance)
+    return ThresholdPolicy.for_instance(instance, solution.thresholds, solution.order.ids())
 
 
 def tree_values(instance: Instance) -> tuple[dict[str, Fraction], Fraction, Fraction]:
@@ -91,6 +99,10 @@ def test_scaling_costs_and_rewards_scales_values_and_thresholds():
         assert big_value == LAMBDA * value
         assert big_evaluated == LAMBDA * evaluated
         assert solve_exact(big).value == LAMBDA * solve_exact(inst).value
+        assert (
+            simulate(big, tree_policy(big), 40, 11).mean
+            == LAMBDA * simulate(inst, tree_policy(inst), 40, 11).mean
+        )
         ids = [b.id for b in inst.boxes]
         side = rand_knapsack_side(rng, ids) if rng.random() < 0.5 else rand_partition_side(rng, ids)
         assert (

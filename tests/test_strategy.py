@@ -21,11 +21,16 @@ from pandorabox import (
     solve_tree,
 )
 from pandorabox.instances import adaptivity_gap, guard_line
+from pandorabox.strategy import RewardSampler
 
 from helpers import (
     line_instance_of,
+    rand_dist,
     rand_line_boxes,
+    rand_tie_instance,
     rand_tree_instance,
+    reference_draw,
+    reference_simulate,
 )
 
 F = Fraction
@@ -254,3 +259,83 @@ class TestSimulate:
         policy = ThresholdPolicy.for_instance(inst, sol.thresholds, sol.order.ids())
         with pytest.raises(ValidationError):
             simulate(inst, policy, trials=0, rng_seed=1)
+
+
+class FixedPoint(RewardSampler):
+    """A sampler whose 64-bit point is set by hand."""
+
+    def __init__(self, u: int):
+        super().__init__(0)
+        self.u = u
+
+    def uniform_u64(self, step: int, box_id: str) -> int:
+        return self.u
+
+
+KINDS = ("line", "tree", "forest", "unconstrained")
+
+
+def solved_policy(inst) -> ThresholdPolicy:
+    sol = solve_tree(inst)
+    return ThresholdPolicy.for_instance(inst, sol.thresholds, sol.order.ids())
+
+
+def with_zero_costs(inst) -> Instance:
+    boxes = tuple(BoxSpec(b.id, F(0), b.reward) for b in inst.boxes)
+    return Instance(boxes=boxes, constraint=inst.constraint)
+
+
+class TestSimulateMatchesReference:
+    """``simulate`` tallies integer ranks; the reference sums a ``Fraction``
+    per trial over the literal CDF scan.  Whole summaries must be equal."""
+
+    def test_draw_at_cut_points(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            dist = rand_dist(rng, max_support=5)
+            points = {0, (1 << 64) - 1}
+            for cut in RewardSampler.cut_points(dist):
+                points |= {cut - 1, cut} - {1 << 64}
+            for u in points:
+                assert FixedPoint(u).draw(dist, 0, "a") == reference_draw(dist, u)
+
+    def test_solved_policies_on_tie_instances(self):
+        rng = random.Random(67)
+        for k in range(320):
+            inst = rand_tie_instance(rng, KINDS[k % 4])
+            trials = (1, 2, rng.randint(3, 40))[k % 3]
+            seed = rng.randrange(1000)
+            policy = solved_policy(inst)
+            assert simulate(inst, policy, trials, seed) == reference_simulate(inst, policy, trials, seed)
+
+    def test_hand_set_thresholds_and_zero_costs(self):
+        # thresholds at support values (stop at equality), below 0 and above
+        # every value, on the instances as given and with every cost 0
+        rng = random.Random(71)
+        for k in range(120):
+            inst = rand_tie_instance(rng, KINDS[k % 4])
+            if k % 2:
+                inst = with_zero_costs(inst)
+            support = sorted({v for b in inst.boxes for v in b.reward.values()})
+            choices = support + [F(-1), support[-1] + 1]
+            policy = ThresholdPolicy.for_instance(inst, {b.id: rng.choice(choices) for b in inst.boxes})
+            for trials in (1, 2, 25):
+                assert simulate(inst, policy, trials, k) == reference_simulate(inst, policy, trials, k)
+
+    def test_stops_at_equality(self):
+        first = BoxSpec("a", F(0), DiscreteDistribution.point(2))
+        second = BoxSpec("b", F(1), DiscreteDistribution.point(5))
+        inst = line_instance_of([first, second])
+        summary = simulate(inst, policy_of(inst, [3, 2]), trials=5, rng_seed=0)
+        assert summary == reference_simulate(inst, policy_of(inst, [3, 2]), 5, 0)
+        assert summary.mean == 2 and summary.stddev == 0.0
+        assert simulate(inst, policy_of(inst, [3, 3]), trials=5, rng_seed=0).mean == 4
+
+    def test_mean_is_the_run_threshold_prefix_mean(self):
+        rng = random.Random(73)
+        for k in range(40):
+            inst = rand_tie_instance(rng, KINDS[k % 4])
+            policy = solved_policy(inst)
+            trials = rng.randint(1, 30)
+            nets = [run_threshold(inst, policy, k, t).net_revenue for t in range(trials)]
+            assert simulate(inst, policy, trials, k).mean == sum(nets, F(0)) / trials
