@@ -222,12 +222,12 @@ def simulate(instance: Instance, policy: ThresholdPolicy, trials: int, rng_seed:
         raise ValidationError("trials must be >= 1")
     order = fixed_opening_order(instance, policy)
     boxes = [instance.box_map[b] for b in order]
-    values = sorted({ZERO}.union(*(box.reward.values() for box in boxes)))
+    values = sorted({ZERO}.union(v for box in boxes for v, _ in box.reward.atoms))
     rank = {v: r for r, v in enumerate(values)}
     # per step: (smallest best rank that stops, box id, cut points, atom ranks)
     plan = [
         (bisect_left(values, policy.thresholds[box.id]), box.id,
-         RewardSampler.cut_points(box.reward), [rank[v] for v in box.reward.values()])
+         RewardSampler.cut_points(box.reward), [rank[v] for v, _ in box.reward.atoms])
         for box in boxes
     ]
     n = len(plan)
