@@ -157,6 +157,18 @@ class DiscreteDistribution:
     def max_value(self) -> Fraction:
         return self.atoms[-1][0]
 
+    @cached_property
+    def cut_points(self) -> tuple[int, ...]:
+        """ceil(P(X <= v_k)·2^64) per atom k; the last one is 2^64.  A 64-bit
+        point u falls on atom ``bisect_right(cut_points, u)``, the first with
+        u/2^64 < P(X <= v_k)."""
+        cuts = []
+        cum = Fraction(0)
+        for _, p in self.atoms:
+            cum += p
+            cuts.append(-((-cum.numerator << 64) // cum.denominator))
+        return tuple(cuts)
+
     def cdf(self, x: Fraction) -> Fraction:
         """P(X <= x)."""
         total = Fraction(0)

@@ -10,9 +10,9 @@ simulation a cheap walk down a precomputed order.
 Sampling is counter-based: each draw hashes (seed, trial, step, box) with
 SHA-256 to a 64-bit point u and inverts the exact CDF at u/2^64, so runs are
 reproducible bit-for-bit across platforms.  The inversion is integer-only:
-atom k's cut point is ceil(P(X <= v_k)·2^64), and u draws the first atom
-whose cut point exceeds u (``bisect_right``), which is the first atom with
-u/2^64 < P(X <= v_k).
+u draws the first atom whose cut point ceil(P(X <= v_k)·2^64) exceeds u
+(``bisect_right`` over ``DiscreteDistribution.cut_points``), which is the
+first atom with u/2^64 < P(X <= v_k).
 
 ``simulate`` walks the same stream on integer ranks.  Rewards become ranks
 in the sorted support of the opened boxes (0 included), each step's
@@ -84,19 +84,9 @@ class RewardSampler:
         payload = f"{self.seed}|{self.trial}|{step}|{box_id}".encode()
         return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
-    @staticmethod
-    def cut_points(dist: DiscreteDistribution) -> list[int]:
-        """ceil(P(X <= v_k)·2^64) per atom; the last one is 2^64."""
-        cuts = []
-        cum = ZERO
-        for _, p in dist.atoms:
-            cum += p
-            cuts.append(-((-cum.numerator << 64) // cum.denominator))
-        return cuts
-
     def draw(self, dist: DiscreteDistribution, step: int, box_id: str) -> Fraction:
         u = self.uniform_u64(step, box_id)
-        return dist.atoms[bisect_right(self.cut_points(dist), u)][0]
+        return dist.atoms[bisect_right(dist.cut_points, u)][0]
 
 
 def fixed_opening_order(instance: Instance, policy: ThresholdPolicy) -> list[str]:
@@ -227,7 +217,7 @@ def simulate(instance: Instance, policy: ThresholdPolicy, trials: int, rng_seed:
     # per step: (smallest best rank that stops, box id, cut points, atom ranks)
     plan = [
         (bisect_left(values, policy.thresholds[box.id]), box.id,
-         RewardSampler.cut_points(box.reward), [rank[v] for v, _ in box.reward.atoms])
+         box.reward.cut_points, [rank[v] for v, _ in box.reward.atoms])
         for box in boxes
     ]
     n = len(plan)

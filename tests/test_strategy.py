@@ -294,7 +294,7 @@ class TestSimulateMatchesReference:
         for _ in range(200):
             dist = rand_dist(rng, max_support=5)
             points = {0, (1 << 64) - 1}
-            for cut in RewardSampler.cut_points(dist):
+            for cut in dist.cut_points:
                 points |= {cut - 1, cut} - {1 << 64}
             for u in points:
                 assert FixedPoint(u).draw(dist, 0, "a") == reference_draw(dist, u)
