@@ -19,12 +19,15 @@ and terminate decisions while tracking (position, best, oracle state).
 
 The resulting strategy is at least as good as opening any fixed feasible
 set, and earns at least half the expected best reward of any adaptive
-strategy minus its full expected cost.
+strategy minus its full expected cost.  The sweep runs on ints over one
+common denominator (``core.integer_boxes``, no floats); the table is
+converted to ``Fraction``s once, at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -37,6 +40,7 @@ from .core import (
     PreOrderIndex,
     ValidationError,
     build_preorder,
+    integer_boxes,
 )
 from .oracle import solve_exact
 from .strategy import RewardSampler, Trajectory
@@ -90,32 +94,36 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
         if cap > bound:
             raise CapExceededError(f"capacity entry {cap} exceeds the {bound} bound")
     grid = instance.support_union()
-    y_index = {y: k for k, y in enumerate(grid)}
     states = list(itertools.product(*(range(cap + 1) for cap in model.capacity)))
     n = preorder.n
     cells = (n + 1) * len(grid) * len(states)
     if cells > TABLE_CELL_CAP:
         raise CapExceededError(f"table would need {cells} cells, cap is {TABLE_CELL_CAP}")
 
+    boxes = [instance.box_map[b] for b in preorder.order]
+    ints = integer_boxes(boxes, grid)
+    # a value at position i is N / (L * scale[i]), scale[i] = prod_{j >= i} D_j
+    scale = [0] + [math.prod(ints.dens[k:]) for k in range(n + 1)]
     values: dict = {}
     actions: dict = {}
-    for yk in range(len(grid)):
+    for yk, y in enumerate(ints.payoff):
         for state in states:
-            values[(n + 1, yk, state)] = grid[yk]
+            values[(n + 1, yk, state)] = y
             actions[(n + 1, yk, state)] = None
 
     for i in range(n, 0, -1):
-        box = instance.box_map[preorder.order[i - 1]]
         nxt = preorder.next_position[i - 1]
+        r, lift = scale[i], scale[i] // scale[nxt]
+        cost, atoms = -ints.costs[i - 1] * r, ints.atoms[i - 1]
         for state in states:
-            after_open = model.add(state, model.index[box.id])
-            for yk, y in enumerate(grid):
-                skip_val = values[(nxt, yk, state)]
-                open_val = -box.cost
+            after_open = model.add(state, model.index[boxes[i - 1].id])
+            for yk, y in enumerate(ints.payoff):
+                y *= r
+                skip_val = values[(nxt, yk, state)] * lift
+                open_val = cost
                 if after_open is not None:
-                    for v, p in box.reward.atoms:
-                        vk = y_index[v] if v > y else yk
-                        open_val += p * values[(i + 1, vk, after_open)]
+                    for vk, a in atoms:
+                        open_val += a * values[(i + 1, vk if vk > yk else yk, after_open)]
                 best = y
                 if open_val > best:
                     best = open_val
@@ -128,6 +136,8 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
                     actions[(i, yk, state)] = i
                 else:
                     actions[(i, yk, state)] = actions[(nxt, yk, state)]
+    for key, value in values.items():  # in place: no second table
+        values[key] = Fraction(value, ints.scale * scale[key[0]])
     return ApproxPolicy(
         instance=instance,
         preorder=preorder,

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -628,6 +629,36 @@ def weitzman_reservation(box: BoxSpec) -> Fraction:
         if j == 0 or tail - atoms[j - 1][0] * mass > cost:
             return (tail - cost) / mass
     raise InvariantError(f"no reservation value found for box {box.id!r}")  # pragma: no cover
+
+
+class IntegerBoxes(NamedTuple):
+    """Boxes and a sorted grid y_0 < y_1 < ... as Python ints (in lists: CPython
+    keeps tuples built from generators in its free list) for the backward DPs.
+    L = ``scale`` is the lcm of the grid's, weighted grid's and costs' denominators,
+    D_i = ``dens[i]`` that of box i's probabilities.  A value with the boxes R
+    unopened is the int N of N / (L * prod_{i in R} D_i).  At that scale r, stopping
+    at grid index k is ``payoff[k] * r``; opening box i is ``-costs[i] * r`` plus
+    a * N(child) over ``atoms[i]`` (grid index, a = p * D_i), children at r // D_i."""
+
+    scale: int
+    dens: list[int]
+    costs: list[int]  # c_i * L
+    atoms: list[list[tuple[int, int]]]
+    grid: list[int]  # y_k * L
+    payoff: list[int]  # weight * y_k * L
+
+
+def integer_boxes(boxes: Sequence[BoxSpec], grid: Sequence[Fraction], weight: Fraction = Fraction(1)) -> IntegerBoxes:
+    """:class:`IntegerBoxes` of ``boxes`` on ``grid`` (every support value in it), paying ``weight * y``."""
+    payoff = grid if weight == 1 else [weight * y for y in grid]
+    scale = math.lcm(*[q.denominator for q in (*grid, *payoff, *[b.cost for b in boxes])])
+    index = {(y.numerator, y.denominator): k for k, y in enumerate(grid)}
+    dens = [math.lcm(*[p.denominator for _, p in b.reward.atoms]) for b in boxes]
+    atoms = [[(index[v.numerator, v.denominator], p.numerator * (d // p.denominator)) for v, p in b.reward.atoms]
+             for b, d in zip(boxes, dens)]
+    costs, ys, pays = ([q.numerator * (scale // q.denominator) for q in qs]
+                       for qs in ([b.cost for b in boxes], grid, payoff))
+    return IntegerBoxes(scale, dens, costs, atoms, ys, pays)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from typing import Optional
 
 from .core import (
     BoxSpec,
+    CapExceededError,
     ConstraintGraph,
     ConstraintKind,
     DiscreteDistribution,
@@ -18,6 +19,12 @@ from .core import (
 )
 
 F = Fraction
+
+# Largest adaptivity-gap line.  The exact rationals gain digits with every
+# box, so time grows faster than n^2: --n 2000 / 5000 / 10000 at p = 1/1000
+# took 1.1 / 5.9 / 22 s through the CLI on a shared 2-vCPU VM (p = 1/30,
+# default n = 4500: 0.6 s).
+ADAPTIVITY_GAP_BOX_CAP = 5_000
 
 
 def _coin(hi, p=F(1, 2)) -> DiscreteDistribution:
@@ -77,8 +84,9 @@ def adaptivity_gap(p: Fraction = F(1, 10), n: Optional[int] = None) -> Instance:
     which adaptive search earns about 1/(2p) while every fixed opened set
     earns at most 1/2: the classical adaptivity gap grows like 1/p.
 
-    The default length makes the finite-horizon adaptive value come within
-    1% of its limit.
+    The default length ceil(5/p^2) makes the finite-horizon adaptive value
+    come within 1% of its limit; more than ``ADAPTIVITY_GAP_BOX_CAP`` boxes
+    raise :class:`CapExceededError` before any box is built.
     """
     if not (0 < p < 1):
         raise ValidationError(f"p must be in (0, 1), got {p}")
@@ -86,6 +94,9 @@ def adaptivity_gap(p: Fraction = F(1, 10), n: Optional[int] = None) -> Instance:
         n = math.ceil(5 / (p * p))
     if n < 1:
         raise ValidationError("n must be >= 1")
+    if n > ADAPTIVITY_GAP_BOX_CAP:  # a default n can have too many digits to print
+        got = n if n < 10**12 else f"about 2^{n.bit_length() - 1}"
+        raise CapExceededError(f"adaptivity-gap handles at most {ADAPTIVITY_GAP_BOX_CAP} boxes, got {got}")
     width = len(str(n - 1))
     reward = DiscreteDistribution.of([(1 / (p * p), p * p), (F(0), 1 - p * p)])
     cost = 1 - p / 2

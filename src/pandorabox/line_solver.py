@@ -16,7 +16,9 @@ because for x < z_i
 
 Rewards are nonnegative, so the cap at 0 for a negative z_i changes no value
 at x >= 0.  Negative thresholds (cost-dominated prefixes) are kept; the
-executor simply never opens such a box from a nonnegative best.
+executor simply never opens such a box from a nonnegative best.  The grid DP
+``line_optimal_value`` runs on integer numerators over one common
+denominator (``core.integer_boxes``); nothing here uses floats.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .core import BoxSpec, DiscreteDistribution, ValidationError, max_distribution, weitzman_reservation
+from .core import (BoxSpec, DiscreteDistribution, ValidationError, integer_boxes, max_distribution,
+                   weitzman_reservation)
 from .piecewise import PiecewiseLinear
 
 ZERO = Fraction(0)
@@ -173,20 +176,22 @@ def line_optimal_value(boxes: Sequence[BoxSpec]) -> Fraction:
     """Optimal expected net revenue of a line without threshold extraction.
 
     Values are only ever queried at observed-max points, so a DP restricted
-    to {0} plus the support union is exact.  It shares no step with
+    to {0} plus the support union is exact; the values in front of box i
+    are ints over L * prod_{j >= i} D_j.  It shares no step with
     :func:`solve_line`, so each checks the other.
     """
     grid = {ZERO}
     for box in boxes:
         grid.update(box.reward.values())
-    points = sorted(grid)
-    current = {y: y for y in points}
-    for box in reversed(boxes):
-        nxt = {}
-        for y in points:
-            cont = -box.cost
-            for v, p in box.reward.atoms:
-                cont += p * current[v if v > y else y]
-            nxt[y] = cont if cont > y else y
+    ints = integer_boxes(boxes, sorted(grid))
+    current, r = ints.payoff, 1
+    for i in range(len(boxes) - 1, -1, -1):
+        r *= ints.dens[i]
+        cost, atoms, nxt = ints.costs[i] * r, ints.atoms[i], []
+        for yk, y in enumerate(ints.payoff):
+            cont = -cost
+            for vk, a in atoms:
+                cont += a * current[vk if vk > yk else yk]
+            nxt.append(max(cont, y * r))
         current = nxt
-    return current[ZERO]
+    return Fraction(current[0], ints.scale * r)

@@ -3,16 +3,19 @@
 Ground truth for the optimality tests: memoized Bellman recursion over
 bitmask states with the best-reward grid {0} plus every support value.
 Works for any constraint kind including DAGs and matroid side constraints;
-deliberately exponential, guarded by explicit caps.
+deliberately exponential, guarded by explicit caps.  The recursion runs on
+ints over one common denominator (``core.integer_boxes``, no floats), so
+every comparison is exact; ``Fraction``s are built only for reported values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import CapExceededError, Instance, OrderModel, feasible_next
+from .core import CapExceededError, Instance, OrderModel, feasible_next, integer_boxes
 from .line_solver import line_optimal_value
 
 ZERO = Fraction(0)
@@ -34,7 +37,9 @@ class OracleResult:
     grid: tuple[Fraction, ...]
     model: OrderModel
     _policy: dict[tuple[int, int], Optional[int]]
-    _values: dict[tuple[int, int], Fraction]
+    _values: dict[tuple[int, int], int]  # N of N / (_scale * _dens of the unopened boxes)
+    _scale: int
+    _dens: list[int]
 
     def _key(self, opened: Sequence[str], best: Fraction) -> tuple[int, int]:
         return self.model.mask_of(opened), self.grid.index(best)
@@ -45,12 +50,15 @@ class OracleResult:
         return None if choice is None else self.model.ids[choice]
 
     def value_at(self, opened: Sequence[str], best: Fraction) -> Fraction:
-        return self._values[self._key(opened, best)]
+        mask, yk = key = self._key(opened, best)
+        unopened = math.prod(d for i, d in enumerate(self._dens) if not mask >> i & 1)
+        return Fraction(self._values[key], self._scale * unopened)
 
 
 def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fraction = Fraction(1)) -> OracleResult:
     """Memoized Bellman recursion over (opened set, best reward); stopping
-    with best reward y pays ``terminal_weight * y``."""
+    with best reward y pays ``terminal_weight * y``.  A state's value is an
+    int at the scale r = prod of D_i over its unopened boxes."""
     n = instance.n
     if n > HARD_BOX_CAP:
         raise CapExceededError(f"oracle handles at most {HARD_BOX_CAP} boxes, got {n}")
@@ -61,34 +69,29 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
             f"state estimate 2^{n} * {len(grid)} = {estimate} exceeds cap {STATE_ESTIMATE_CAP}"
         )
     model = instance.order_model
-    boxes = instance.boxes
-    y_index = {y: k for k, y in enumerate(grid)}
-    payoff = [terminal_weight * y for y in grid]
-    atom_indices = [
-        [(y_index[v], v, p) for v, p in b.reward.atoms] for b in boxes
-    ]
+    ints = integer_boxes(instance.boxes, grid, terminal_weight)
+    costs, dens, atoms, payoff = ints.costs, ints.dens, ints.atoms, ints.payoff
     # Candidate iteration in ascending id order fixes the argmax tie-break.
     by_id = sorted(range(n), key=lambda i: model.ids[i])
 
-    values: dict[tuple[int, int], Fraction] = {}
+    values: dict[tuple[int, int], int] = {}
     policy: dict[tuple[int, int], Optional[int]] = {}
 
-    def solve(mask: int, yk: int, load: tuple[int, ...]) -> Fraction:
+    def solve(mask: int, yk: int, load: tuple[int, ...], r: int) -> int:
         key = (mask, yk)
         cached = values.get(key)
         if cached is not None:
             return cached
-        y = grid[yk]
-        best_val = payoff[yk]
+        best_val = payoff[yk] * r
         best_act: Optional[int] = None
         for i in by_id:
             after = model.try_open(mask, load, i)
             if after is None:
                 continue
-            val = -boxes[i].cost
-            child = mask | (1 << i)
-            for vk, v, p in atom_indices[i]:
-                val += p * solve(child, vk if v > y else yk, after)
+            val = -costs[i] * r
+            child, sub = mask | (1 << i), r // dens[i]
+            for vk, a in atoms[i]:
+                val += a * solve(child, vk if vk > yk else yk, after, sub)
             if val > best_val:
                 best_val = val
                 best_act = i
@@ -96,40 +99,41 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
         policy[key] = best_act
         return best_val
 
-    start = (0, y_index[initial_best])
-    total = solve(*start, model.empty_load)
+    start, r0 = (0, grid.index(initial_best)), math.prod(dens)
+    total = solve(*start, model.empty_load, r0)
 
-    reward_part: dict[tuple[int, int], Fraction] = {}
-    cost_part: dict[tuple[int, int], Fraction] = {}
+    parts: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def split(mask: int, yk: int) -> tuple[Fraction, Fraction]:
+    def split(mask: int, yk: int, r: int) -> tuple[int, int]:
         key = (mask, yk)
-        if key in reward_part:
-            return reward_part[key], cost_part[key]
+        if key in parts:
+            return parts[key]
         act = policy[key]
         if act is None:
-            rew, cost = grid[yk], ZERO
+            rew, cost = ints.grid[yk] * r, 0
         else:
-            rew = ZERO
-            cost = boxes[act].cost
-            child = mask | (1 << act)
-            for vk, v, p in atom_indices[act]:
-                r, c = split(child, vk if v > grid[yk] else yk)
-                rew += p * r
-                cost += p * c
-        reward_part[key] = rew
-        cost_part[key] = cost
+            rew, cost = 0, costs[act] * r
+            child, sub = mask | (1 << act), r // dens[act]
+            for vk, a in atoms[act]:
+                cr, cc = split(child, vk if vk > yk else yk, sub)
+                rew += a * cr
+                cost += a * cc
+        parts[key] = rew, cost
         return rew, cost
 
-    e_max, e_cost = split(*start)
+    e_max, e_cost = split(*start, r0)
+    del solve, split  # free the memo tables by refcount, not by a later cyclic GC pass
+    den = ints.scale * r0
     return OracleResult(
-        value=total,
-        e_max=e_max,
-        e_cost=e_cost,
+        value=Fraction(total, den),
+        e_max=Fraction(e_max, den),
+        e_cost=Fraction(e_cost, den),
         grid=tuple(grid),
         model=model,
         _policy=policy,
         _values=values,
+        _scale=ints.scale,
+        _dens=dens,
     )
 
 

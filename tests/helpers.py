@@ -22,6 +22,7 @@ from pandorabox import (
     SimulationSummary,
     ThresholdPolicy,
     ValidationError,
+    build_preorder,
     expected_excess,
     fixed_opening_order,
     merge,
@@ -87,8 +88,8 @@ def rand_tie_box(rng: random.Random, index: int) -> BoxSpec:
 
 
 def rand_tie_instance(rng: random.Random, kind: str, max_n: int = 9) -> Instance:
-    """Random validated line, tree, forest or unconstrained set of tie-heavy
-    boxes, with boxes and edges listed in shuffled order."""
+    """Random validated line, tree, forest, DAG or unconstrained set of
+    tie-heavy boxes, with boxes and edges listed in shuffled order."""
     n = rng.randint(1, max_n)
     boxes = [rand_tie_box(rng, i) for i in range(n)]
     rng.shuffle(boxes)
@@ -98,6 +99,8 @@ def rand_tie_instance(rng: random.Random, kind: str, max_n: int = 9) -> Instance
         edges = [(boxes[rng.randrange(i)].id, boxes[i].id) for i in range(1, n)]
     elif kind == ConstraintKind.FOREST:
         edges = [(boxes[rng.randrange(i)].id, boxes[i].id) for i in range(1, n) if rng.random() < 0.6]
+    elif kind == ConstraintKind.DAG:
+        edges = [(boxes[j].id, boxes[i].id) for i in range(1, n) for j in rng.sample(range(i), rng.randint(0, min(i, 2)))]
     else:
         edges = []
     if n == 1 or (not edges and kind != ConstraintKind.FOREST):
@@ -298,6 +301,125 @@ def reference_solve_tree(instance: Instance) -> tuple[Fraction, tuple[str, ...],
     roots = merge([solve(b.id) for b in instance.boxes if b.id not in parents])
     line, value = annotated(roots.ids())
     return value, line.ids(), {e.box_id: e.threshold for e in line.entries}
+
+
+def reference_engine(instance: Instance, initial_best: Fraction = ZERO, terminal_weight: Fraction = F(1)):
+    """The oracle's Bellman recursion on ``Fraction``s: value, e_max, e_cost,
+    the policy map and the value map, keyed like ``OracleResult`` by
+    (opened bitmask, grid index)."""
+    n = instance.n
+    grid = sorted(set(instance.support_union()) | {initial_best})
+    model = instance.order_model
+    boxes = instance.boxes
+    y_index = {y: k for k, y in enumerate(grid)}
+    payoff = [terminal_weight * y for y in grid]
+    atom_indices = [[(y_index[v], v, p) for v, p in b.reward.atoms] for b in boxes]
+    by_id = sorted(range(n), key=lambda i: model.ids[i])
+    values: dict = {}
+    policy: dict = {}
+
+    def solve(mask: int, yk: int, load) -> Fraction:
+        key = (mask, yk)
+        cached = values.get(key)
+        if cached is not None:
+            return cached
+        y = grid[yk]
+        best_val = payoff[yk]
+        best_act = None
+        for i in by_id:
+            after = model.try_open(mask, load, i)
+            if after is None:
+                continue
+            val = -boxes[i].cost
+            child = mask | (1 << i)
+            for vk, v, p in atom_indices[i]:
+                val += p * solve(child, vk if v > y else yk, after)
+            if val > best_val:
+                best_val = val
+                best_act = i
+        values[key] = best_val
+        policy[key] = best_act
+        return best_val
+
+    start = (0, y_index[initial_best])
+    total = solve(*start, model.empty_load)
+    parts: dict = {}
+
+    def split(mask: int, yk: int) -> tuple[Fraction, Fraction]:
+        key = (mask, yk)
+        if key in parts:
+            return parts[key]
+        act = policy[key]
+        if act is None:
+            rew, cost = grid[yk], ZERO
+        else:
+            rew, cost = ZERO, boxes[act].cost
+            child = mask | (1 << act)
+            for vk, v, p in atom_indices[act]:
+                r, c = split(child, vk if v > grid[yk] else yk)
+                rew += p * r
+                cost += p * c
+        parts[key] = rew, cost
+        return rew, cost
+
+    e_max, e_cost = split(*start)
+    return total, e_max, e_cost, policy, values
+
+
+def reference_approx(instance: Instance) -> tuple[dict, dict]:
+    """``solve_approx``'s backward sweep on ``Fraction``s: the values and
+    actions tables over (position, grid index, side load)."""
+    preorder = build_preorder(instance)
+    model = instance.order_model
+    grid = instance.support_union()
+    y_index = {y: k for k, y in enumerate(grid)}
+    states = list(itertools.product(*(range(cap + 1) for cap in model.capacity)))
+    n = preorder.n
+    values: dict = {}
+    actions: dict = {}
+    for yk in range(len(grid)):
+        for state in states:
+            values[(n + 1, yk, state)] = grid[yk]
+            actions[(n + 1, yk, state)] = None
+    for i in range(n, 0, -1):
+        box = instance.box_map[preorder.order[i - 1]]
+        nxt = preorder.next_position[i - 1]
+        for state in states:
+            after_open = model.add(state, model.index[box.id])
+            for yk, y in enumerate(grid):
+                skip_val = values[(nxt, yk, state)]
+                open_val = -box.cost
+                if after_open is not None:
+                    for v, p in box.reward.atoms:
+                        vk = y_index[v] if v > y else yk
+                        open_val += p * values[(i + 1, vk, after_open)]
+                best = max(y, open_val, skip_val)
+                values[(i, yk, state)] = best
+                if best == y:
+                    actions[(i, yk, state)] = None
+                elif best == open_val:
+                    actions[(i, yk, state)] = i
+                else:
+                    actions[(i, yk, state)] = actions[(nxt, yk, state)]
+    return values, actions
+
+
+def reference_line_optimal_value(boxes) -> Fraction:
+    """Grid DP over (position, best reward) on ``Fraction``s."""
+    grid = {ZERO}
+    for box in boxes:
+        grid.update(box.reward.values())
+    points = sorted(grid)
+    current = {y: y for y in points}
+    for box in reversed(boxes):
+        nxt = {}
+        for y in points:
+            cont = -box.cost
+            for v, p in box.reward.atoms:
+                cont += p * current[v if v > y else y]
+            nxt[y] = cont if cont > y else y
+        current = nxt
+    return current[ZERO]
 
 
 def reference_draw(dist: DiscreteDistribution, u: int) -> Fraction:

@@ -1,14 +1,16 @@
-"""Malformed documents and flag files end in exit 2 with a one-line
-message, never a traceback."""
+"""Malformed documents and flag files end in exit 2, and requests over a
+size cap in exit 3, each with a one-line message, never a traceback."""
 
 from __future__ import annotations
 
 import json
+import time
+from fractions import Fraction as F
 
 import pytest
 
-from pandorabox import dump_instance
-from pandorabox.instances import guard_line
+from pandorabox import CapExceededError, dump_instance
+from pandorabox.instances import ADAPTIVITY_GAP_BOX_CAP, adaptivity_gap, guard_line
 
 from test_cli import run_cli
 
@@ -183,3 +185,27 @@ def test_example_out_path_that_cannot_be_written_exits_2(tmp_path, name):
     assert_clean_exit_2(res)
     assert res.stderr.startswith(f"error: cannot write {out}: ")
     assert len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, got",
+    [
+        (["--p", "1/1000"], "5000000"),  # default n = ceil(5/p^2)
+        (["--p", "1/10", "--n", "5001"], "5001"),
+        (["--p", "1e-4300"], "about 2^28570"),  # a default n too long to print
+    ],
+)
+def test_adaptivity_gap_over_the_box_cap_exits_3(flags, got):
+    res = run_cli("example", "adaptivity-gap", *flags)
+    assert res.returncode == 3
+    assert res.stderr == f"error: adaptivity-gap handles at most {ADAPTIVITY_GAP_BOX_CAP} boxes, got {got}\n"
+    assert res.stdout == ""
+
+
+def test_adaptivity_gap_cap_is_checked_before_building():
+    start = time.perf_counter()
+    for p, n in ((F(1, 10**6), None), (F(1, 10), 10**9)):
+        with pytest.raises(CapExceededError):
+            adaptivity_gap(p, n)
+    assert time.perf_counter() - start < 1
+    assert adaptivity_gap(F(1, 10), ADAPTIVITY_GAP_BOX_CAP).n == ADAPTIVITY_GAP_BOX_CAP

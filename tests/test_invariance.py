@@ -2,7 +2,9 @@
 
 Scaling every cost and reward by a positive factor scales every value and
 threshold by it, and also the simulated mean under the same seed, since the
-sampler stream reads only the seed, trial, step, id and probabilities;
+sampler stream reads only the seed, trial, step, id and probabilities (the
+factor 3/7 also brings a new denominator into the common denominator of
+the integer DPs, and keeps every fixed-order tie);
 renaming the boxes leaves every value unchanged; adding a free zero box as a
 separate root changes no value and no other threshold.
 """
@@ -19,6 +21,8 @@ from pandorabox import (
     DiscreteDistribution,
     Instance,
     ThresholdPolicy,
+    best_fixed_order,
+    best_half_reward_benchmark,
     evaluate_threshold_exact,
     simulate,
     solve_approx,
@@ -98,7 +102,12 @@ def test_scaling_costs_and_rewards_scales_values_and_thresholds():
         assert big_thresholds == {i: LAMBDA * z for i, z in thresholds.items()}
         assert big_value == LAMBDA * value
         assert big_evaluated == LAMBDA * evaluated
-        assert solve_exact(big).value == LAMBDA * solve_exact(inst).value
+        exact, big_exact = solve_exact(inst), solve_exact(big)
+        assert big_exact.value == LAMBDA * exact.value
+        assert (big_exact.e_max, big_exact.e_cost) == (LAMBDA * exact.e_max, LAMBDA * exact.e_cost)
+        order, fixed_value = best_fixed_order(inst)
+        assert best_fixed_order(big) == (order, LAMBDA * fixed_value)
+        assert best_half_reward_benchmark(big) == LAMBDA * best_half_reward_benchmark(inst)
         assert (
             simulate(big, tree_policy(big), 40, 11).mean
             == LAMBDA * simulate(inst, tree_policy(inst), 40, 11).mean
