@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from .approx import solve_approx, verify_guarantee
 from .core import (
     CapExceededError,
-    ConstraintKind,
     Instance,
     InvariantError,
     MatroidSideConstraint,
@@ -47,8 +46,6 @@ EXIT_INTERNAL = 4
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, bool):
@@ -56,18 +53,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _rational(key: str, value: Fraction) -> str:
+    try:
+        return format_rational(value)
+    except ValueError:  # Python refuses to print an int over sys.get_int_max_str_digits()
+        raise CapExceededError(
+            f"{key} has more than {sys.get_int_max_str_digits()} digits to print"
+        ) from None
+
+
 def emit(pairs: Sequence[tuple[str, object]], as_json: bool) -> None:
+    """Print the pairs once all of them are formatted, so a value that
+    cannot be printed leaves stdout empty."""
+    shown = [(key, _rational(key, value) if isinstance(value, Fraction) else value)
+             for key, value in pairs]
     if as_json:
-        obj = {}
-        for key, value in pairs:
-            if isinstance(value, Fraction):
-                obj[key] = format_rational(value)
-            else:
-                obj[key] = value
-        print(json.dumps(obj))
+        print(json.dumps(dict(shown)))
     else:
-        for key, value in pairs:
-            print(f"{key}={_fmt(value)}")
+        print("\n".join(f"{key}={_fmt(value)}" for key, value in shown))
 
 
 def _read_instance(path: str) -> Instance:
@@ -93,13 +96,7 @@ def _read_thresholds(instance: Instance, path: Optional[str]) -> ThresholdPolicy
 
 
 def cmd_solve(args) -> None:
-    instance = _read_instance(args.input)
-    if instance.constraint.kind == ConstraintKind.DAG:
-        raise UnsupportedConstraintError(
-            "no optimal threshold strategy exists for DAG constraints; "
-            "use the 'oracle' command for exact small-instance values"
-        )
-    solution = solve_tree(instance)
+    solution = solve_tree(_read_instance(args.input))
     pairs: list[tuple[str, object]] = [("order", ",".join(solution.order.ids()))]
     for entry in solution.order.entries:
         pairs.append((f"threshold.{entry.box_id}", entry.threshold))
@@ -330,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON object")
         return p
 
-    p = add("solve", cmd_solve, help="optimal thresholds for line/tree/forest")
+    p = add("solve", cmd_solve, help="optimal thresholds for line/tree/forest without a side constraint")
     p.add_argument("--input", required=True)
 
     p = add("evaluate", cmd_evaluate, help="exact value of thresholds or of a fixed set")

@@ -104,6 +104,16 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def describe_rational(q: Fraction) -> str:
+    """:func:`format_rational` for messages: a value with more digits than
+    Python converts to a string shows as its size, about 2^k."""
+    try:
+        return format_rational(q)
+    except ValueError:
+        size = abs(q.numerator).bit_length() - q.denominator.bit_length()
+        return f"about {'-' if q < 0 else ''}2^{size}"
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finite-support reward distribution with exact atom probabilities.
@@ -121,15 +131,15 @@ class DiscreteDistribution:
         prev = None
         for value, prob in self.atoms:
             if value < 0:
-                raise ValidationError(f"reward value {value} is negative")
+                raise ValidationError(f"reward value {describe_rational(value)} is negative")
             if prob <= 0:
-                raise ValidationError(f"atom probability {prob} is not positive")
+                raise ValidationError(f"atom probability {describe_rational(prob)} is not positive")
             if prev is not None and value <= prev:
                 raise ValidationError("atom values must be strictly increasing")
             prev = value
             total += prob
         if total != 1:
-            raise ValidationError(f"atom probabilities sum to {total}, not 1")
+            raise ValidationError(f"atom probabilities sum to {describe_rational(total)}, not 1")
 
     @staticmethod
     def of(pairs: Iterable[tuple[Union[Fraction, int, str], Union[Fraction, int, str]]]) -> "DiscreteDistribution":
@@ -450,12 +460,12 @@ def validate_instance(instance: Instance) -> Instance:
         if box.id.startswith(RESERVED_ID_PREFIX):
             raise ValidationError(f"box id {box.id!r} uses the reserved prefix {RESERVED_ID_PREFIX!r}")
         if box.cost < 0:
-            raise ValidationError(f"box {box.id!r} has negative cost {box.cost}")
+            raise ValidationError(f"box {box.id!r} has negative cost {describe_rational(box.cost)}")
         # DiscreteDistribution validates itself on construction; re-check the
         # probability sum here so load errors name the box.
         total = sum(box.reward.probs(), Fraction(0))
         if total != 1:
-            raise ValidationError(f"box {box.id!r} probabilities sum to {total}, not 1")
+            raise ValidationError(f"box {box.id!r} probabilities sum to {describe_rational(total)}, not 1")
     _validate_constraint(instance)
     _validate_side(instance)
     return instance
@@ -616,7 +626,7 @@ def weitzman_reservation(box: BoxSpec) -> Fraction:
     """
     cost = box.cost
     if cost < 0:
-        raise ValidationError(f"box {box.id!r} has negative cost {cost}")
+        raise ValidationError(f"box {box.id!r} has negative cost {describe_rational(cost)}")
     atoms = box.reward.atoms
     if cost == 0:
         return atoms[-1][0]

@@ -15,6 +15,7 @@ from .core import (
     Instance,
     MatroidSideConstraint,
     ValidationError,
+    describe_rational,
     validate_instance,
 )
 
@@ -25,6 +26,10 @@ F = Fraction
 # took 1.1 / 5.9 / 22 s through the CLI on a shared 2-vCPU VM (p = 1/30,
 # default n = 4500: 0.6 s).
 ADAPTIVITY_GAP_BOX_CAP = 5_000
+# Each box adds about the bits of p's numerator and denominator to those
+# rationals, so n times that bit length is bounded too, at what p = 1/1000
+# with n = 5000 reaches (5000 · (1 + 10)).
+ADAPTIVITY_GAP_BIT_CAP = 55_000
 
 
 def _coin(hi, p=F(1, 2)) -> DiscreteDistribution:
@@ -41,7 +46,7 @@ def figure1(epsilon: Fraction = F(3, 2)) -> Instance:
     scale shrinks as epsilon grows.
     """
     if not (F(5, 4) <= epsilon < 2):
-        raise ValidationError(f"epsilon {epsilon} outside [5/4, 2)")
+        raise ValidationError(f"epsilon {describe_rational(epsilon)} outside [5/4, 2)")
     toll = 1 - epsilon / 2
     boxes = (
         BoxSpec("A", F(0), _coin(F(5, 2))),
@@ -85,11 +90,13 @@ def adaptivity_gap(p: Fraction = F(1, 10), n: Optional[int] = None) -> Instance:
     earns at most 1/2: the classical adaptivity gap grows like 1/p.
 
     The default length ceil(5/p^2) makes the finite-horizon adaptive value
-    come within 1% of its limit; more than ``ADAPTIVITY_GAP_BOX_CAP`` boxes
-    raise :class:`CapExceededError` before any box is built.
+    come within 1% of its limit; more than ``ADAPTIVITY_GAP_BOX_CAP`` boxes,
+    or n times the bit length of p's numerator plus denominator above
+    ``ADAPTIVITY_GAP_BIT_CAP``, raise :class:`CapExceededError` before any
+    box is built.
     """
     if not (0 < p < 1):
-        raise ValidationError(f"p must be in (0, 1), got {p}")
+        raise ValidationError(f"p must be in (0, 1), got {describe_rational(p)}")
     if n is None:
         n = math.ceil(5 / (p * p))
     if n < 1:
@@ -97,6 +104,12 @@ def adaptivity_gap(p: Fraction = F(1, 10), n: Optional[int] = None) -> Instance:
     if n > ADAPTIVITY_GAP_BOX_CAP:  # a default n can have too many digits to print
         got = n if n < 10**12 else f"about 2^{n.bit_length() - 1}"
         raise CapExceededError(f"adaptivity-gap handles at most {ADAPTIVITY_GAP_BOX_CAP} boxes, got {got}")
+    bits = n * (p.numerator.bit_length() + p.denominator.bit_length())
+    if bits > ADAPTIVITY_GAP_BIT_CAP:
+        raise CapExceededError(
+            f"adaptivity-gap handles at most {ADAPTIVITY_GAP_BIT_CAP} box-bits (n times the bit "
+            f"length of p's numerator plus denominator), got {bits}"
+        )
     width = len(str(n - 1))
     reward = DiscreteDistribution.of([(1 / (p * p), p * p), (F(0), 1 - p * p)])
     cost = 1 - p / 2

@@ -20,6 +20,7 @@ from .core import (
     DiscreteDistribution,
     Instance,
     ValidationError,
+    describe_rational,
 )
 from .strategy import ThresholdPolicy, evaluate_threshold_exact
 from .tree_solver import solve_tree
@@ -81,7 +82,7 @@ class LearningConfig:
         if not (0 < self.epsilon < 1) or not (0 < self.delta < 1):
             raise ValidationError("epsilon and delta must lie in (0, 1)")
         if (1 / self.epsilon).denominator != 1:  # epsilon is the grid step
-            raise ValidationError(f"grid step {self.epsilon} must divide 1 exactly")
+            raise ValidationError(f"grid step {describe_rational(self.epsilon)} must divide 1 exactly")
 
     def sample_count(self, n: int) -> int:
         if self.samples_per_box is not None:
@@ -116,10 +117,10 @@ class EmpiricalModel:
 def _check_learning_regime(instance: Instance) -> None:
     for box in instance.boxes:
         if box.cost < 0 or box.cost > 1:
-            raise ValidationError(f"box {box.id!r} cost {box.cost} outside [0, 1]")
+            raise ValidationError(f"box {box.id!r} cost {describe_rational(box.cost)} outside [0, 1]")
         for v in box.reward.values():
             if v < 0 or v > 1:
-                raise ValidationError(f"box {box.id!r} reward {v} outside [0, 1]")
+                raise ValidationError(f"box {box.id!r} reward {describe_rational(v)} outside [0, 1]")
 
 
 def round_down_to_grid(value: Fraction, step: Fraction) -> Fraction:
@@ -168,11 +169,11 @@ def learn_and_solve(instance: Instance, config: LearningConfig, rng_seed: int) -
     """Learn, solve the empirical instance, and score the learned policy on
     the true instance (exactly).  The gap is true optimum minus the learned
     policy's true value; it is nonnegative by optimality."""
+    truth = solve_tree(instance)  # refuses DAGs and side constraints before any sampling
     model = learn_model(instance, config, rng_seed)
     empirical = model.empirical_instance(instance)
     learned = solve_tree(empirical)
     policy = ThresholdPolicy.for_instance(instance, learned.thresholds, learned.order.ids())
-    truth = solve_tree(instance)
     achieved = evaluate_threshold_exact(instance, policy)
     report = LearnReport(
         true_opt=truth.value,

@@ -5,11 +5,12 @@ value of being in front of it with best reward x is E[max(x, kappa)].
 Sibling subtrees are independent, so a box whose children have capped
 values kappa_1..kappa_k sees W = max(X_b, kappa_1, ..., kappa_k), a product
 of CDFs, and one capped-value step gives its threshold and its own kappa.
-Nothing is ever re-solved.  Nodes are solved in reverse pre-order
-(:func:`.core.build_preorder`), so every child is solved before its parent.
-A forest's value is E[max(0, kappa_root1, ...)].  The exploration order of
-a subtree is its root followed by its children's orders merged front-first
-by decreasing threshold (preserving within-line order).
+Nodes are solved in reverse pre-order (:func:`.core.build_preorder`), so
+every child is solved before its parent.  A forest's value is
+E[max(0, kappa_root1, ...)].  The exploration order is the executor's own
+greedy (:func:`.strategy.fixed_opening_order`, ties by pre-order position),
+so the solution is by construction the policy that runs.  DAGs and side
+constraints are refused: the problem is NP-hard there.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Sequence
 
-from .core import DiscreteDistribution, Instance, ValidationError, build_preorder, max_distribution
+from .core import (ConstraintKind, DiscreteDistribution, Instance, MatroidSideConstraint,
+                   UnsupportedConstraintError, ValidationError, build_preorder, max_distribution)
 from .line_solver import capped_step, solve_line  # noqa: F401 (an alias bench/selftest.py traces)
+from .strategy import ThresholdPolicy, fixed_opening_order
 
 
 @dataclass(frozen=True)
@@ -32,8 +35,8 @@ class AnnotatedEntry:
 
 @dataclass(frozen=True)
 class AnnotatedLine:
-    """A linearized subtree: box ids in exploration order with the
-    thresholds they received inside that subtree."""
+    """An exploration order: box ids with their thresholds, in the order
+    the threshold executor opens them."""
 
     entries: tuple[AnnotatedEntry, ...]
 
@@ -49,19 +52,14 @@ class TreeSolution:
 
 
 def merge(lines: Sequence[AnnotatedLine]) -> AnnotatedLine:
-    """Merge lines by repeatedly popping the front entry with the largest
-    threshold; ties go to the line whose first box id is smallest.
-
-    Within-line order is preserved even when thresholds inside a line are
-    non-monotone, which is exactly how the threshold executor would
-    interleave the lines at runtime.
-    """
+    """The reference's nested merge, kept for tracing: repeatedly pop the
+    front entry with the largest threshold; ties go to the line whose first
+    box id is smallest.  Within-line order is preserved."""
     seen: set[str] = set()
-    for line in lines:
-        for entry in line.entries:
-            if entry.box_id in seen:
-                raise ValidationError(f"duplicate box id {entry.box_id!r} across merged lines")
-            seen.add(entry.box_id)
+    for entry in (e for line in lines for e in line.entries):
+        if entry.box_id in seen:
+            raise ValidationError(f"duplicate box id {entry.box_id!r} across merged lines")
+        seen.add(entry.box_id)
     ordered = sorted((line.entries for line in lines if line.entries), key=lambda es: es[0].box_id)
     # heapq.merge pops the largest front key and breaks ties by input position
     return AnnotatedLine(tuple(heapq.merge(*ordered, key=attrgetter("threshold"), reverse=True)))
@@ -69,30 +67,31 @@ def merge(lines: Sequence[AnnotatedLine]) -> AnnotatedLine:
 
 def solve_tree(instance: Instance) -> TreeSolution:
     """Optimal thresholds, exploration order and value for a line, tree or
-    forest instance (unconstrained treated as a forest of singletons)."""
+    forest instance without a side constraint (unconstrained treated as a
+    forest of singletons)."""
+    if instance.constraint.kind == ConstraintKind.DAG:
+        raise UnsupportedConstraintError("no optimal threshold strategy exists for DAG constraints; "
+                                         "use the 'oracle' command for exact small-instance values")
+    if instance.side.kind != MatroidSideConstraint.NONE:
+        raise UnsupportedConstraintError(f"no optimal threshold strategy exists under a {instance.side.kind} "
+                                         "side constraint; use the 'approx' or 'oracle' command")
     index = build_preorder(instance)
-    # capped value and order of each solved subtree, by pre-order position
-    solved: dict[int, tuple[DiscreteDistribution, AnnotatedLine]] = {}
+    kappas: dict[int, DiscreteDistribution] = {}  # capped value of each solved subtree, by pre-order position
+    z: dict[str, Fraction] = {}
 
-    def pop_subtrees(first: int, stop: int) -> tuple[list[DiscreteDistribution], AnnotatedLine]:
-        """Capped values and merged orders of the subtrees at first, next(first), ... < stop."""
-        kappas, lines = [], []
+    def pop_subtrees(first: int, stop: int) -> list[DiscreteDistribution]:
+        """Capped values of the subtrees at first, next(first), ... < stop."""
+        popped = []
         while first < stop:
-            kappa, line = solved.pop(first)
-            kappas.append(kappa)
-            lines.append(line)
+            popped.append(kappas.pop(first))
             first = index.next_position[first - 1]
-        return kappas, lines[0] if len(lines) == 1 else merge(lines)
+        return popped
 
     for i in range(index.n, 0, -1):
         box = instance.box_map[index.order[i - 1]]
-        kappas, line = pop_subtrees(i + 1, index.next_position[i - 1])
-        z, kappa = capped_step(box, kappas)
-        solved[i] = kappa, AnnotatedLine((AnnotatedEntry(box.id, z),) + line.entries)
+        z[box.id], kappas[i] = capped_step(box, pop_subtrees(i + 1, index.next_position[i - 1]))
 
-    kappas, order = pop_subtrees(1, index.n + 1)
-    return TreeSolution(
-        thresholds={e.box_id: e.threshold for e in order.entries},
-        order=order,
-        value=max_distribution(kappas).expectation(),
-    )
+    order = fixed_opening_order(instance, ThresholdPolicy(z, index.order))
+    line = AnnotatedLine(tuple(AnnotatedEntry(b, z[b]) for b in order))
+    value = max_distribution(pop_subtrees(1, index.n + 1)).expectation()
+    return TreeSolution(thresholds={b: z[b] for b in order}, order=line, value=value)

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from pandorabox import CapExceededError, dump_instance
-from pandorabox.instances import ADAPTIVITY_GAP_BOX_CAP, adaptivity_gap, guard_line
+from pandorabox.instances import ADAPTIVITY_GAP_BOX_CAP, adaptivity_gap, figure1_tree_matroid, guard_line
 
 from test_cli import run_cli
 
@@ -23,6 +23,12 @@ def assert_clean_exit_2(res) -> None:
     assert res.returncode == 2
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.stderr
+
+
+def assert_clean_exit_3(res) -> None:
+    assert res.returncode == 3
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -178,6 +184,30 @@ def test_adaptivity_gap_with_p_zero_exits_2():
     assert res.stderr == "error: p must be in (0, 1), got 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["adaptivity-gap", "--p", "1e4300"], "p must be in (0, 1), got about 2^14284"),
+        (["figure1", "--epsilon", "1e4300"], "epsilon about 2^14284 outside [5/4, 2)"),
+    ],
+)
+def test_example_parameter_too_long_to_print_exits_2(argv, message):
+    res = run_cli("example", *argv)
+    assert_clean_exit_2(res)
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
+
+
+def test_learn_reward_too_long_to_print_exits_2(tmp_path):
+    doc = json.loads(json.dumps(LEARNABLE))
+    doc["boxes"][1]["reward"] = [{"value": "99e4300", "prob": "1"}]
+    path = tmp_path / "learnable.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("learn", "--input", str(path), "--epsilon", "1/10", "--delta", "1/10", "--seed", "7")
+    assert_clean_exit_2(res)
+    assert res.stderr == "error: box 'b' reward about 2^14290 outside [0, 1]\n"
+
+
 @pytest.mark.parametrize("name", ["figure1", "adaptivity-gap", "guard-line"])
 def test_example_out_path_that_cannot_be_written_exits_2(tmp_path, name):
     out = tmp_path / "missing" / "inst.json"
@@ -202,6 +232,14 @@ def test_adaptivity_gap_over_the_box_cap_exits_3(flags, got):
     assert res.stdout == ""
 
 
+def test_adaptivity_gap_bounds_n_times_the_bits_of_p():
+    # p = 1/10^6 adds twice the bits of p = 1/1000 per box
+    res = run_cli("example", "adaptivity-gap", "--p", "1/1000000", "--n", "5000")
+    assert_clean_exit_3(res)
+    assert res.stderr.startswith("error: adaptivity-gap handles at most ")
+    assert res.stderr.endswith(", got 105000\n")
+
+
 def test_adaptivity_gap_cap_is_checked_before_building():
     start = time.perf_counter()
     for p, n in ((F(1, 10**6), None), (F(1, 10), 10**9)):
@@ -209,3 +247,80 @@ def test_adaptivity_gap_cap_is_checked_before_building():
             adaptivity_gap(p, n)
     assert time.perf_counter() - start < 1
     assert adaptivity_gap(F(1, 10), ADAPTIVITY_GAP_BOX_CAP).n == ADAPTIVITY_GAP_BOX_CAP
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_result_too_long_to_print_exits_3(tmp_path, json_flag):
+    doc = {"boxes": [{"id": "a", "cost": "0", "reward": [{"value": "99e4300", "prob": "1"}]}]}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("solve", "--input", str(path), *json_flag)
+    assert_clean_exit_3(res)
+    assert "digits to print" in res.stderr
+
+
+@pytest.fixture
+def tree_matroid_file(tmp_path):
+    path = tmp_path / "tm.json"
+    path.write_text(dump_instance(figure1_tree_matroid()))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("solve", []), ("evaluate", []), ("simulate", ["--trials", "200", "--seed", "5"])],
+)
+def test_side_constraint_without_thresholds_exits_3(tree_matroid_file, command, flags):
+    res = run_cli(command, "--input", tree_matroid_file, *flags)
+    assert_clean_exit_3(res)
+    assert "knapsack side constraint" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flags, stdout",
+    [
+        ("evaluate", [], "value=297/80\n"),
+        ("simulate", ["--trials", "200", "--seed", "5"],
+         "mean=741/200\nstddev=1.8314944333239134\ntrials=200\nseed=5\n"),
+    ],
+)
+def test_side_constraint_with_thresholds_runs(tmp_path, tree_matroid_file, command, flags, stdout):
+    # the cardinality-4 bound stops the executor before its fifth box
+    thresholds = tmp_path / "z.json"
+    thresholds.write_text(json.dumps({"A": "10", "B": "9", "C": "8", "E": "7", "F": "6"}))
+    res = run_cli(command, "--input", tree_matroid_file, "--thresholds", str(thresholds), *flags)
+    assert res.returncode == 0
+    assert res.stdout == stdout
+
+
+def test_learn_with_side_constraint_exits_3(tmp_path):
+    doc = dict(LEARNABLE, side={"kind": "knapsack", "weights": {"a": [1], "b": [1]}, "capacity": [1]})
+    path = tmp_path / "learnable.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("learn", "--input", str(path), "--epsilon", "1/10", "--delta", "1/10", "--seed", "7")
+    assert_clean_exit_3(res)
+    assert "knapsack side constraint" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "cost, prob, message",
+    [
+        ("-99e4300", "1", "box 'a' has negative cost about -2^14290"),
+        ("0", "99e4300", "box 'a': atom probabilities sum to about 2^14290, not 1"),
+    ],
+)
+def test_invalid_value_too_long_to_print_exits_2(tmp_path, cost, prob, message):
+    doc = {"boxes": [{"id": "a", "cost": cost, "reward": [{"value": "1", "prob": prob}]}]}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("solve", "--input", str(path))
+    assert_clean_exit_2(res)
+    assert res.stderr == f"error: {message}\n"
+
+
+def test_learn_grid_step_too_long_to_print_exits_2(tmp_path):
+    path = tmp_path / "learnable.json"
+    path.write_text(json.dumps(LEARNABLE))
+    res = run_cli("learn", "--input", str(path), "--epsilon", "3e-4300", "--delta", "1/10", "--seed", "7")
+    assert_clean_exit_2(res)
+    assert res.stderr == "error: grid step about 2^-14283 must divide 1 exactly\n"

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from pandorabox import cli
 
 IDS = ("a", "b", "c", "d")
-VALUES = st.sampled_from(["0", "1", "2", "1/2", "7/3", "0.25", "1e3"]) | st.integers(0, 9)
+VALUES = st.sampled_from(["0", "1", "2", "1/2", "7/3", "0.25", "1e3", "99e4300"]) | st.integers(0, 9)
 BAD = st.sampled_from(["-1", "1/0", "1e99999", "x", "", "__x", "ring", True, 1.5, -1])
 JUNK = BAD | st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True) | st.text(max_size=3),

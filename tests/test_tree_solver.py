@@ -22,7 +22,7 @@ from pandorabox import (
     solve_tree,
     weitzman_reservation,
 )
-from pandorabox.instances import figure1
+from pandorabox.instances import figure1, figure1_tree_matroid
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine
 
 from helpers import (
@@ -30,9 +30,12 @@ from helpers import (
     rand_box,
     rand_dist,
     rand_forest_of_paths,
+    rand_knapsack_side,
     rand_line_boxes,
+    rand_partition_side,
     rand_tie_instance,
     rand_tree_instance,
+    with_side,
 )
 
 F = Fraction
@@ -198,8 +201,25 @@ class TestSolveTree:
             assert evaluate_threshold_exact(inst, policy) == sol.value
 
     def test_dag_rejected(self):
-        with pytest.raises(UnsupportedConstraintError):
+        with pytest.raises(UnsupportedConstraintError, match="DAG"):
             solve_tree(figure1())
+
+    def test_side_constraints_rejected(self):
+        # Under a side constraint the problem is NP-hard.  On the tree
+        # variant of Figure 1 the capped values of the side-free tree promise
+        # 759/160, but with the side constraint the optimum is 251/64.
+        matroid = figure1_tree_matroid()
+        side_free = Instance(boxes=matroid.boxes, constraint=matroid.constraint)
+        assert solve_tree(side_free).value == F(759, 160) > solve_exact(matroid).value == F(251, 64)
+        rng = random.Random(89)
+        cases = [matroid]
+        for make_side in (rand_knapsack_side, rand_partition_side):
+            for n in (1, 5):
+                inst = rand_tree_instance(rng, n)
+                cases.append(with_side(inst, make_side(rng, [b.id for b in inst.boxes])))
+        for inst in cases:
+            with pytest.raises(UnsupportedConstraintError, match="side constraint"):
+                solve_tree(inst)
 
     def test_thresholds_are_subtree_indifference_points(self):
         # a box's threshold is where one is indifferent between stopping and
