@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .approx import solve_approx, verify_guarantee
 from .core import (
+    MAX_DOCUMENT_BYTES,
     CapExceededError,
     Instance,
     InvariantError,
@@ -73,9 +74,17 @@ def emit(pairs: Sequence[tuple[str, object]], as_json: bool) -> None:
         print("\n".join(f"{key}={_fmt(value)}" for key, value in shown))
 
 
+def _read_document(path: str) -> str:
+    with open(path, "rb") as file:  # one byte past the cap is enough to refuse the file
+        data = file.read(MAX_DOCUMENT_BYTES + 1)
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise CapExceededError(f"{path} is larger than {MAX_DOCUMENT_BYTES} bytes")
+    return data.decode()
+
+
 def _read_instance(path: str) -> Instance:
     try:
-        text = Path(path).read_text()
+        text = _read_document(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return load_instance(text)
@@ -86,7 +95,7 @@ def _read_thresholds(instance: Instance, path: Optional[str]) -> ThresholdPolicy
         solution = solve_tree(instance)
         return ThresholdPolicy.for_instance(instance, solution.thresholds, solution.order.ids())
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(_read_document(path))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ParseError(f"cannot read thresholds from {path}: {exc}") from None
     if not isinstance(raw, dict):

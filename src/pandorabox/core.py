@@ -28,11 +28,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Fraction
@@ -48,6 +48,9 @@ CAPACITY_FACTOR = 10
 MAX_DECIMAL_EXPONENT = 4300
 # The exponent as Fraction reads it: E or e, a sign, digits with underscores.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
+# Largest instance or thresholds document accepted, in UTF-8 bytes (8 MiB).
+MAX_DOCUMENT_BYTES = 8 << 20
 
 
 class PandoraError(Exception):
@@ -169,16 +172,19 @@ class DiscreteDistribution:
         return self.atoms[-1][0]
 
     @cached_property
+    def integer(self) -> "IntDistribution":
+        """The atoms on ints: values and probabilities each over the lcm of their denominators."""
+        scale, den = (math.lcm(*[q.denominator for q in column]) for column in zip(*self.atoms))
+        return IntDistribution([v.numerator * (scale // v.denominator) for v, _ in self.atoms], scale,
+                               [p.numerator * (den // p.denominator) for _, p in self.atoms], den)
+
+    @cached_property
     def cut_points(self) -> tuple[int, ...]:
         """ceil(P(X <= v_k)·2^64) per atom k; the last one is 2^64.  A 64-bit
         point u falls on atom ``bisect_right(cut_points, u)``, the first with
         u/2^64 < P(X <= v_k)."""
-        cuts = []
-        cum = Fraction(0)
-        for _, p in self.atoms:
-            cum += p
-            cuts.append(-((-cum.numerator << 64) // cum.denominator))
-        return tuple(cuts)
+        den = self.integer.den
+        return tuple([-((-cum << 64) // den) for cum in itertools.accumulate(self.integer.probs)])
 
     def cdf(self, x: Fraction) -> Fraction:
         """P(X <= x)."""
@@ -187,6 +193,26 @@ class DiscreteDistribution:
             if v <= x:
                 total += p
         return total
+
+
+class IntDistribution:
+    """Atoms on ints: value ``keys[k] / scale`` with probability ``probs[k] / den``; checked by
+    int comparisons: keys strictly increasing from 0 or above, numerators positive summing to ``den``."""
+
+    __slots__ = ("keys", "scale", "probs", "den")
+
+    def __init__(self, keys: list[int], scale: int, probs: list[int], den: int) -> None:
+        if (not keys or len(keys) != len(probs) or keys[0] < 0 or min(probs) <= 0 or sum(probs) != den
+                or not all(map(operator.lt, keys, keys[1:]))):
+            raise InvariantError(f"{len(keys)} keys and {len(probs)} numerators are not a distribution")
+        self.keys, self.scale, self.probs, self.den = keys, scale, probs, den
+
+    def expectation(self) -> Fraction:
+        return Fraction(sum(map(operator.mul, self.keys, self.probs)), self.den * self.scale)
+
+    def distribution(self) -> DiscreteDistribution:
+        return DiscreteDistribution(tuple(zip([Fraction(k, self.scale) for k in self.keys],
+                                              [Fraction(p, self.den) for p in self.probs])))
 
 
 @dataclass(frozen=True)
@@ -555,7 +581,9 @@ def _instance_from_obj(obj: object) -> Instance:
 
 
 def load_instance(text: str) -> Instance:
-    """Parse and validate an instance document."""
+    """Parse and validate an instance document of at most MAX_DOCUMENT_BYTES."""
+    if len(text) > MAX_DOCUMENT_BYTES or len(text.encode("utf-8", "surrogatepass")) > MAX_DOCUMENT_BYTES:
+        raise CapExceededError(f"instance document is larger than {MAX_DOCUMENT_BYTES} bytes")
     try:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
@@ -615,30 +643,33 @@ def expected_excess(dist: DiscreteDistribution, z: Fraction) -> Fraction:
 
 
 def weitzman_reservation(box: BoxSpec) -> Fraction:
-    """Smallest z with E[(X - z)_+] = cost.
+    """Smallest z with E[(X - z)_+] = cost (:func:`reservation_scan` of the reward)."""
+    return reservation_scan(box.reward.integer, box.cost, box.id)
+
+
+def reservation_scan(w: IntDistribution, cost: Fraction, box_id: str) -> Fraction:
+    """Smallest z with E[(W - z)_+] = cost.
 
     The excess is piecewise linear, convex and nonincreasing in z with
-    breakpoints at the support values.  One scan from the top keeps the
-    tail mass M and tail sum S of the atoms at or above the current
-    segment, on which the excess is S - z*M, so the crossing segment is
-    inverted exactly.  Negative when cost > E[X]; equals the top of the
-    support when cost = 0.
-    """
-    cost = box.cost
-    if cost < 0:
-        raise ValidationError(f"box {box.id!r} has negative cost {describe_rational(cost)}")
-    atoms = box.reward.atoms
-    if cost == 0:
-        return atoms[-1][0]
-    mass = tail = Fraction(0)
-    for j in range(len(atoms) - 1, -1, -1):
-        value, prob = atoms[j]
-        mass += prob
-        tail += prob * value
-        # below the support (j = 0) the excess is E[X] - z
-        if j == 0 or tail - atoms[j - 1][0] * mass > cost:
-            return (tail - cost) / mass
-    raise InvariantError(f"no reservation value found for box {box.id!r}")  # pragma: no cover
+    breakpoints at the support values.  One scan from the top keeps the tail
+    mass M = mass/den and tail sum S = tail/(den·scale) of the atoms at or
+    above the current segment, on which the excess is S - z·M: int tests find
+    the crossing segment, inverted into the one ``Fraction``.  Negative when
+    cost > E[W]; the top of the support when cost = 0."""
+    if cost.numerator < 0:
+        raise ValidationError(f"box {box_id!r} has negative cost {describe_rational(cost)}")
+    keys, probs = w.keys, w.probs
+    if not cost:
+        return Fraction(keys[-1], w.scale)
+    bound = cost.numerator * w.den * w.scale  # cost·den·scale·c_den
+    mass = tail = 0
+    for j in range(len(keys) - 1, -1, -1):
+        mass += probs[j]
+        tail += probs[j] * keys[j]
+        # below the support (j = 0) the excess is E[W] - z
+        if j == 0 or (tail - keys[j - 1] * mass) * cost.denominator > bound:
+            return Fraction(tail * cost.denominator - bound, mass * w.scale * cost.denominator)
+    raise InvariantError("a distribution without atoms")  # pragma: no cover (j = 0 returns)
 
 
 class IntegerBoxes(NamedTuple):
@@ -825,28 +856,39 @@ def set_feasibility_violation(instance: Instance, ids: Iterable[str]) -> Optiona
 
 
 def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
+    """Exact distribution of max(X_1, ..., X_k) for independent X_i (:func:`max_sweep`)."""
+    return max_sweep([d.integer for d in dists]).distribution()
+
+
+def max_sweep(dists: Sequence[IntDistribution]) -> IntDistribution:
     """Exact distribution of max(X_1, ..., X_k) for independent X_i.
 
-    One sweep over the sorted atoms of all inputs, keeping a running CDF
-    per input; the CDF of the max is their product, kept as the number of
-    inputs still at CDF 0 and the product of the others, so after the sort
-    each atom costs O(1) rational operations, however many inputs."""
+    One sweep over the sorted atoms of all inputs, with values over the lcm
+    of their scales, keeps each input's CDF numerator c_j over d_j.  The CDF
+    of the max, prod c_j / prod d_j, is kept as the number of inputs still
+    at 0 and the int product of the others, updated by ``// old * new``, so
+    after the sort each atom costs O(1) int operations however many inputs."""
     if not dists:
         raise ValidationError("max_distribution needs at least one distribution")
-    events = sorted((v, j, p) for j, d in enumerate(dists) for v, p in d.atoms)
-    cdfs = [Fraction(0)] * len(dists)
-    at_zero, product = len(dists), Fraction(1)
-    atoms = []
-    prev_cdf = Fraction(0)
-    for v, group in itertools.groupby(events, key=itemgetter(0)):
+    scale = math.lcm(*[d.scale for d in dists])
+    events = []
+    for j, d in enumerate(dists):
+        f = scale // d.scale
+        events += zip(d.keys if f == 1 else [k * f for k in d.keys], itertools.repeat(j), d.probs)
+    events.sort()
+    cdfs = [0] * len(dists)
+    at_zero, product = len(dists), 1
+    keys, probs, prev_cdf = [], [], 0
+    for key, group in itertools.groupby(events, key=operator.itemgetter(0)):
         for _, j, p in group:
             old, cdfs[j] = cdfs[j], cdfs[j] + p
             if old:
-                product = product * cdfs[j] / old
+                product = product // old * cdfs[j]
             else:
                 at_zero -= 1
                 product *= cdfs[j]
-        if not at_zero and product > prev_cdf:
-            atoms.append((v, product - prev_cdf))
+        if not at_zero:
+            keys.append(key)
+            probs.append(product - prev_cdf)
             prev_cdf = product
-    return DiscreteDistribution(tuple(atoms))
+    return IntDistribution(keys, scale, probs, math.prod([d.den for d in dists]))

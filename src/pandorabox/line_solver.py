@@ -16,25 +16,29 @@ because for x < z_i
 
 Rewards are nonnegative, so the cap at 0 for a negative z_i changes no value
 at x >= 0.  Negative thresholds (cost-dominated prefixes) are kept; the
-executor simply never opens such a box from a nonnegative best.  The grid DP
-``line_optimal_value`` runs on integer numerators over one common
-denominator (``core.integer_boxes``); nothing here uses floats.
+executor simply never opens such a box from a nonnegative best.  The step
+runs on ints (:class:`.core.IntDistribution`: probability numerators over one
+denominator, value keys over one scale) up to the ``Fraction`` z_i; the grid
+DP ``line_optimal_value`` on integer numerators over one common denominator
+(``core.integer_boxes``).  Nothing here uses floats.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .core import (BoxSpec, DiscreteDistribution, ValidationError, integer_boxes, max_distribution,
-                   weitzman_reservation)
+from .core import (BoxSpec, DiscreteDistribution, IntDistribution, ValidationError, integer_boxes, max_sweep,
+                   reservation_scan)
 from .piecewise import PiecewiseLinear
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-NOTHING = DiscreteDistribution.point(0)  # the capped value of an empty line
+NOTHING = IntDistribution([0], 1, [1], 1)  # the capped value of an empty line
 
 
 @dataclass(frozen=True)
@@ -77,13 +81,13 @@ class MacroBoxPartition:
 @dataclass(frozen=True)
 class LineSolution:
     """What the backward recursion produces for a line: its boxes, the
-    thresholds z_1..z_n and the capped values kappa_1..kappa_{n+1}.  The
-    value table and the threshold table are derived from these once, on
-    first read."""
+    thresholds z_1..z_n and the capped values kappa_1..kappa_{n+1} (on
+    ints).  The value table and the threshold table are derived from these
+    once, on first read."""
 
     boxes: tuple[BoxSpec, ...]
     zs: tuple[Fraction, ...]
-    kappas: tuple[DiscreteDistribution, ...]  # kappas[i-1] is kappa_i
+    kappas: tuple[IntDistribution, ...]  # kappas[i-1] is kappa_i
 
     @property
     def value(self) -> Fraction:
@@ -93,9 +97,9 @@ class LineSolution:
     @cached_property
     def value_table(self) -> ValueTable:
         """Levels V(., i) = x -> E[max(x, kappa_i)] on their common grid."""
-        dists = [b.reward for b in self.boxes] + list(self.kappas)
-        grid = sorted({ZERO}.union(*(d.values() for d in dists)))
-        return ValueTable(tuple(grid), tuple(map(_level, self.kappas)))
+        kappas = [k.distribution() for k in self.kappas]
+        grid = sorted({ZERO}.union(*(d.values() for d in [b.reward for b in self.boxes] + kappas)))
+        return ValueTable(tuple(grid), tuple(map(_level, kappas)))
 
     @cached_property
     def thresholds(self) -> ThresholdTable:
@@ -107,16 +111,21 @@ class LineSolution:
         return LineSolution((box,) + self.boxes, (z,) + self.zs, (kappa,) + self.kappas)
 
 
-def capped_step(box: BoxSpec, after: Sequence[DiscreteDistribution]) -> tuple[Fraction, DiscreteDistribution]:
+def capped_step(box: BoxSpec, after: Sequence[IntDistribution]) -> tuple[Fraction, IntDistribution]:
     """Threshold and capped value of ``box`` when what it unlocks is worth
     E[max(x, kappa_1, ..., kappa_k)] for the independent capped values
     ``after`` (one per solved suffix or subtree)."""
-    w = max_distribution((box.reward, *after))
-    z = weitzman_reservation(BoxSpec(box.id, box.cost, w))
-    # min(W, top) with top <= max W: every atom at or above top moves onto it
-    top = max(z, ZERO)
-    kept = tuple(a for a in w.atoms if a[0] < top)
-    return z, DiscreteDistribution(kept + ((top, ONE - sum((p for _, p in kept), ZERO)),))
+    w = max_sweep((box.reward.integer, *after))
+    z = reservation_scan(w, box.cost, box.id)
+    # min(W, top) with top = max(z, 0) <= max W: every atom at or above top moves onto it
+    num, den = (z.numerator, z.denominator) if z.numerator > 0 else (0, 1)
+    kept = bisect_left(w.keys, -(-num * w.scale // den))  # the atoms with key * den < num * scale
+    scale = math.lcm(w.scale, den)
+    keys = [k * (scale // w.scale) for k in w.keys[:kept]] + [num * (scale // den)]
+    probs = w.probs[:kept] + [w.den - sum(w.probs[:kept])]
+    # over the smallest scale and den, as the reduced Fractions would be
+    g, h = math.gcd(scale, *keys), math.gcd(w.den, *probs)
+    return z, IntDistribution([k // g for k in keys], scale // g, [p // h for p in probs], w.den // h)
 
 
 def _level(kappa: DiscreteDistribution) -> PiecewiseLinear:

@@ -5,6 +5,8 @@ value of being in front of it with best reward x is E[max(x, kappa)].
 Sibling subtrees are independent, so a box whose children have capped
 values kappa_1..kappa_k sees W = max(X_b, kappa_1, ..., kappa_k), a product
 of CDFs, and one capped-value step gives its threshold and its own kappa.
+The kappa's are carried on ints (int probability numerators over one
+denominator, int value keys over one scale); no float is used.
 Nodes are solved in reverse pre-order (:func:`.core.build_preorder`), so
 every child is solved before its parent.  A forest's value is
 E[max(0, kappa_root1, ...)].  The exploration order is the executor's own
@@ -21,8 +23,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Sequence
 
-from .core import (ConstraintKind, DiscreteDistribution, Instance, MatroidSideConstraint,
-                   UnsupportedConstraintError, ValidationError, build_preorder, max_distribution)
+from .core import (ConstraintKind, Instance, IntDistribution, MatroidSideConstraint, UnsupportedConstraintError,
+                   ValidationError, build_preorder, max_sweep)
 from .line_solver import capped_step, solve_line  # noqa: F401 (an alias bench/selftest.py traces)
 from .strategy import ThresholdPolicy, fixed_opening_order
 
@@ -76,10 +78,10 @@ def solve_tree(instance: Instance) -> TreeSolution:
         raise UnsupportedConstraintError(f"no optimal threshold strategy exists under a {instance.side.kind} "
                                          "side constraint; use the 'approx' or 'oracle' command")
     index = build_preorder(instance)
-    kappas: dict[int, DiscreteDistribution] = {}  # capped value of each solved subtree, by pre-order position
+    kappas: dict[int, IntDistribution] = {}  # capped value of each solved subtree, by pre-order position
     z: dict[str, Fraction] = {}
 
-    def pop_subtrees(first: int, stop: int) -> list[DiscreteDistribution]:
+    def pop_subtrees(first: int, stop: int) -> list[IntDistribution]:
         """Capped values of the subtrees at first, next(first), ... < stop."""
         popped = []
         while first < stop:
@@ -93,5 +95,5 @@ def solve_tree(instance: Instance) -> TreeSolution:
 
     order = fixed_opening_order(instance, ThresholdPolicy(z, index.order))
     line = AnnotatedLine(tuple(AnnotatedEntry(b, z[b]) for b in order))
-    value = max_distribution(pop_subtrees(1, index.n + 1)).expectation()
+    value = max_sweep(pop_subtrees(1, index.n + 1)).expectation()
     return TreeSolution(thresholds={b: z[b] for b in order}, order=line, value=value)

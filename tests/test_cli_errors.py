@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from pandorabox import CapExceededError, dump_instance
+from pandorabox.core import MAX_DOCUMENT_BYTES
 from pandorabox.instances import ADAPTIVITY_GAP_BOX_CAP, adaptivity_gap, figure1_tree_matroid, guard_line
 
 from test_cli import run_cli
@@ -324,3 +325,49 @@ def test_learn_grid_step_too_long_to_print_exits_2(tmp_path):
     res = run_cli("learn", "--input", str(path), "--epsilon", "3e-4300", "--delta", "1/10", "--seed", "7")
     assert_clean_exit_2(res)
     assert res.stderr == "error: grid step about 2^-14283 must divide 1 exactly\n"
+
+
+def padded(text: str, size: int) -> bytes:
+    """``text`` followed by JSON whitespace, ``size`` bytes in all."""
+    data = text.encode()
+    return data + b" " * (size - len(data))
+
+
+@pytest.fixture
+def documents(tmp_path):
+    """Paths of a small instance and a thresholds document for it, and a
+    function that writes either one padded to a given size."""
+    inst, thresholds = tmp_path / "inst.json", tmp_path / "z.json"
+    inst.write_text(dump_instance(guard_line()))
+    thresholds.write_text('{"g1": "1", "g2": "2"}')
+
+    def write(which, size: int):
+        path = tmp_path / f"padded-{which}.json"
+        path.write_bytes(padded((inst if which == "--input" else thresholds).read_text(), size))
+        return path
+
+    return inst, thresholds, write
+
+
+def evaluate_args(flag: str, path, inst, thresholds) -> list[str]:
+    if flag == "--input":
+        return ["evaluate", "--input", str(path), "--thresholds", str(thresholds)]
+    return ["evaluate", "--input", str(inst), "--thresholds", str(path)]
+
+
+@pytest.mark.parametrize("flag", ["--input", "--thresholds"])
+def test_document_one_byte_over_the_cap_exits_3(documents, flag):
+    inst, thresholds, write = documents
+    big = write(flag, MAX_DOCUMENT_BYTES + 1)
+    res = run_cli(*evaluate_args(flag, big, inst, thresholds))
+    assert_clean_exit_3(res)
+    assert res.stderr == f"error: {big} is larger than {MAX_DOCUMENT_BYTES} bytes\n"
+
+
+@pytest.mark.parametrize("flag", ["--input", "--thresholds"])
+def test_document_at_the_cap_parses(documents, flag):
+    inst, thresholds, write = documents
+    res = run_cli(*evaluate_args(flag, write(flag, MAX_DOCUMENT_BYTES), inst, thresholds))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run_cli(*evaluate_args(flag, inst if flag == "--input" else thresholds,
+                                                inst, thresholds)).stdout

@@ -9,9 +9,11 @@ from hypothesis import given, strategies as st
 
 from pandorabox import (
     BoxSpec,
+    CapExceededError,
     ConstraintGraph,
     DiscreteDistribution,
     Instance,
+    InvariantError,
     MatroidSideConstraint,
     ParseError,
     ValidationError,
@@ -23,6 +25,7 @@ from pandorabox import (
     validate_instance,
     weitzman_reservation,
 )
+from pandorabox.core import MAX_DOCUMENT_BYTES, IntDistribution
 from pandorabox.instances import figure1
 
 from helpers import brute_max_distribution, quadratic_max_distribution, quadratic_reservation, rand_dist
@@ -84,6 +87,14 @@ class TestLoadInstance:
         assert inst.n == 1
         assert inst.boxes[0].cost == 1
         assert inst.boxes[0].reward.atoms == ((F(0), F(1, 2)), (F(3), F(1, 2)))
+
+    def test_size_cap_counts_utf8_bytes(self):
+        at_cap = MINIMAL_DOC + " " * (MAX_DOCUMENT_BYTES - len(MINIMAL_DOC))
+        assert load_instance(at_cap).n == 1
+        with pytest.raises(CapExceededError, match="larger than"):
+            load_instance(at_cap + " ")
+        with pytest.raises(CapExceededError, match="larger than"):  # the last character takes two bytes
+            load_instance(at_cap[:-1] + "\u00e9")
 
     def test_builtin_diamond_document_round_trips(self):
         inst = figure1(F(3, 2))
@@ -290,6 +301,30 @@ class TestDistributionValidation:
             DiscreteDistribution(((F(-1), F(1)),))  # negative value
         with pytest.raises(ValidationError):
             DiscreteDistribution(((F(2), F(1, 2)), (F(1), F(1, 2))))  # not sorted
+
+    def test_int_form(self):
+        d = DiscreteDistribution.of([(F(5, 2), "1/6"), (0, "1/2"), (F(4, 3), "1/3")])
+        ints = d.integer
+        assert (ints.keys, ints.scale, ints.probs, ints.den) == ([0, 8, 15], 6, [3, 2, 1], 6)
+        assert ints.distribution() == d and ints.expectation() == d.expectation()
+        assert d.integer is ints  # cached, like cut_points
+
+    @pytest.mark.parametrize(
+        "keys, probs, den",
+        [
+            ([], [], 1),  # no atom
+            ([0, 2, 2], [1, 1, 1], 3),  # keys not strictly increasing
+            ([3, 1], [1, 1], 2),
+            ([-1, 2], [1, 1], 2),  # negative value
+            ([0, 2], [0, 2], 2),  # a numerator that is not positive
+            ([0, 2], [-1, 3], 2),
+            ([0, 2], [1, 1], 3),  # numerators that do not sum to den
+            ([0, 2], [1, 1, 1], 3),  # more numerators than keys
+        ],
+    )
+    def test_int_form_checks_its_invariants(self, keys, probs, den):
+        with pytest.raises(InvariantError):
+            IntDistribution(keys, 1, probs, den)
 
     def test_of_merges_duplicates(self):
         d = DiscreteDistribution.of([(1, "1/4"), (1, "1/4"), (0, "1/2")])

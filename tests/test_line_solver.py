@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,19 +11,23 @@ from pandorabox import (
     DiscreteDistribution,
     ValidationError,
     compute_threshold,
+    expected_excess,
     line_optimal_value,
     macro_partition,
     solve_exact,
     solve_line,
     weitzman_reservation,
 )
-from pandorabox.line_solver import ThresholdTable
+from pandorabox.line_solver import ThresholdTable, capped_step
 
 from helpers import (
     check_line_submartingale,
     enumerate_realizations,
     line_instance_of,
+    quadratic_max_distribution,
+    quadratic_reservation,
     rand_box,
+    rand_dist,
     rand_line_boxes,
 )
 
@@ -96,6 +101,82 @@ class TestComputeThreshold:
             assert stepped.thresholds == full.thresholds
             assert stepped.value_table.grid == full.value_table.grid
             assert stepped.value_table.levels == full.value_table.levels
+
+
+def big_dist(rng: random.Random, bits: int = 200) -> DiscreteDistribution:
+    """Up to four atoms whose values and probabilities have denominators of
+    at least ``bits`` bits."""
+    den = rng.getrandbits(bits) | 1 << bits
+    cuts = sorted({rng.randrange(1, den) for _ in range(rng.randint(0, 3))})
+    probs = [F(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+    value_den = rng.getrandbits(bits) | 1 << bits
+    values = [F(rng.randrange(8 * value_den), value_den) for _ in probs]
+    if rng.random() < 0.3:
+        values[0] = F(rng.randint(0, 8))  # a small value the other inputs may share
+    return DiscreteDistribution.of(zip(values, probs))
+
+
+def reference_capped_step(box: BoxSpec, after: list[DiscreteDistribution]) -> tuple[DiscreteDistribution, Fraction, list]:
+    """W, z and the atoms of kappa from the quadratic max, the quadratic
+    reservation scan and the cap min(W, max(z, 0)), all on Fractions."""
+    w = DiscreteDistribution(tuple(quadratic_max_distribution([box.reward, *after])))
+    z = quadratic_reservation(BoxSpec(box.id, box.cost, w))
+    top = max(z, F(0))
+    kept = [(v, p) for v, p in w.atoms if v < top]
+    return w, z, kept + [(top, 1 - sum((p for _, p in kept), F(0)))]
+
+
+class TestCappedStep:
+    """The int step (max sweep, reservation scan, cap) against the Fraction
+    references, atom for atom."""
+
+    def cases(self):
+        rng = random.Random(2027)
+        for k in range(640):
+            big = k % 4 == 1
+            make = (lambda: big_dist(rng)) if big else (lambda: rand_dist(rng, max_support=5, max_value=10))
+            reward, after = make(), [make() for _ in range(rng.randint(0, 4))]
+            w = DiscreteDistribution(tuple(quadratic_max_distribution([reward, *after])))
+            mean = w.expectation()
+            kind = k % 5
+            if kind == 0:
+                cost = F(0)
+            elif kind == 1:  # above E[W]: z < 0, kappa is the point mass at 0
+                cost = mean + F(rng.randint(1, 5), rng.randint(1, 3))
+            elif kind == 2:  # z exactly on a support value below the top
+                cost = expected_excess(w, rng.choice(w.values()[:-1] or w.values()))
+            else:
+                cost = mean * F(rng.randint(1, 9), 9)
+            yield BoxSpec("b", cost, reward), after
+
+    def test_matches_fraction_references(self):
+        n = on_support = big = negative = 0
+        for box, after in self.cases():
+            z, kappa = capped_step(box, [d.integer for d in after])
+            w, ref_z, ref_atoms = reference_capped_step(box, after)
+            assert type(z) is Fraction and z == ref_z
+            assert list(kappa.distribution().atoms) == ref_atoms
+            # the ints are as small as the reduced Fractions: scale and den
+            # are the lcm of the value and probability denominators
+            assert kappa.scale == math.lcm(*[v.denominator for v, _ in ref_atoms])
+            assert kappa.den == math.lcm(*[p.denominator for _, p in ref_atoms])
+            assert kappa.expectation() == sum((v * p for v, p in ref_atoms), F(0))
+            n += 1
+            on_support += box.cost > 0 and ref_z in w.values()
+            big += w.probs()[0].denominator.bit_length() > 200
+            negative += ref_z < 0
+        assert n >= 500 and on_support >= 100 and big >= 100 and negative >= 100
+
+    def test_line_steps_stay_reduced(self):
+        rng = random.Random(2028)
+        kappa = DiscreteDistribution.point(0)
+        for i in range(60):
+            box = BoxSpec(f"b{i}", F(rng.randint(0, 4), rng.randint(1, 7)), big_dist(rng, 64))
+            z, step = capped_step(box, [kappa.integer])
+            _, ref_z, ref_atoms = reference_capped_step(box, [kappa])
+            assert z == ref_z and list(step.distribution().atoms) == ref_atoms
+            assert step.den == math.lcm(*[p.denominator for _, p in ref_atoms])
+            kappa = DiscreteDistribution(tuple(ref_atoms))
 
 
 class TestMacroPartition:

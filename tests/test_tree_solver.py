@@ -327,3 +327,18 @@ class TestScaling:
         start = time.perf_counter()
         assert solve_line(line).value > 0
         assert time.perf_counter() - start < 5.0
+
+    def test_random_and_bushy_trees_solve_fast(self):
+        rng = random.Random(114)
+        tree = rand_tree_instance(rng, 1000)
+        start = time.perf_counter()
+        assert solve_tree(tree).value > 0
+        assert time.perf_counter() - start < 5.0
+        # a root, about sqrt(n) children, the rest grandchildren
+        boxes = tuple(rand_box(rng, i) for i in range(600))
+        mid = boxes[1:25]
+        edges = tuple((boxes[0].id, c.id) for c in mid) + tuple((rng.choice(mid).id, c.id) for c in boxes[25:])
+        bushy = Instance(boxes=boxes, constraint=ConstraintGraph("tree", edges))
+        start = time.perf_counter()
+        assert solve_tree(bushy).value > 0
+        assert time.perf_counter() - start < 5.0
