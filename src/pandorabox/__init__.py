@@ -16,7 +16,6 @@ from .core import (
     PandoraError,
     ParseError,
     PreOrderIndex,
-    Rational,
     UnsupportedConstraintError,
     ValidationError,
     build_preorder,

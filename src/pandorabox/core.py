@@ -35,8 +35,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-Rational = Fraction
-
 RESERVED_ID_PREFIX = "__"
 
 # Capacities of side constraints must stay polynomially bounded in n.
@@ -487,11 +485,6 @@ def validate_instance(instance: Instance) -> Instance:
             raise ValidationError(f"box id {box.id!r} uses the reserved prefix {RESERVED_ID_PREFIX!r}")
         if box.cost < 0:
             raise ValidationError(f"box {box.id!r} has negative cost {describe_rational(box.cost)}")
-        # DiscreteDistribution validates itself on construction; re-check the
-        # probability sum here so load errors name the box.
-        total = sum(box.reward.probs(), Fraction(0))
-        if total != 1:
-            raise ValidationError(f"box {box.id!r} probabilities sum to {describe_rational(total)}, not 1")
     _validate_constraint(instance)
     _validate_side(instance)
     return instance
@@ -650,8 +643,8 @@ def weitzman_reservation(box: BoxSpec) -> Fraction:
 def reservation_scan(w: IntDistribution, cost: Fraction, box_id: str) -> Fraction:
     """Smallest z with E[(W - z)_+] = cost.
 
-    The excess is piecewise linear, convex and nonincreasing in z with
-    breakpoints at the support values.  One scan from the top keeps the tail
+    The excess is convex and nonincreasing in z, and linear between
+    consecutive support values.  One scan from the top keeps the tail
     mass M = mass/den and tail sum S = tail/(den·scale) of the atoms at or
     above the current segment, on which the excess is S - z·M: int tests find
     the crossing segment, inverted into the one ``Fraction``.  Negative when

@@ -25,9 +25,6 @@ from .core import (
 from .strategy import ThresholdPolicy, evaluate_threshold_exact
 from .tree_solver import solve_tree
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 _SEED_MASK = (1 << 63) - 1
 # numpy's multinomial draw takes its sample count as an int64.
 MAX_SAMPLES = (1 << 63) - 1

@@ -18,9 +18,9 @@ Rewards are nonnegative, so the cap at 0 for a negative z_i changes no value
 at x >= 0.  Negative thresholds (cost-dominated prefixes) are kept; the
 executor simply never opens such a box from a nonnegative best.  The step
 runs on ints (:class:`.core.IntDistribution`: probability numerators over one
-denominator, value keys over one scale) up to the ``Fraction`` z_i; the grid
-DP ``line_optimal_value`` on integer numerators over one common denominator
-(``core.integer_boxes``).  Nothing here uses floats.
+denominator, value keys over one scale) up to the ``Fraction`` z_i, and V(x, i)
+is read off those ints; the grid DP ``line_optimal_value`` runs on integer
+numerators over one common denominator (``core.integer_boxes``).  No floats.
 """
 
 from __future__ import annotations
@@ -32,30 +32,32 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .core import (BoxSpec, DiscreteDistribution, IntDistribution, ValidationError, integer_boxes, max_sweep,
+from .core import (BoxSpec, IntDistribution, InvariantError, ValidationError, integer_boxes, max_sweep,
                    reservation_scan)
-from .piecewise import PiecewiseLinear
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 NOTHING = IntDistribution([0], 1, [1], 1)  # the capped value of an empty line
 
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Tabulated optimal values V(x, i) for i = 1..n+1 on a common grid.
+    """Optimal values V(x, i) = E[max(x, kappa_i)] for i = 1..n+1.
 
-    The grid is {0}, every support value and every knot of a level (the
-    support of each kappa_i, which holds every nonnegative threshold);
-    above the grid V(x, i) = x.
+    The grid is {0}, every support value and the support of every kappa_i
+    (which holds every nonnegative threshold).  V(., i) is linear between
+    grid points, and above the grid V(x, i) = x.
     """
 
     grid: tuple[Fraction, ...]
-    levels: tuple[PiecewiseLinear, ...]  # levels[i-1] is V(., i)
+    kappas: tuple[IntDistribution, ...]  # kappas[i-1] is kappa_i
 
     def at(self, x: Fraction, i: int) -> Fraction:
         """V(x, i) for any x >= 0 (1-based i, i = n+1 is the horizon)."""
-        return self.levels[i - 1](x)
+        if x < 0:
+            raise InvariantError(f"{x} is below the domain start 0")
+        k, a, b = self.kappas[i - 1], x.numerator, x.denominator
+        top = a * k.scale  # x = top / (b * scale), each key = key * b / (b * scale)
+        return Fraction(sum(max(top, key * b) * p for key, p in zip(k.keys, k.probs)), b * k.scale * k.den)
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,10 @@ class LineSolution:
 
     @cached_property
     def value_table(self) -> ValueTable:
-        """Levels V(., i) = x -> E[max(x, kappa_i)] on their common grid."""
-        kappas = [k.distribution() for k in self.kappas]
-        grid = sorted({ZERO}.union(*(d.values() for d in [b.reward for b in self.boxes] + kappas)))
-        return ValueTable(tuple(grid), tuple(map(_level, kappas)))
+        """V(., i) = x -> E[max(x, kappa_i)] read from the kappas, with their common grid."""
+        grid = {ZERO}.union(*(b.reward.values() for b in self.boxes))
+        grid.update(Fraction(key, k.scale) for k in self.kappas for key in k.keys)
+        return ValueTable(tuple(sorted(grid)), self.kappas)
 
     @cached_property
     def thresholds(self) -> ThresholdTable:
@@ -128,29 +130,14 @@ def capped_step(box: BoxSpec, after: Sequence[IntDistribution]) -> tuple[Fractio
     return z, IntDistribution([k // g for k in keys], scale // g, [p // h for p in probs], w.den // h)
 
 
-def _level(kappa: DiscreteDistribution) -> PiecewiseLinear:
-    """x -> E[max(x, kappa)] = x P(kappa <= x) + E[kappa; kappa > x], with
-    knots at {0} and the support and slope 1 above them."""
-    mass, tail = ZERO, kappa.expectation()
-    knots = [] if kappa.atoms[0][0] == 0 else [(ZERO, tail)]
-    for v, p in kappa.atoms:
-        mass += p
-        tail -= p * v
-        knots.append((v, v * mass + tail))
-    xs, ys = zip(*knots)
-    return PiecewiseLinear(xs, ys, ONE)
-
-
 def _horizons(thresholds: Sequence[Fraction]) -> tuple[int, ...]:
-    n = len(thresholds)
-    out = []
-    for i in range(1, n + 1):
-        d = n
-        for t in range(i, n):
-            if thresholds[t] < thresholds[i - 1]:  # z_{t+1} < z_i, 1-based
-                d = t
-                break
-        out.append(d)
+    """d(i) is the 0-based index of the next strictly smaller threshold, else n:
+    one pass over a stack of the indices still waiting for one (a tie waits)."""
+    out, waiting = [len(thresholds)] * len(thresholds), []
+    for t, z in enumerate(thresholds):
+        while waiting and z < thresholds[waiting[-1]]:
+            out[waiting.pop()] = t
+        waiting.append(t)
     return tuple(out)
 
 

@@ -1,9 +1,10 @@
 """Exact piecewise-linear functions on [0, inf) over rationals.
 
-Used for the value levels of a solved line: knots are exact rationals, the
-function is linear between consecutive knots and extends linearly beyond the
-last knot with an explicit right slope.  Fixed points are found by scanning
-segments, so "smallest solution" questions are answered without tolerances.
+The reference backward step of the line DP runs on these; no solver imports
+them.  Knots are exact rationals, the function is linear between consecutive
+knots and extends linearly beyond the last knot with an explicit right slope.
+Fixed points are found by scanning segments, so "smallest solution" questions
+are answered without tolerances.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import (
+    CapExceededError,
     DiscreteDistribution,
     ExecutionState,
     Instance,
@@ -41,6 +42,8 @@ from .core import (
 )
 
 ZERO = Fraction(0)
+# Largest simulate trial count: 10^5 trials on small solved trees took 0.04-0.39 s on a 2-vCPU VM.
+MAX_TRIALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -207,9 +210,13 @@ def simulate(instance: Instance, policy: ThresholdPolicy, trials: int, rng_seed:
     Trial t draws from the (seed, t) stream, so results are reproducible and
     independent of any batching.  The mean is exact over the sampled
     trajectories (a rational); the sample stddev is reported as a float.
+    More than ``MAX_TRIALS`` raise :class:`CapExceededError` before any work.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        got = trials if trials < 10**12 else f"about 2^{trials.bit_length() - 1}"
+        raise CapExceededError(f"simulate handles at most {MAX_TRIALS} trials, got {got}")
     order = fixed_opening_order(instance, policy)
     boxes = [instance.box_map[b] for b in order]
     values = sorted({ZERO}.union(v for box in boxes for v, _ in box.reward.atoms))

@@ -282,6 +282,21 @@ def reference_solve_line(boxes) -> tuple[list[Fraction], list[PiecewiseLinear]]:
     return zs, levels
 
 
+def reference_horizons(thresholds) -> tuple[int, ...]:
+    """d(i) for i = 1..n by scanning forward from every i: the first t >= i
+    with z_{t+1} < z_i, or n (O(n^2) comparisons)."""
+    n = len(thresholds)
+    out = []
+    for i in range(1, n + 1):
+        d = n
+        for t in range(i, n):
+            if thresholds[t] < thresholds[i - 1]:  # z_{t+1} < z_i, 1-based
+                d = t
+                break
+        out.append(d)
+    return tuple(out)
+
+
 def reference_solve_tree(instance: Instance) -> tuple[Fraction, tuple[str, ...], dict[str, Fraction]]:
     """Value, exploration order and thresholds of a line, tree, forest or
     unconstrained instance: at every node the children's lines are merged,

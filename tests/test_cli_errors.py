@@ -12,6 +12,7 @@ import pytest
 from pandorabox import CapExceededError, dump_instance
 from pandorabox.core import MAX_DOCUMENT_BYTES
 from pandorabox.instances import ADAPTIVITY_GAP_BOX_CAP, adaptivity_gap, figure1_tree_matroid, guard_line
+from pandorabox.strategy import MAX_TRIALS
 
 from test_cli import run_cli
 
@@ -248,6 +249,21 @@ def test_adaptivity_gap_cap_is_checked_before_building():
             adaptivity_gap(p, n)
     assert time.perf_counter() - start < 1
     assert adaptivity_gap(F(1, 10), ADAPTIVITY_GAP_BOX_CAP).n == ADAPTIVITY_GAP_BOX_CAP
+
+
+@pytest.mark.parametrize(
+    "trials, got",
+    [
+        (MAX_TRIALS + 1, str(MAX_TRIALS + 1)),
+        (964978137648253952, "about 2^59"),  # a count that would never finish
+    ],
+)
+def test_simulate_over_the_trials_cap_exits_3(tmp_path, trials, got):
+    path = tmp_path / "guard.json"
+    path.write_text(dump_instance(guard_line()))
+    res = run_cli("simulate", "--input", str(path), "--trials", str(trials), "--seed", "1")
+    assert_clean_exit_3(res)
+    assert res.stderr == f"error: simulate handles at most {MAX_TRIALS} trials, got {got}\n"
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])

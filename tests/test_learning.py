@@ -216,7 +216,7 @@ class TestLearningConfig:
 
 def test_cli_import_leaves_numpy_out():
     # numpy is imported inside learn_model, so every CLI command but learn
-    # skips its import
-    code = "import sys, pandorabox.cli; print('numpy' in sys.modules)"
+    # skips its import; no solver imports the piecewise reference step
+    code = "import sys, pandorabox.cli; print([m in sys.modules for m in ('numpy', 'pandorabox.piecewise')])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"

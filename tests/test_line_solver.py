@@ -8,7 +8,9 @@ import pytest
 
 from pandorabox import (
     BoxSpec,
+    ConstraintKind,
     DiscreteDistribution,
+    InvariantError,
     ValidationError,
     compute_threshold,
     expected_excess,
@@ -18,7 +20,7 @@ from pandorabox import (
     solve_line,
     weitzman_reservation,
 )
-from pandorabox.line_solver import ThresholdTable, capped_step
+from pandorabox.line_solver import ThresholdTable, _horizons, capped_step
 
 from helpers import (
     check_line_submartingale,
@@ -29,6 +31,8 @@ from helpers import (
     rand_box,
     rand_dist,
     rand_line_boxes,
+    rand_tie_instance,
+    reference_horizons,
 )
 
 F = Fraction
@@ -50,6 +54,8 @@ class TestSolveLine:
         table = solve_line(GUARD).value_table
         assert table.at(F(0), 1) == 1
         assert table.at(F(3), 1) == 3
+        with pytest.raises(InvariantError):
+            table.at(F(-1, 2), 1)  # below the domain start 0
 
     def test_single_box_recovers_reservation_value(self):
         rng = random.Random(3)
@@ -78,6 +84,30 @@ class TestSolveLine:
             assert sol.value == solve_exact(line_instance_of(boxes)).value
 
 
+class TestHorizons:
+    def test_matches_the_quadratic_scan(self):
+        rng = random.Random(41)
+        for _ in range(1600):
+            boxes = list(rand_tie_instance(rng, ConstraintKind.LINE).boxes)
+            table = solve_line(boxes).thresholds
+            assert table.horizons == reference_horizons(table.thresholds)
+
+    @pytest.mark.parametrize(
+        "zs, horizons",
+        [
+            ((1, 2, 2, 1, 0), (4, 3, 3, 4, 5)),  # a tie does not end a horizon
+            ((3, 2, 1), (1, 2, 3)),  # strictly decreasing
+            ((5, 5, 5, 5), (4, 4, 4, 4)),  # constant
+            ((-1, -3, 2, -3, -2), (1, 5, 3, 5, 5)),  # negative thresholds
+            ((7,), (1,)),
+            ((), ()),
+        ],
+    )
+    def test_hand_cases(self, zs, horizons):
+        zs = tuple(map(F, zs))
+        assert _horizons(zs) == reference_horizons(zs) == horizons
+
+
 class TestComputeThreshold:
     def test_guard_prefix(self):
         assert compute_threshold(GUARD[0], [GUARD[1]]) == 1
@@ -100,7 +130,9 @@ class TestComputeThreshold:
             stepped = solve_line(boxes).prepend(head)
             assert stepped.thresholds == full.thresholds
             assert stepped.value_table.grid == full.value_table.grid
-            assert stepped.value_table.levels == full.value_table.levels
+            for i in range(1, len(boxes) + 3):
+                for x in full.value_table.grid:
+                    assert stepped.value_table.at(x, i) == full.value_table.at(x, i)
 
 
 def big_dist(rng: random.Random, bits: int = 200) -> DiscreteDistribution:
@@ -241,6 +273,7 @@ class TestClaimedInvariants:
             for i, z in enumerate(sol.thresholds.thresholds, start=1):
                 if z >= 0:
                     assert table.at(z, i) == z
+                    assert z in table.grid
                 for x in table.grid:
                     if x < z:
                         assert table.at(x, i) > x
@@ -254,6 +287,7 @@ class TestClaimedInvariants:
                 for a, b in zip(table.grid, table.grid[1:]):
                     diff = table.at(b, i) - table.at(a, i)
                     assert F(0) <= diff <= b - a
+                    assert table.at((a + b) / 2, i) == (table.at(a, i) + table.at(b, i)) / 2  # linear
                 top = table.grid[-1]
                 assert table.at(top, i) == top  # identity above the grid
             n1 = len(boxes) + 1

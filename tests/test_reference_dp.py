@@ -48,9 +48,9 @@ def test_line_levels_match_reference_between_knots():
         assert sol.thresholds.thresholds == tuple(zs)
         assert sol.value == levels[0](F(0))
         table = sol.value_table
-        assert len(table.levels) == len(levels) == len(boxes) + 1
-        for mine, ref in zip(table.levels, levels):
-            knots = sorted(set(mine.xs) | set(ref.xs))
+        assert len(table.kappas) == len(levels) == len(boxes) + 1
+        for i, ref in enumerate(levels, 1):
+            knots = sorted(set(table.grid) | set(ref.xs))
             probes = knots + [(a + b) / 2 for a, b in zip(knots, knots[1:])] + [knots[-1] + F(7, 3)]
             for x in probes:
-                assert mine(x) == ref(x)
+                assert table.at(x, i) == ref(x)

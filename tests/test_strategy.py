@@ -7,6 +7,7 @@ import pytest
 
 from pandorabox import (
     BoxSpec,
+    CapExceededError,
     DiscreteDistribution,
     Instance,
     ThresholdPolicy,
@@ -21,7 +22,8 @@ from pandorabox import (
     solve_tree,
 )
 from pandorabox.instances import adaptivity_gap, guard_line
-from pandorabox.strategy import RewardSampler
+from pandorabox import strategy
+from pandorabox.strategy import MAX_TRIALS, RewardSampler
 
 from helpers import (
     line_instance_of,
@@ -259,6 +261,16 @@ class TestSimulate:
         policy = ThresholdPolicy.for_instance(inst, sol.thresholds, sol.order.ids())
         with pytest.raises(ValidationError):
             simulate(inst, policy, trials=0, rng_seed=1)
+
+    def test_trials_capped_before_the_order_is_built(self, monkeypatch):
+        inst = guard_line()
+        sol = solve_tree(inst)
+        policy = ThresholdPolicy.for_instance(inst, sol.thresholds, sol.order.ids())
+        monkeypatch.setattr(strategy, "fixed_opening_order", lambda *args: pytest.fail("order built"))
+        for trials, got in ((MAX_TRIALS + 1, str(MAX_TRIALS + 1)), (1 << 200, "about 2^200")):
+            with pytest.raises(CapExceededError) as exc:
+                simulate(inst, policy, trials=trials, rng_seed=1)
+            assert str(exc.value) == f"simulate handles at most {MAX_TRIALS} trials, got {got}"
 
 
 class FixedPoint(RewardSampler):
