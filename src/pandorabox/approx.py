@@ -20,14 +20,15 @@ and terminate decisions while tracking (position, best, oracle state).
 The resulting strategy is at least as good as opening any fixed feasible
 set, and earns at least half the expected best reward of any adaptive
 strategy minus its full expected cost.  The sweep runs on ints over one
-common denominator (``core.integer_boxes``, no floats); the table is
-converted to ``Fraction``s once, at the end.
+common denominator (``core.integer_boxes``, no floats); the table keeps
+those ints, and a cell becomes a ``Fraction`` only when it is read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -53,11 +54,29 @@ SET_ENUMERATION_CAP = 12
 ORACLE_COMPARISON_CAP = 10
 
 
+class _ValueTable(Mapping):
+    """Read-only view of the int table: cell (i, y, state) holds the
+    numerator N of the value N / (L * scale[i])."""
+
+    def __init__(self, cells: dict, den: int, scale: list[int]):
+        self._cells, self._den, self._scale = cells, den, scale
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self._cells[key], self._den * self._scale[key[0]])
+
+    def __iter__(self):
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+
 @dataclass(frozen=True)
 class ApproxPolicy:
     """The DP table and the resolved action map.
 
-    ``values[(i, y_index, state)]`` is the best sweep value from position i;
+    ``values[(i, y_index, state)]`` is the best sweep value from position i
+    (a read-only mapping that builds the ``Fraction`` on each read);
     ``actions[...]`` is None to terminate or the position to open next.  The
     oracle state is the side load of ``instance.order_model``.  The action
     must be looked up with the state tracked along the run: two histories
@@ -68,7 +87,7 @@ class ApproxPolicy:
     instance: Instance
     preorder: PreOrderIndex
     grid: tuple[Fraction, ...]
-    values: dict
+    values: Mapping
     actions: dict
 
     @property
@@ -136,13 +155,11 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
                     actions[(i, yk, state)] = i
                 else:
                     actions[(i, yk, state)] = actions[(nxt, yk, state)]
-    for key, value in values.items():  # in place: no second table
-        values[key] = Fraction(value, ints.scale * scale[key[0]])
     return ApproxPolicy(
         instance=instance,
         preorder=preorder,
         grid=grid,
-        values=values,
+        values=_ValueTable(values, ints.scale, scale),
         actions=actions,
     )
 

@@ -7,18 +7,22 @@ every strategy has a fixed exploration order; only the stopping point is
 random.  That reduction makes exact evaluation a one-dimensional sweep and
 simulation a cheap walk down a precomputed order.
 
-Sampling is counter-based: each draw hashes (seed, trial, step, box) with
-SHA-256 to a 64-bit point u and inverts the exact CDF at u/2^64, so runs are
+Sampling is counter-based: ``u64`` hashes the text "seed|trial|step|box",
+built as a head "seed|trial" and a tail "|step|box", with SHA-256 to a
+64-bit point u, and the draw inverts the exact CDF at u/2^64, so runs are
 reproducible bit-for-bit across platforms.  The inversion is integer-only:
 u draws the first atom whose cut point ceil(P(X <= v_k)·2^64) exceeds u
 (``bisect_right`` over ``DiscreteDistribution.cut_points``), which is the
 first atom with u/2^64 < P(X <= v_k).
 
-``simulate`` walks the same stream on integer ranks.  Rewards become ranks
-in the sorted support of the opened boxes (0 included), each step's
-threshold becomes the smallest rank that stops there, and each trial is only
-counted under its (stop step, best rank).  The exact mean and variance are
-formed from those counts once, after the loop.
+``simulate`` walks the same stream on integer ranks, step by step over
+blocks of ``TRIAL_BLOCK`` trials, each head and tail encoded once.  Rewards
+become ranks in the sorted support of the opened boxes (0 included), and
+each step's threshold the smallest rank that stops there.  A block's live
+trials are grouped by best rank: at each step a group at or above the
+stopping rank is counted under (step, best rank), and the others draw and
+are regrouped.  The exact mean and variance are formed from the counts
+after the loop; blocks bound the memory and do not change the counts.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +47,17 @@ from .core import (
 )
 
 ZERO = Fraction(0)
-# Largest simulate trial count: 10^5 trials on small solved trees took 0.04-0.39 s on a 2-vCPU VM.
+# Largest simulate trial count: 10^5 trials on small solved trees took 0.03-0.48 s on a 2-vCPU VM.
 MAX_TRIALS = 1_000_000
+# Trials walked together by simulate: their heads are the only per-trial state held.
+TRIAL_BLOCK = 4096
+
+_first_u64 = struct.Struct(">Q").unpack_from
+
+
+def u64(head: bytes, tail: bytes) -> int:
+    """The first 64 bits, big-endian, of SHA-256(head + tail)."""
+    return _first_u64(hashlib.sha256(head + tail).digest())[0]
 
 
 @dataclass(frozen=True)
@@ -80,12 +94,10 @@ class RewardSampler:
     """Deterministic per-(seed, trial) reward stream."""
 
     def __init__(self, seed: int, trial: int = 0):
-        self.seed = seed
-        self.trial = trial
+        self.head = f"{seed}|{trial}".encode()
 
     def uniform_u64(self, step: int, box_id: str) -> int:
-        payload = f"{self.seed}|{self.trial}|{step}|{box_id}".encode()
-        return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+        return u64(self.head, f"|{step}|{box_id}".encode())
 
     def draw(self, dist: DiscreteDistribution, step: int, box_id: str) -> Fraction:
         u = self.uniform_u64(step, box_id)
@@ -221,28 +233,31 @@ def simulate(instance: Instance, policy: ThresholdPolicy, trials: int, rng_seed:
     boxes = [instance.box_map[b] for b in order]
     values = sorted({ZERO}.union(v for box in boxes for v, _ in box.reward.atoms))
     rank = {v: r for r, v in enumerate(values)}
-    # per step: (smallest best rank that stops, box id, cut points, atom ranks)
+    # per step: (smallest best rank that stops, payload tail, cut points, atom ranks)
     plan = [
-        (bisect_left(values, policy.thresholds[box.id]), box.id,
+        (bisect_left(values, policy.thresholds[box.id]), f"|{step}|{box.id}".encode(),
          box.reward.cut_points, [rank[v] for v, _ in box.reward.atoms])
-        for box in boxes
+        for step, box in enumerate(boxes)
     ]
-    n = len(plan)
-    tally: dict[tuple[int, int], int] = {}
-    for t in range(trials):
-        uniform = RewardSampler(rng_seed, t).uniform_u64
-        best = 0  # rank of the reward 0
-        step = 0
-        while step < n:
-            stop, box_id, cuts, ranks = plan[step]
-            if best >= stop:
+    tally: dict[tuple[int, int], int] = {}  # (boxes opened, best rank) -> trials
+    for start in range(0, trials, TRIAL_BLOCK):
+        # live trials of the block by best rank (0 is the rank of the reward 0)
+        groups = {0: [f"{rng_seed}|{t}".encode() for t in range(start, min(start + TRIAL_BLOCK, trials))]}
+        for step, (stop, tail, cuts, ranks) in enumerate(plan):
+            regrouped: dict[int, list[bytes]] = {}
+            for best, heads in groups.items():
+                if best >= stop:
+                    tally[step, best] = tally.get((step, best), 0) + len(heads)
+                    continue
+                lifted = [r if r > best else best for r in ranks]
+                drawn = [lifted[bisect_right(cuts, u64(head, tail))] for head in heads]
+                for head, r in zip(heads, drawn):
+                    regrouped.setdefault(r, []).append(head)
+            groups = regrouped
+            if not groups:
                 break
-            r = ranks[bisect_right(cuts, uniform(step, box_id))]
-            if r > best:
-                best = r
-            step += 1
-        key = (step, best)
-        tally[key] = tally.get(key, 0) + 1
+        for best, heads in groups.items():  # opened every box
+            tally[len(plan), best] = tally.get((len(plan), best), 0) + len(heads)
     spent = [ZERO]
     for box in boxes:
         spent.append(spent[-1] + box.cost)

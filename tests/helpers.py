@@ -7,6 +7,7 @@ memoization) so they can serve as independent cross-checks.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -28,7 +29,6 @@ from pandorabox import (
     merge,
     validate_instance,
 )
-from pandorabox.strategy import RewardSampler
 from pandorabox.line_solver import macro_partition, solve_line
 from pandorabox.piecewise import PiecewiseLinear
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine
@@ -437,6 +437,13 @@ def reference_line_optimal_value(boxes) -> Fraction:
     return current[ZERO]
 
 
+def literal_u64(seed: int, trial: int, step: int, box_id: str) -> int:
+    """The sampler's 64-bit point by its literal definition: the first 8
+    bytes, big-endian, of SHA-256 of the text "seed|trial|step|box_id"."""
+    payload = f"{seed}|{trial}|{step}|{box_id}".encode()
+    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+
+
 def reference_draw(dist: DiscreteDistribution, u: int) -> Fraction:
     """The atom at the 64-bit point u by a literal CDF scan: the first value
     whose cumulative probability exceeds u/2^64."""
@@ -451,8 +458,9 @@ def reference_draw(dist: DiscreteDistribution, u: int) -> Fraction:
 
 def reference_simulate(instance: Instance, policy: ThresholdPolicy, trials: int,
                        rng_seed: int) -> SimulationSummary:
-    """Per-trial rational walk of the sampler stream: sums each trial's net
-    revenue and its square as ``Fraction``s."""
+    """Per-trial rational walk of the sampler stream, drawn through
+    ``literal_u64``: sums each trial's net revenue and its square as
+    ``Fraction``s."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     order = fixed_opening_order(instance, policy)
@@ -461,14 +469,13 @@ def reference_simulate(instance: Instance, policy: ThresholdPolicy, trials: int,
     total = ZERO
     total_sq = ZERO
     for t in range(trials):
-        sampler = RewardSampler(rng_seed, t)
         best = ZERO
         spent = ZERO
         for step, box in enumerate(boxes):
             if best >= thresholds[step]:
                 break
             spent += box.cost
-            reward = reference_draw(box.reward, sampler.uniform_u64(step, box.id))
+            reward = reference_draw(box.reward, literal_u64(rng_seed, t, step, box.id))
             if reward > best:
                 best = reward
         net = best - spent

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,11 @@ from pandorabox import (
 )
 from pandorabox.instances import adaptivity_gap, guard_line
 from pandorabox import strategy
-from pandorabox.strategy import MAX_TRIALS, RewardSampler
+from pandorabox.strategy import MAX_TRIALS, TRIAL_BLOCK, RewardSampler, u64
 
 from helpers import (
     line_instance_of,
+    literal_u64,
     rand_dist,
     rand_line_boxes,
     rand_tie_instance,
@@ -351,3 +353,97 @@ class TestSimulateMatchesReference:
             trials = rng.randint(1, 30)
             nets = [run_threshold(inst, policy, k, t).net_revenue for t in range(trials)]
             assert simulate(inst, policy, trials, k).mean == sum(nets, F(0)) / trials
+
+
+class TestSamplerStream:
+    """``u64``, ``uniform_u64`` and ``draw`` against the stream's literal
+    definition, ``helpers.literal_u64``."""
+
+    SEEDS = (0, 1, 42, -1, -(1 << 31), 1 << 70, -(1 << 70))
+    IDS = ("a", "b7", "12", "3|4", "|", "x||y|", "caf\u00e9", "\u7bb1|9", "\U0001f4e6")
+
+    def test_points_match_literal_definition(self):
+        for seed in self.SEEDS:
+            for trial in (0, 1, 977):
+                sampler = RewardSampler(seed, trial)
+                for step in (0, 1, 25):
+                    for box_id in self.IDS:
+                        point = literal_u64(seed, trial, step, box_id)
+                        assert sampler.uniform_u64(step, box_id) == point
+                        assert u64(f"{seed}|{trial}".encode(), f"|{step}|{box_id}".encode()) == point
+
+    def test_draws_match_literal_definition(self):
+        rng = random.Random(79)
+        for seed in self.SEEDS:
+            for box_id in self.IDS:
+                dist = rand_dist(rng, max_support=5)
+                trial, step = rng.choice((0, 3)), rng.randrange(4)
+                expected = reference_draw(dist, literal_u64(seed, trial, step, box_id))
+                assert RewardSampler(seed, trial).draw(dist, step, box_id) == expected
+
+    def test_simulate_with_unusual_ids_and_seeds(self):
+        rng = random.Random(83)
+        dists = [rand_dist(rng, max_support=4) for _ in self.IDS]
+        inst = line_instance_of([BoxSpec(i, F(rng.randint(0, 2), 2), d) for i, d in zip(self.IDS, dists)])
+        policy = policy_of(inst, [9] * inst.n)
+        for seed in self.SEEDS:
+            assert simulate(inst, policy, 30, seed) == reference_simulate(inst, policy, 30, seed)
+
+
+def opened_counts(inst, policy, trials, seed) -> list[int]:
+    return [len(run_threshold(inst, policy, seed, t).steps) for t in range(trials)]
+
+
+class TestTrialBlocks:
+    """``simulate`` walks blocks of ``TRIAL_BLOCK`` trials step by step; the
+    counts are additive, so any block size gives the same summary."""
+
+    @pytest.mark.parametrize("block", (1, 2, 3))
+    def test_small_blocks_match_reference(self, monkeypatch, block):
+        monkeypatch.setattr(strategy, "TRIAL_BLOCK", block)
+        rng = random.Random(f"blocks-{block}")
+        at_zero = early = 0
+        for k in range(120):
+            inst = rand_tie_instance(rng, KINDS[k % 4])
+            if k % 3 == 0:
+                policy = solved_policy(inst)
+            else:
+                # support values (stop at equality), 0 and -1 (stop at step 0)
+                support = sorted({v for b in inst.boxes for v in b.reward.values()})
+                choices = support + [F(0), F(-1), support[-1] + 1]
+                policy = ThresholdPolicy.for_instance(inst, {b.id: rng.choice(choices) for b in inst.boxes})
+            trials = rng.randint(1, 40)
+            seed = rng.randrange(1000)
+            assert simulate(inst, policy, trials, seed) == reference_simulate(inst, policy, trials, seed)
+            opened = max(opened_counts(inst, policy, trials, seed))
+            at_zero += opened == 0
+            early += 0 < opened < len(fixed_opening_order(inst, policy))
+        assert at_zero > 10 and early > 40
+
+    def test_every_trial_stops_at_step_zero(self, monkeypatch):
+        monkeypatch.setattr(strategy, "TRIAL_BLOCK", 2)
+        inst = rand_tie_instance(random.Random(89), "tree")
+        for threshold in (0, -1):
+            policy = policy_of(inst, [threshold] * inst.n)
+            summary = simulate(inst, policy, 5, 1)
+            assert summary == reference_simulate(inst, policy, 5, 1)
+            assert summary.mean == 0 and summary.stddev == 0.0
+
+    def test_block_edges_at_the_real_block_size(self):
+        rng = random.Random(97)
+        for k in range(3):
+            inst = rand_tie_instance(rng, KINDS[k], max_n=5)
+            policy = solved_policy(inst)
+            for trials in (TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1):
+                assert simulate(inst, policy, trials, k) == reference_simulate(inst, policy, trials, k)
+
+    def test_memory_is_bounded_by_one_block(self):
+        inst = rand_tree_instance(random.Random(101), 3)
+        policy = policy_of(inst, [100] * inst.n)  # every trial opens every box
+        tracemalloc.start()
+        try:
+            simulate(inst, policy, 100_000, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
