@@ -854,7 +854,7 @@ def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribut
 
 
 def max_sweep(dists: Sequence[IntDistribution]) -> IntDistribution:
-    """Exact distribution of max(X_1, ..., X_k) for independent X_i.
+    """Exact distribution of max(X_1, ..., X_k) for independent X_i (one input: itself, not a copy).
 
     One sweep over the sorted atoms of all inputs, with values over the lcm
     of their scales, keeps each input's CDF numerator c_j over d_j.  The CDF
@@ -863,6 +863,8 @@ def max_sweep(dists: Sequence[IntDistribution]) -> IntDistribution:
     after the sort each atom costs O(1) int operations however many inputs."""
     if not dists:
         raise ValidationError("max_distribution needs at least one distribution")
+    if len(dists) == 1:
+        return dists[0]
     scale = math.lcm(*[d.scale for d in dists])
     events = []
     for j, d in enumerate(dists):

@@ -5,7 +5,7 @@ threshold while the best observed reward is strictly below it (it stops at
 equality).  The choice of the next box never depends on observed rewards, so
 every strategy has a fixed exploration order; only the stopping point is
 random.  That reduction makes exact evaluation a one-dimensional sweep and
-simulation a cheap walk down a precomputed order.
+simulation a cheap walk down an order built once on int threshold levels.
 
 Sampling is counter-based: ``u64`` hashes the text "seed|trial|step|box",
 built as a head "seed|trial" and a tail "|step|box", with SHA-256 to a
@@ -41,8 +41,10 @@ from .core import (
     DiscreteDistribution,
     ExecutionState,
     Instance,
+    ParseError,
     ValidationError,
     max_distribution,
+    parse_rational,
     set_feasibility_violation,
 )
 
@@ -68,16 +70,21 @@ class ThresholdPolicy:
     tiebreak: tuple[str, ...] = ()
 
     def rank(self) -> dict[str, int]:
-        order = self.tiebreak if self.tiebreak else tuple(sorted(self.thresholds))
-        return {box_id: k for k, box_id in enumerate(order)}
+        return {box_id: k for k, box_id in enumerate(self.tiebreak or sorted(self.thresholds))}
 
     @staticmethod
-    def for_instance(instance: Instance, thresholds: Mapping[str, Fraction],
+    def for_instance(instance: Instance, thresholds: Mapping[str, Union[Fraction, int, str]],
                      tiebreak: Sequence[str] = ()) -> "ThresholdPolicy":
         missing = [b.id for b in instance.boxes if b.id not in thresholds]
         if missing:
             raise ValidationError(f"policy is missing thresholds for boxes {missing}")
-        return ThresholdPolicy(dict(thresholds), tuple(tiebreak))
+        parsed = {}
+        for box_id, z in thresholds.items():
+            try:
+                parsed[box_id] = parse_rational(z)
+            except ParseError as exc:
+                raise ParseError(f"threshold of box {box_id!r}: {exc}") from None
+        return ThresholdPolicy(parsed, tuple(tiebreak))
 
 
 @dataclass(frozen=True)
@@ -109,17 +116,20 @@ def fixed_opening_order(instance: Instance, policy: ThresholdPolicy) -> list[str
     greedy argmax threshold over currently openable boxes, until nothing is
     openable.  Stopping is decided separately against this order.
 
-    The openable boxes sit in a heap keyed by the greedy rule.  A popped box
-    that overflows the side load is dropped for good, since loads only grow.
+    The openable boxes sit in a heap of (level, tie-break rank, id, i), with int levels
+    from one sort on (floor(z·2^64), z), largest first: ``Fraction``s compare only at
+    equal floors.  A box that overflows the side load drops for good (loads only grow).
     """
     model = instance.order_model
     rank = policy.rank()
-
-    def entry(i: int) -> tuple:
-        box_id = model.ids[i]
-        return (-policy.thresholds[box_id], rank.get(box_id, 0), box_id, i)
-
-    heap = [entry(i) for i, parents in enumerate(model.parent_masks) if not parents]
+    ranked = sorted((((z.numerator << 64) // z.denominator, z, i)
+                     for i, z in enumerate(map(policy.thresholds.__getitem__, model.ids))), reverse=True)
+    entries, level, prev = [None] * len(ranked), -1, None
+    for floor, z, i in ranked:
+        if (floor, z) != prev:
+            level, prev = level + 1, (floor, z)
+        entries[i] = (level, rank.get(model.ids[i], 0), model.ids[i], i)
+    heap = [entries[i] for i, parents in enumerate(model.parent_masks) if not parents]
     heapq.heapify(heap)
     mask = 0
     load = model.empty_load
@@ -133,7 +143,7 @@ def fixed_opening_order(instance: Instance, policy: ThresholdPolicy) -> list[str
         load = after
         order.append(box_id)
         for child in model.children[i]:
-            heapq.heappush(heap, entry(child))
+            heapq.heappush(heap, entries[child])
     return order
 
 
@@ -145,7 +155,6 @@ def run_threshold(instance: Instance, policy: ThresholdPolicy, rng_seed: int,
     best = ZERO
     spent = ZERO
     steps: list[tuple[str, Fraction]] = []
-    opened: list[str] = []
     for step, box_id in enumerate(order):
         if best >= policy.thresholds[box_id]:
             break
@@ -155,10 +164,9 @@ def run_threshold(instance: Instance, policy: ThresholdPolicy, rng_seed: int,
         if reward > best:
             best = reward
         steps.append((box_id, reward))
-        opened.append(box_id)
     return Trajectory(
         steps=tuple(steps),
-        final=ExecutionState(opened=frozenset(opened), best=best, spent=spent),
+        final=ExecutionState(opened=frozenset(b for b, _ in steps), best=best, spent=spent),
     )
 
 

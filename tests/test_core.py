@@ -25,7 +25,7 @@ from pandorabox import (
     validate_instance,
     weitzman_reservation,
 )
-from pandorabox.core import MAX_DOCUMENT_BYTES, IntDistribution
+from pandorabox.core import MAX_DOCUMENT_BYTES, IntDistribution, max_sweep
 from pandorabox.instances import figure1
 
 from helpers import brute_max_distribution, quadratic_max_distribution, quadratic_reservation, rand_dist
@@ -291,6 +291,14 @@ class TestMaxDistribution:
             assert result == quadratic_max_distribution(dists)
             if len(dists) <= 3:
                 assert result == brute_max_distribution(dists)
+
+    def test_one_input_sweep_is_its_input(self):
+        rng = random.Random(79)
+        for _ in range(200):
+            d = rand_dist(rng, max_support=6, max_value=20)
+            w = max_sweep([d.integer])
+            assert w is d.integer
+            assert list(w.distribution().atoms) == quadratic_max_distribution([d])
 
 
 class TestDistributionValidation:

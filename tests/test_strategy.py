@@ -11,6 +11,7 @@ from pandorabox import (
     CapExceededError,
     DiscreteDistribution,
     Instance,
+    ParseError,
     ThresholdPolicy,
     ValidationError,
     evaluate_set,
@@ -98,6 +99,28 @@ class TestRunThreshold:
         policy = ThresholdPolicy.for_instance(inst, {"a": F(3), "b": F(2)})
         traj = run_threshold(inst, policy, rng_seed=0)
         assert [s[0] for s in traj.steps] == ["a"]
+
+
+class TestPolicyThresholds:
+    """``for_instance`` takes exact rationals and rational text, and names the box of any other threshold."""
+
+    def two_boxes(self) -> Instance:
+        return Instance(boxes=(BoxSpec("a", F(1), DiscreteDistribution.of([(0, "1/2"), (4, "1/2")])),
+                               BoxSpec("b", F(0), DiscreteDistribution.point(1))))
+
+    @pytest.mark.parametrize("bad, why", [(0.5, "float"), (True, "boolean"), (False, "boolean"),
+                                          ("two", "cannot parse")])
+    def test_refuses_non_rational(self, bad, why):
+        with pytest.raises(ParseError, match=f"threshold of box 'b': .*{why}"):
+            ThresholdPolicy.for_instance(self.two_boxes(), {"a": F(3, 2), "b": bad})
+
+    def test_parses_rational_text(self):
+        inst = self.two_boxes()
+        policy = ThresholdPolicy.for_instance(inst, {"a": "1/2", "b": 3})
+        assert policy.thresholds == {"a": F(1, 2), "b": F(3)}
+        assert all(type(z) is Fraction for z in policy.thresholds.values())
+        assert fixed_opening_order(inst, policy) == ["b", "a"]
+        assert evaluate_threshold_exact(inst, policy) == 1
 
 
 class TestEvaluateThresholdExact:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from pandorabox import (
     UnsupportedConstraintError,
     ValidationError,
     evaluate_threshold_exact,
+    load_instance,
     merge,
     solve_exact,
     solve_line,
@@ -342,3 +345,20 @@ class TestScaling:
         start = time.perf_counter()
         assert solve_tree(bushy).value > 0
         assert time.perf_counter() - start < 5.0
+
+
+def test_solve_leaves_cached_reward_ints_unchanged():
+    """A leaf's step sweeps one input, which ``max_sweep`` returns as it is:
+    the box's cached int reward.  No step may mutate its lists."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import gen
+
+    def ints(inst):
+        return [(w.keys[:], w.scale, w.probs[:], w.den) for w in (b.reward.integer for b in inst.boxes)]
+
+    for seed in (1, 2, 3):
+        for item in gen.tree_solve_pool(seed):
+            inst = load_instance(item["text"])
+            before = ints(inst)
+            solve_tree(inst)
+            assert ints(inst) == before, item["name"]
