@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -39,6 +38,7 @@ from .core import (
     ExecutionState,
     Instance,
     PreOrderIndex,
+    Record,
     ValidationError,
     build_preorder,
     integer_boxes,
@@ -71,8 +71,7 @@ class _ValueTable(Mapping):
         return len(self._cells)
 
 
-@dataclass(frozen=True)
-class ApproxPolicy:
+class ApproxPolicy(Record):
     """The DP table and the resolved action map.
 
     ``values[(i, y_index, state)]`` is the best sweep value from position i
@@ -231,8 +230,7 @@ def exact_policy_value(instance: Instance, policy: ApproxPolicy) -> Fraction:
     return value[start]
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
+class GuaranteeReport(Record):
     policy_value: Fraction
     executed_value: Fraction
     set_margin: Fraction

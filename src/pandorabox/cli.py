@@ -4,7 +4,7 @@ Every command is deterministic given its arguments; randomized commands
 require an explicit --seed.  Output is a flat key=value block, or a JSON
 object with the same keys under --json.  Exit codes: 0 success, 2 input or
 validation error, 3 unsupported constraint or cap exceeded, 4 internal
-invariant violation.
+invariant violation.  Each command imports only the solver modules it runs.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Sequence
 
-from .approx import solve_approx, verify_guarantee
 from .core import (
     MAX_DOCUMENT_BYTES,
     CapExceededError,
@@ -33,12 +31,6 @@ from .core import (
     parse_rational,
     validate_instance,
 )
-from .instances import adaptivity_gap, figure1, guard_line
-from .learning import LearningConfig, learn_and_solve
-from .line_solver import line_optimal_value
-from .oracle import best_fixed_order, solve_exact
-from .strategy import ThresholdPolicy, evaluate_set, evaluate_threshold_exact, simulate
-from .tree_solver import solve_tree
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -90,8 +82,10 @@ def _read_instance(path: str) -> Instance:
     return load_instance(text)
 
 
-def _read_thresholds(instance: Instance, path: Optional[str]) -> ThresholdPolicy:
+def _read_thresholds(instance: Instance, path: Optional[str]):
+    from .strategy import ThresholdPolicy
     if path is None:
+        from .tree_solver import solve_tree
         solution = solve_tree(instance)
         return ThresholdPolicy.for_instance(instance, solution.thresholds, solution.order.ids())
     try:
@@ -100,11 +94,11 @@ def _read_thresholds(instance: Instance, path: Optional[str]) -> ThresholdPolicy
         raise ParseError(f"cannot read thresholds from {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"thresholds file {path} must hold a JSON object of box id to threshold")
-    thresholds = {k: parse_rational(v) for k, v in raw.items()}
-    return ThresholdPolicy.for_instance(instance, thresholds)
+    return ThresholdPolicy.for_instance(instance, raw)
 
 
 def cmd_solve(args) -> None:
+    from .tree_solver import solve_tree
     solution = solve_tree(_read_instance(args.input))
     pairs: list[tuple[str, object]] = [("order", ",".join(solution.order.ids()))]
     for entry in solution.order.entries:
@@ -114,6 +108,7 @@ def cmd_solve(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
+    from .strategy import evaluate_set, evaluate_threshold_exact
     instance = _read_instance(args.input)
     if args.set is not None:
         ids = [s for s in args.set.split(",") if s]
@@ -125,6 +120,7 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_simulate(args) -> None:
+    from .strategy import simulate
     instance = _read_instance(args.input)
     policy = _read_thresholds(instance, args.thresholds)
     summary = simulate(instance, policy, args.trials, args.seed)
@@ -140,6 +136,7 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_oracle(args) -> None:
+    from .oracle import solve_exact
     instance = _read_instance(args.input)
     result = solve_exact(instance)
     first = result.action((), Fraction(0))
@@ -155,6 +152,7 @@ def cmd_oracle(args) -> None:
 
 
 def cmd_fixed_order(args) -> None:
+    from .oracle import best_fixed_order
     instance = _read_instance(args.input)
     order, value = best_fixed_order(instance)
     emit([("order", ",".join(order)), ("value", value)], args.json)
@@ -191,6 +189,7 @@ def _override_capacity(instance: Instance, capacity: list[int]) -> Instance:
 
 
 def cmd_approx(args) -> None:
+    from .approx import solve_approx, verify_guarantee
     instance = _read_instance(args.input)
     if args.capacity is not None:
         instance = _override_capacity(instance, args.capacity)
@@ -217,6 +216,7 @@ def cmd_approx(args) -> None:
 
 
 def cmd_learn(args) -> None:
+    from .learning import LearningConfig, learn_and_solve
     instance = _read_instance(args.input)
     config = LearningConfig(
         epsilon=parse_rational(args.epsilon),
@@ -241,12 +241,15 @@ def _write_example(instance: Instance, path: Optional[str]) -> None:
     if not path:
         return
     try:
-        Path(path).write_text(dump_instance(instance))
+        with open(path, "w") as file:
+            file.write(dump_instance(instance))
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _example_figure1(args) -> list[tuple[str, object]]:
+    from .instances import figure1
+    from .oracle import best_fixed_order, solve_exact
     epsilon = parse_rational(args.epsilon) if args.epsilon else Fraction(3, 2)
     instance = figure1(epsilon)
     _write_example(instance, args.out)
@@ -268,6 +271,8 @@ def _example_figure1(args) -> list[tuple[str, object]]:
 
 
 def _example_adaptivity_gap(args) -> list[tuple[str, object]]:
+    from .instances import adaptivity_gap
+    from .line_solver import line_optimal_value
     p = parse_rational(args.p) if args.p else Fraction(1, 10)
     instance = adaptivity_gap(p, args.n)
     _write_example(instance, args.out)
@@ -298,6 +303,8 @@ def _example_adaptivity_gap(args) -> list[tuple[str, object]]:
 
 
 def _example_guard_line(args) -> list[tuple[str, object]]:
+    from .instances import guard_line
+    from .tree_solver import solve_tree
     instance = guard_line()
     _write_example(instance, args.out)
     solution = solve_tree(instance)

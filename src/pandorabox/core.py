@@ -30,7 +30,6 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -115,8 +114,55 @@ def describe_rational(q: Fraction) -> str:
         return f"about {'-' if q < 0 else ''}2^{size}"
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
+setfield = object.__setattr__  # sets a field past Record.__setattr__ (in __init__ only)
+
+
+class Record:
+    """Base of the immutable records.  The fields (``_fields``) are the names
+    in ``__slots__``, else the names annotated in the class body, in order.
+    A record equals one of its class with equal fields, hashes and shows
+    field by field, and refuses attribute assignment.  This ``__init__``
+    takes the fields by position or keyword, an omitted one from the class
+    attribute of its name; hot records with ``__slots__`` write their own
+    with :data:`setfield`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__slots__") or cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, names = type(self), self._fields
+        if kwargs or len(args) != len(names):  # bind keywords and defaults
+            values = dict(zip(names, args))
+            unknown = len(args) > len(names) or any(k in values or k not in names for k in kwargs)
+            values.update(kwargs)
+            if unknown or not all(name in values or name in cls.__dict__ for name in names):
+                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}, each once or by default")
+            args = [values[name] if name in values else cls.__dict__[name] for name in names]
+        for name, value in zip(names, args):
+            setfield(self, name, value)
+
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        return self._field_values() == other._field_values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DiscreteDistribution(Record):
     """Finite-support reward distribution with exact atom probabilities.
 
     Atoms are ``(value, probability)`` pairs, strictly increasing by value,
@@ -125,12 +171,12 @@ class DiscreteDistribution:
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __init__(self, atoms: tuple[tuple[Fraction, Fraction], ...]) -> None:
+        if not atoms:
             raise ValidationError("distribution needs at least one atom")
         total = Fraction(0)
         prev = None
-        for value, prob in self.atoms:
+        for value, prob in atoms:
             if value < 0:
                 raise ValidationError(f"reward value {describe_rational(value)} is negative")
             if prob <= 0:
@@ -141,6 +187,7 @@ class DiscreteDistribution:
             total += prob
         if total != 1:
             raise ValidationError(f"atom probabilities sum to {describe_rational(total)}, not 1")
+        setfield(self, "atoms", atoms)
 
     @staticmethod
     def of(pairs: Iterable[tuple[Union[Fraction, int, str], Union[Fraction, int, str]]]) -> "DiscreteDistribution":
@@ -213,8 +260,7 @@ class IntDistribution:
                                               [Fraction(p, self.den) for p in self.probs])))
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(Record):
     """One box: an opening cost and a reward distribution."""
 
     id: str
@@ -232,8 +278,7 @@ class ConstraintKind:
     ALL = (UNCONSTRAINED, LINE, TREE, FOREST, DAG)
 
 
-@dataclass(frozen=True)
-class ConstraintGraph:
+class ConstraintGraph(Record):
     """Order constraint over the boxes.
 
     For ``line``/``tree``/``forest`` a box is openable once its parent is
@@ -262,8 +307,7 @@ class ConstraintGraph:
         return out
 
 
-@dataclass(frozen=True)
-class MatroidSideConstraint:
+class MatroidSideConstraint(Record):
     """Optional downwards-closed side constraint on the opened set.
 
     ``knapsack``: every box has an integer weight vector of fixed dimension
@@ -272,15 +316,21 @@ class MatroidSideConstraint:
     has a maximum number of opened boxes.
     """
 
-    kind: str = "none"
-    weights: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-    capacity: tuple[int, ...] = ()
-    parts: Mapping[str, int] = field(default_factory=dict)
-    part_capacities: tuple[int, ...] = ()
+    kind: str
+    weights: Mapping[str, tuple[int, ...]]
+    capacity: tuple[int, ...]
+    parts: Mapping[str, int]
+    part_capacities: tuple[int, ...]
 
     NONE = "none"
     KNAPSACK = "knapsack"
     PARTITION = "partition"
+
+    def __init__(self, kind: str = NONE, weights: Optional[Mapping[str, tuple[int, ...]]] = None,
+                 capacity: tuple[int, ...] = (), parts: Optional[Mapping[str, int]] = None,
+                 part_capacities: tuple[int, ...] = ()) -> None:  # a new empty dict per omitted mapping
+        super().__init__(kind, {} if weights is None else weights, capacity, {} if parts is None else parts,
+                         part_capacities)
 
     @staticmethod
     def none() -> "MatroidSideConstraint":
@@ -319,8 +369,7 @@ class MatroidSideConstraint:
         return all(sum(column) <= cap for column, cap in zip(zip(*weights), capacity))
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A full problem instance: boxes plus order and side constraints."""
 
     boxes: tuple[BoxSpec, ...]
@@ -347,8 +396,7 @@ class Instance:
         return tuple(sorted(values))
 
 
-@dataclass(frozen=True)
-class ExecutionState:
+class ExecutionState(Record):
     """State of a search run: opened boxes, best reward seen, total spend."""
 
     opened: frozenset[str]
@@ -699,8 +747,7 @@ def integer_boxes(boxes: Sequence[BoxSpec], grid: Sequence[Fraction], weight: Fr
 # Openability semantics shared by the executors and the exact oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderModel:
+class OrderModel(Record):
     """Openability of one instance, compiled once (``Instance.order_model``).
 
     Boxes are addressed by their position in ``Instance.boxes``: an opened
@@ -769,8 +816,7 @@ class OrderModel:
         return load
 
 
-@dataclass(frozen=True)
-class PreOrderIndex:
+class PreOrderIndex(Record):
     """Pre-order positions (1-based) and the first-position-outside-the-
     subtree jump table; ``next_position[i-1]`` is n+1 past the last tree.
 
@@ -778,8 +824,11 @@ class PreOrderIndex:
     the roots are the same chain from position 1 to n+1.
     """
 
-    order: tuple[str, ...]
-    next_position: tuple[int, ...]
+    __slots__ = ("order", "next_position")
+
+    def __init__(self, order: tuple[str, ...], next_position: tuple[int, ...]) -> None:
+        setfield(self, "order", order)
+        setfield(self, "next_position", next_position)
 
     @property
     def n(self) -> int:

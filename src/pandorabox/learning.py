@@ -10,7 +10,6 @@ solved like any other.  Costs are not rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -19,6 +18,7 @@ from .core import (
     CapExceededError,
     DiscreteDistribution,
     Instance,
+    Record,
     ValidationError,
     describe_rational,
 )
@@ -68,14 +68,14 @@ def sample_bound(n: int, epsilon: Fraction, delta: Fraction, mode: str = "tree",
     return max(1, math.ceil(raw))
 
 
-@dataclass(frozen=True)
-class LearningConfig:
+class LearningConfig(Record):
     epsilon: Fraction
     delta: Fraction
     samples_per_box: Optional[int] = None  # None: use the tree-mode bound
     constant: float = 1.0
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if not (0 < self.epsilon < 1) or not (0 < self.delta < 1):
             raise ValidationError("epsilon and delta must lie in (0, 1)")
         if (1 / self.epsilon).denominator != 1:  # epsilon is the grid step
@@ -91,8 +91,7 @@ class LearningConfig:
         return sample_bound(n, self.epsilon, self.delta, "tree", self.constant)
 
 
-@dataclass(frozen=True)
-class EmpiricalModel:
+class EmpiricalModel(Record):
     """Per-box tallies of grid-rounded samples; probabilities are the exact
     ratios count / samples_per_box."""
 
@@ -153,8 +152,7 @@ def learn_model(instance: Instance, config: LearningConfig, rng_seed: int) -> Em
     return EmpiricalModel(counts=counts, samples_per_box=n_samples)
 
 
-@dataclass(frozen=True)
-class LearnReport:
+class LearnReport(Record):
     true_opt: Fraction
     learned_policy_value: Fraction
     gap: Fraction

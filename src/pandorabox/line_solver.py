@@ -27,20 +27,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .core import (BoxSpec, IntDistribution, InvariantError, ValidationError, integer_boxes, max_sweep,
+from .core import (BoxSpec, IntDistribution, InvariantError, Record, ValidationError, integer_boxes, max_sweep,
                    reservation_scan)
 
 ZERO = Fraction(0)
 NOTHING = IntDistribution([0], 1, [1], 1)  # the capped value of an empty line
 
 
-@dataclass(frozen=True)
-class ValueTable:
+class ValueTable(Record):
     """Optimal values V(x, i) = E[max(x, kappa_i)] for i = 1..n+1.
 
     The grid is {0}, every support value and the support of every kappa_i
@@ -60,8 +58,7 @@ class ValueTable:
         return Fraction(sum(max(top, key * b) * p for key, p in zip(k.keys, k.probs)), b * k.scale * k.den)
 
 
-@dataclass(frozen=True)
-class ThresholdTable:
+class ThresholdTable(Record):
     """Per-box thresholds z_i and dependence horizons d(i).
 
     d(i) is the first t >= i with z_{t+1} < z_i, or n when no later
@@ -72,16 +69,14 @@ class ThresholdTable:
     horizons: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MacroBoxPartition:
+class MacroBoxPartition(Record):
     """Leader indices of the maximal runs whose thresholds stay above the
     run leader's threshold (1-based, always starts at 1)."""
 
     boundaries: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LineSolution:
+class LineSolution(Record):
     """What the backward recursion produces for a line: its boxes, the
     thresholds z_1..z_n and the capped values kappa_1..kappa_{n+1} (on
     ints).  The value table and the threshold table are derived from these

@@ -11,11 +11,10 @@ every comparison is exact; ``Fraction``s are built only for reported values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import CapExceededError, Instance, OrderModel, feasible_next, integer_boxes
+from .core import CapExceededError, Instance, OrderModel, Record, feasible_next, integer_boxes, setfield
 from .line_solver import line_optimal_value
 
 ZERO = Fraction(0)
@@ -26,20 +25,25 @@ FIXED_ORDER_BOX_CAP = 10
 FIXED_ORDER_SEQUENCE_CAP = 250_000
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """Optimal value, the optimal Markov policy on visited states, and the
     reward/cost split E[final best] / E[total spend] under that policy."""
 
-    value: Fraction
-    e_max: Fraction
-    e_cost: Fraction
-    grid: tuple[Fraction, ...]
-    model: OrderModel
-    _policy: dict[tuple[int, int], Optional[int]]
-    _values: dict[tuple[int, int], int]  # N of N / (_scale * _dens of the unopened boxes)
-    _scale: int
-    _dens: list[int]
+    __slots__ = ("value", "e_max", "e_cost", "grid", "model", "_policy", "_values", "_scale", "_dens")
+
+    def __init__(self, value: Fraction, e_max: Fraction, e_cost: Fraction, grid: tuple[Fraction, ...],
+                 model: OrderModel, _policy: dict[tuple[int, int], Optional[int]],
+                 _values: dict[tuple[int, int], int],  # N of N / (_scale * _dens of the unopened boxes)
+                 _scale: int, _dens: list[int]) -> None:
+        setfield(self, "value", value)
+        setfield(self, "e_max", e_max)
+        setfield(self, "e_cost", e_cost)
+        setfield(self, "grid", grid)
+        setfield(self, "model", model)
+        setfield(self, "_policy", _policy)
+        setfield(self, "_values", _values)
+        setfield(self, "_scale", _scale)
+        setfield(self, "_dens", _dens)
 
     def _key(self, opened: Sequence[str], best: Fraction) -> tuple[int, int]:
         return self.model.mask_of(opened), self.grid.index(best)

@@ -9,22 +9,21 @@ are answered without tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DiscreteDistribution, InvariantError
+from .core import DiscreteDistribution, InvariantError, Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(Record):
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
     right_slope: Fraction
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if len(self.xs) != len(self.ys) or not self.xs:
             raise InvariantError("knot arrays must be nonempty and aligned")
         for a, b in zip(self.xs, self.xs[1:]):

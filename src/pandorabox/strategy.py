@@ -32,7 +32,6 @@ import heapq
 import math
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -42,10 +41,12 @@ from .core import (
     ExecutionState,
     Instance,
     ParseError,
+    Record,
     ValidationError,
     max_distribution,
     parse_rational,
     set_feasibility_violation,
+    setfield,
 )
 
 ZERO = Fraction(0)
@@ -62,12 +63,14 @@ def u64(head: bytes, tail: bytes) -> int:
     return _first_u64(hashlib.sha256(head + tail).digest())[0]
 
 
-@dataclass(frozen=True)
-class ThresholdPolicy:
+class ThresholdPolicy(Record):
     """Thresholds for every box plus a total tie-break order on ids."""
 
-    thresholds: Mapping[str, Fraction]
-    tiebreak: tuple[str, ...] = ()
+    __slots__ = ("thresholds", "tiebreak")
+
+    def __init__(self, thresholds: Mapping[str, Fraction], tiebreak: tuple[str, ...] = ()) -> None:
+        setfield(self, "thresholds", thresholds)
+        setfield(self, "tiebreak", tiebreak)
 
     def rank(self) -> dict[str, int]:
         return {box_id: k for k, box_id in enumerate(self.tiebreak or sorted(self.thresholds))}
@@ -87,8 +90,7 @@ class ThresholdPolicy:
         return ThresholdPolicy(parsed, tuple(tiebreak))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     steps: tuple[tuple[str, Fraction], ...]
     final: ExecutionState
 
@@ -216,8 +218,7 @@ def evaluate_set(instance: Instance, ids: Union[Sequence[str], frozenset, set]) 
     return dist.expectation() - cost
 
 
-@dataclass(frozen=True)
-class SimulationSummary:
+class SimulationSummary(Record):
     mean: Fraction
     stddev: float
     trials: int

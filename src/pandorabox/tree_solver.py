@@ -18,25 +18,25 @@ constraints are refused: the problem is NP-hard there.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Sequence
 
-from .core import (ConstraintKind, Instance, IntDistribution, MatroidSideConstraint, UnsupportedConstraintError,
-                   ValidationError, build_preorder, max_sweep)
+from .core import (ConstraintKind, Instance, IntDistribution, MatroidSideConstraint, Record,
+                   UnsupportedConstraintError, ValidationError, build_preorder, max_sweep, setfield)
 from .line_solver import capped_step, solve_line  # noqa: F401 (an alias bench/selftest.py traces)
 from .strategy import ThresholdPolicy, fixed_opening_order
 
 
-@dataclass(frozen=True)
-class AnnotatedEntry:
-    box_id: str
-    threshold: Fraction
+class AnnotatedEntry(Record):
+    __slots__ = ("box_id", "threshold")
+
+    def __init__(self, box_id: str, threshold: Fraction) -> None:
+        setfield(self, "box_id", box_id)
+        setfield(self, "threshold", threshold)
 
 
-@dataclass(frozen=True)
-class AnnotatedLine:
+class AnnotatedLine(Record):
     """An exploration order: box ids with their thresholds, in the order
     the threshold executor opens them."""
 
@@ -46,8 +46,7 @@ class AnnotatedLine:
         return tuple(e.box_id for e in self.entries)
 
 
-@dataclass(frozen=True)
-class TreeSolution:
+class TreeSolution(Record):
     thresholds: dict[str, Fraction]
     order: AnnotatedLine
     value: Fraction

@@ -88,6 +88,17 @@ def test_thresholds_file_that_is_not_an_object_exits_2(tmp_path, content):
     assert str(thresholds) in res.stderr
 
 
+@pytest.mark.parametrize("command", [["evaluate"], ["simulate", "--trials", "3", "--seed", "1"]])
+def test_threshold_that_is_not_a_rational_names_its_box(tmp_path, command):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"boxes": [{"id": "a", "cost": "1", "reward": [{"value": "3", "prob": "1"}]}]}))
+    thresholds = tmp_path / "z.json"
+    thresholds.write_text('{"a": true}')
+    res = run_cli(*command, "--input", str(inst), "--thresholds", str(thresholds))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: threshold of box 'a': expected a rational, got boolean True\n"
+
+
 def test_instance_with_integer_over_the_digit_limit_exits_2(tmp_path):
     # json.loads raises a plain ValueError here, not a JSONDecodeError
     path = tmp_path / "inst.json"

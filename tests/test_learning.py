@@ -16,6 +16,8 @@ from pandorabox import (
     Instance,
     LearningConfig,
     ValidationError,
+    dump_instance,
+    guard_line,
     learn_and_solve,
     learn_model,
     sample_bound,
@@ -214,9 +216,41 @@ class TestLearningConfig:
         assert config.sample_count(5) == sample_bound(5, F(1, 10), F(1, 10), "tree")
 
 
-def test_cli_import_leaves_numpy_out():
-    # numpy is imported inside learn_model, so every CLI command but learn
-    # skips its import; no solver imports the piecewise reference step
-    code = "import sys, pandorabox.cli; print([m in sys.modules for m in ('numpy', 'pandorabox.piecewise')])"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False]"
+def loaded_modules(code: str, *args: str) -> set[str]:
+    """Names in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    code += "\nprint(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def cli_modules(tmp_path, *argv: str) -> set[str]:
+    """Modules loaded by ``python -m pandorabox.cli ARGV --input PATH`` on the guard line."""
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(guard_line()))
+    code = ("import runpy, sys\nsys.argv = ['pandorabox', *sys.argv[1:]]\ntry:\n"
+            "    runpy.run_module('pandorabox.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n    assert not exc.code, exc.code")
+    return loaded_modules(code, *argv, "--input", str(path))
+
+
+def test_cli_import_leaves_numpy_out(tmp_path):
+    # numpy is imported inside learn_model, and each command imports only the
+    # solver modules it runs: no solver imports the piecewise reference step
+    skipped = {"pandorabox.oracle", "pandorabox.approx", "pandorabox.learning", "pandorabox.instances",
+               "pandorabox.piecewise", "numpy", "dataclasses", "inspect"}
+    for argv in (["solve"], ["simulate", "--trials", "5", "--seed", "1"]):
+        loaded = cli_modules(tmp_path, *argv)
+        assert "pandorabox.tree_solver" in loaded
+        assert not loaded & skipped, argv
+
+
+def test_cli_oracle_leaves_the_tree_solver_out(tmp_path):
+    loaded = cli_modules(tmp_path, "oracle")
+    assert "pandorabox.oracle" in loaded
+    assert not loaded & {"pandorabox.tree_solver", "pandorabox.approx", "pandorabox.learning"}
+
+
+def test_bare_package_import_loads_no_submodule():
+    loaded = loaded_modules("import sys, pandorabox")
+    assert "pandorabox" in loaded
+    assert not {m for m in loaded if m.startswith("pandorabox.")}
