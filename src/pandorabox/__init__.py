@@ -17,10 +17,7 @@ _HOMES = {
         "dump_instance", "expected_excess", "feasible_next", "format_rational", "load_instance", "max_distribution",
         "parse_rational", "set_feasibility_violation", "validate_instance", "weitzman_reservation",
     ),
-    "line_solver": (
-        "LineSolution", "MacroBoxPartition", "ThresholdTable", "ValueTable", "compute_threshold", "line_optimal_value",
-        "macro_partition", "solve_line",
-    ),
+    "line_solver": ("LineSolution", "ThresholdTable", "ValueTable", "line_optimal_value", "solve_line"),
     "tree_solver": ("AnnotatedEntry", "AnnotatedLine", "TreeSolution", "merge", "solve_tree"),
     "strategy": (
         "SimulationSummary", "ThresholdPolicy", "Trajectory", "evaluate_set", "evaluate_threshold_exact",

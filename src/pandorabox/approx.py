@@ -30,7 +30,6 @@ import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     CAPACITY_FACTOR,
@@ -236,10 +235,10 @@ class GuaranteeReport(Record):
     set_margin: Fraction
     worst_set: tuple[str, ...]
     feasible_sets: int
-    benchmark_margin: Optional[Fraction]
-    oracle_value: Optional[Fraction]
-    oracle_e_max: Optional[Fraction]
-    oracle_e_cost: Optional[Fraction]
+    benchmark_margin: Fraction | None
+    oracle_value: Fraction | None
+    oracle_e_max: Fraction | None
+    oracle_e_cost: Fraction | None
 
 
 def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fraction, tuple[str, ...], int]:
@@ -288,7 +287,7 @@ def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fra
     return best_margin[0], worst[0], count[0]
 
 
-def verify_guarantee(instance: Instance, policy: Optional[ApproxPolicy] = None) -> GuaranteeReport:
+def verify_guarantee(instance: Instance, policy: ApproxPolicy | None = None) -> GuaranteeReport:
     """Check the two guarantees at desk scale.
 
     (a) the policy value dominates every feasible non-adaptive set

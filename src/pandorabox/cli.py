@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .core import (
     MAX_DOCUMENT_BYTES,
@@ -82,7 +82,7 @@ def _read_instance(path: str) -> Instance:
     return load_instance(text)
 
 
-def _read_thresholds(instance: Instance, path: Optional[str]):
+def _read_thresholds(instance: Instance, path: str | None):
     from .strategy import ThresholdPolicy
     if path is None:
         from .tree_solver import solve_tree
@@ -237,7 +237,7 @@ def cmd_learn(args) -> None:
     )
 
 
-def _write_example(instance: Instance, path: Optional[str]) -> None:
+def _write_example(instance: Instance, path: str | None) -> None:
     if not path:
         return
     try:
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

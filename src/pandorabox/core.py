@@ -30,9 +30,9 @@ import json
 import math
 import operator
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 RESERVED_ID_PREFIX = "__"
 
@@ -74,7 +74,7 @@ class InvariantError(PandoraError):
     """An internal consistency check failed (indicates a bug)."""
 
 
-def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
+def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse ``"p/q"``, decimal strings and integers into an exact rational."""
     if isinstance(text, Fraction):
         return text
@@ -123,23 +123,26 @@ class Record:
     A record equals one of its class with equal fields, hashes and shows
     field by field, and refuses attribute assignment.  This ``__init__``
     takes the fields by position or keyword, an omitted one from the class
-    attribute of its name; hot records with ``__slots__`` write their own
-    with :data:`setfield`."""
+    attribute of its name (records with ``__slots__`` have no defaults);
+    the hot ``AnnotatedEntry`` and ``ThresholdPolicy`` write their own with
+    :data:`setfield`."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__dict__.get("__slots__") or cls.__dict__.get("__annotations__", ()))
+        slots = cls.__dict__.get("__slots__")
+        cls._fields = tuple(slots or cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {} if slots else {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
 
     def __init__(self, *args, **kwargs) -> None:
-        cls, names = type(self), self._fields
+        names, defaults = self._fields, self._defaults
         if kwargs or len(args) != len(names):  # bind keywords and defaults
             values = dict(zip(names, args))
             unknown = len(args) > len(names) or any(k in values or k not in names for k in kwargs)
             values.update(kwargs)
-            if unknown or not all(name in values or name in cls.__dict__ for name in names):
-                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}, each once or by default")
-            args = [values[name] if name in values else cls.__dict__[name] for name in names]
+            if unknown or not all(name in values or name in defaults for name in names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}, each once or by default")
+            args = [values[name] if name in values else defaults[name] for name in names]
         for name, value in zip(names, args):
             setfield(self, name, value)
 
@@ -190,7 +193,7 @@ class DiscreteDistribution(Record):
         setfield(self, "atoms", atoms)
 
     @staticmethod
-    def of(pairs: Iterable[tuple[Union[Fraction, int, str], Union[Fraction, int, str]]]) -> "DiscreteDistribution":
+    def of(pairs: Iterable[tuple[Fraction | int | str, Fraction | int | str]]) -> "DiscreteDistribution":
         """Build from unsorted pairs, merging duplicate values."""
         merged: dict[Fraction, Fraction] = {}
         for value, prob in pairs:
@@ -201,7 +204,7 @@ class DiscreteDistribution(Record):
         return DiscreteDistribution(atoms)
 
     @staticmethod
-    def point(value: Union[Fraction, int, str]) -> "DiscreteDistribution":
+    def point(value: Fraction | int | str) -> "DiscreteDistribution":
         return DiscreteDistribution(((parse_rational(value), Fraction(1)),))
 
     def values(self) -> tuple[Fraction, ...]:
@@ -294,18 +297,6 @@ class ConstraintGraph(Record):
     def unconstrained() -> "ConstraintGraph":
         return ConstraintGraph(ConstraintKind.UNCONSTRAINED)
 
-    def parents(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for parent, child in self.edges:
-            out.setdefault(child, []).append(parent)
-        return out
-
-    def children(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for parent, child in self.edges:
-            out.setdefault(parent, []).append(child)
-        return out
-
 
 class MatroidSideConstraint(Record):
     """Optional downwards-closed side constraint on the opened set.
@@ -326,8 +317,8 @@ class MatroidSideConstraint(Record):
     KNAPSACK = "knapsack"
     PARTITION = "partition"
 
-    def __init__(self, kind: str = NONE, weights: Optional[Mapping[str, tuple[int, ...]]] = None,
-                 capacity: tuple[int, ...] = (), parts: Optional[Mapping[str, int]] = None,
+    def __init__(self, kind: str = NONE, weights: Mapping[str, tuple[int, ...]] | None = None,
+                 capacity: tuple[int, ...] = (), parts: Mapping[str, int] | None = None,
                  part_capacities: tuple[int, ...] = ()) -> None:  # a new empty dict per omitted mapping
         super().__init__(kind, {} if weights is None else weights, capacity, {} if parts is None else parts,
                          part_capacities)
@@ -363,10 +354,6 @@ class MatroidSideConstraint(Record):
             return ([tuple(int(j == self.parts.get(i)) for j in range(k)) for i in ids],
                     tuple(self.part_capacities))
         return [() for _ in ids], ()
-
-    def is_feasible(self, ids: Iterable[str]) -> bool:
-        weights, capacity = self.vectors(list(ids))
-        return all(sum(column) <= cap for column, cap in zip(zip(*weights), capacity))
 
 
 class Instance(Record):
@@ -713,21 +700,17 @@ def reservation_scan(w: IntDistribution, cost: Fraction, box_id: str) -> Fractio
     raise InvariantError("a distribution without atoms")  # pragma: no cover (j = 0 returns)
 
 
-class IntegerBoxes(NamedTuple):
+class IntegerBoxes(Record):
     """Boxes and a sorted grid y_0 < y_1 < ... as Python ints (in lists: CPython
     keeps tuples built from generators in its free list) for the backward DPs.
     L = ``scale`` is the lcm of the grid's, weighted grid's and costs' denominators,
     D_i = ``dens[i]`` that of box i's probabilities.  A value with the boxes R
     unopened is the int N of N / (L * prod_{i in R} D_i).  At that scale r, stopping
-    at grid index k is ``payoff[k] * r``; opening box i is ``-costs[i] * r`` plus
+    at grid index k is ``payoff[k] * r`` (``payoff[k]`` = weight * y_k * L, ``grid[k]``
+    = y_k * L); opening box i is ``-costs[i] * r`` (``costs[i]`` = c_i * L) plus
     a * N(child) over ``atoms[i]`` (grid index, a = p * D_i), children at r // D_i."""
 
-    scale: int
-    dens: list[int]
-    costs: list[int]  # c_i * L
-    atoms: list[list[tuple[int, int]]]
-    grid: list[int]  # y_k * L
-    payoff: list[int]  # weight * y_k * L
+    __slots__ = ("scale", "dens", "costs", "atoms", "grid", "payoff")
 
 
 def integer_boxes(boxes: Sequence[BoxSpec], grid: Sequence[Fraction], weight: Fraction = Fraction(1)) -> IntegerBoxes:
@@ -787,14 +770,14 @@ class OrderModel(Record):
         parents = self.parent_masks[i]
         return not parents or bool(mask & parents)
 
-    def try_open(self, mask: int, load: tuple[int, ...], i: int) -> Optional[tuple[int, ...]]:
+    def try_open(self, mask: int, load: tuple[int, ...], i: int) -> tuple[int, ...] | None:
         """The load after opening box ``i`` next, or None when the box is open
         already, its order rule fails or the load overflows."""
         if mask >> i & 1 or not self.order_allows(mask, i):
             return None
         return self.add(load, i)
 
-    def add(self, load: tuple[int, ...], i: int) -> Optional[tuple[int, ...]]:
+    def add(self, load: tuple[int, ...], i: int) -> tuple[int, ...] | None:
         """The load after opening box ``i``, or None when it overflows."""
         if not self.capacity:
             return load
@@ -807,9 +790,9 @@ class OrderModel(Record):
             mask |= 1 << self.index[box_id]
         return mask
 
-    def load_of(self, mask: int) -> Optional[tuple[int, ...]]:
+    def load_of(self, mask: int) -> tuple[int, ...] | None:
         """The load of an opened set, or None when the set overflows."""
-        load: Optional[tuple[int, ...]] = self.empty_load
+        load: tuple[int, ...] | None = self.empty_load
         for i in range(len(self.ids)):
             if load is not None and mask >> i & 1:
                 load = self.add(load, i)
@@ -825,10 +808,6 @@ class PreOrderIndex(Record):
     """
 
     __slots__ = ("order", "next_position")
-
-    def __init__(self, order: tuple[str, ...], next_position: tuple[int, ...]) -> None:
-        setfield(self, "order", order)
-        setfield(self, "next_position", next_position)
 
     @property
     def n(self) -> int:
@@ -857,8 +836,7 @@ def build_preorder(instance: Instance) -> PreOrderIndex:
     for i in reversed(order):  # children follow their parent in pre-order
         if model.parent_masks[i]:
             size[model.parent_masks[i].bit_length() - 1] += size[i]
-    return PreOrderIndex(order=tuple(model.ids[i] for i in order),
-                         next_position=tuple(p + 1 + size[i] for p, i in enumerate(order)))
+    return PreOrderIndex(tuple(model.ids[i] for i in order), tuple(p + 1 + size[i] for p, i in enumerate(order)))
 
 
 def constraint_allows(instance: Instance, opened: Iterable[str], box_id: str) -> bool:
@@ -877,7 +855,7 @@ def feasible_next(instance: Instance, opened: Iterable[str]) -> list[str]:
     return [box_id for i, box_id in enumerate(model.ids) if model.try_open(mask, load, i) is not None]
 
 
-def set_feasibility_violation(instance: Instance, ids: Iterable[str]) -> Optional[str]:
+def set_feasibility_violation(instance: Instance, ids: Iterable[str]) -> str | None:
     """None when ``ids`` is a feasible set to open (in some order), else a
     message naming the violated constraint.
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     BoxSpec,
@@ -84,7 +83,7 @@ def figure1_tree_matroid(epsilon: Fraction = F(3, 2)) -> Instance:
     return validate_instance(Instance(boxes=boxes, constraint=constraint, side=side))
 
 
-def adaptivity_gap(p: Fraction = F(1, 10), n: Optional[int] = None) -> Instance:
+def adaptivity_gap(p: Fraction = F(1, 10), n: int | None = None) -> Instance:
     """A line of identical boxes (cost 1 - p/2, reward 1/p^2 w.p. p^2) on
     which adaptive search earns about 1/(2p) while every fixed opened set
     earns at most 1/2: the classical adaptivity gap grows like 1/p.

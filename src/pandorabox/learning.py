@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     BoxSpec,
@@ -71,7 +70,7 @@ def sample_bound(n: int, epsilon: Fraction, delta: Fraction, mode: str = "tree",
 class LearningConfig(Record):
     epsilon: Fraction
     delta: Fraction
-    samples_per_box: Optional[int] = None  # None: use the tree-mode bound
+    samples_per_box: int | None = None  # None: use the tree-mode bound
     constant: float = 1.0
 
     def __init__(self, *args, **kwargs) -> None:

@@ -28,11 +28,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
-from .core import (BoxSpec, IntDistribution, InvariantError, Record, ValidationError, integer_boxes, max_sweep,
-                   reservation_scan)
+from .core import BoxSpec, IntDistribution, InvariantError, Record, integer_boxes, max_sweep, reservation_scan
 
 ZERO = Fraction(0)
 NOTHING = IntDistribution([0], 1, [1], 1)  # the capped value of an empty line
@@ -67,13 +66,6 @@ class ThresholdTable(Record):
 
     thresholds: tuple[Fraction, ...]
     horizons: tuple[int, ...]
-
-
-class MacroBoxPartition(Record):
-    """Leader indices of the maximal runs whose thresholds stay above the
-    run leader's threshold (1-based, always starts at 1)."""
-
-    boundaries: tuple[int, ...]
 
 
 class LineSolution(Record):
@@ -142,25 +134,6 @@ def solve_line(boxes: Sequence[BoxSpec]) -> LineSolution:
     for box in reversed(boxes):
         solution = solution.prepend(box)
     return solution
-
-
-def compute_threshold(box: BoxSpec, line: Sequence[BoxSpec]) -> Fraction:
-    """Threshold box would get as a prefix of ``line`` (one capped-value
-    step over the line's first capped value)."""
-    return solve_line(line).prepend(box).zs[0]
-
-
-def macro_partition(thresholds: ThresholdTable) -> MacroBoxPartition:
-    """Leader indices: after j, the next leader is the first index whose
-    threshold does not exceed the threshold at j."""
-    z = thresholds.thresholds
-    if not z:
-        raise ValidationError("cannot partition an empty threshold table")
-    boundaries = [1]
-    for j in range(2, len(z) + 1):
-        if z[j - 1] <= z[boundaries[-1] - 1]:
-            boundaries.append(j)
-    return MacroBoxPartition(tuple(boundaries))
 
 
 def line_optimal_value(boxes: Sequence[BoxSpec]) -> Fraction:

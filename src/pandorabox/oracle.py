@@ -11,10 +11,10 @@ every comparison is exact; ``Fraction``s are built only for reported values.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
-from .core import CapExceededError, Instance, OrderModel, Record, feasible_next, integer_boxes, setfield
+from .core import CapExceededError, Instance, Record, feasible_next, integer_boxes
 from .line_solver import line_optimal_value
 
 ZERO = Fraction(0)
@@ -27,36 +27,16 @@ FIXED_ORDER_SEQUENCE_CAP = 250_000
 
 class OracleResult(Record):
     """Optimal value, the optimal Markov policy on visited states, and the
-    reward/cost split E[final best] / E[total spend] under that policy."""
+    reward/cost split E[final best] / E[total spend] under that policy.
+    ``_values`` holds each visited state's value as the int N of
+    N / (L * prod of D_i over its unopened boxes) (``core.integer_boxes``)."""
 
-    __slots__ = ("value", "e_max", "e_cost", "grid", "model", "_policy", "_values", "_scale", "_dens")
+    __slots__ = ("value", "e_max", "e_cost", "grid", "model", "_policy", "_values")
 
-    def __init__(self, value: Fraction, e_max: Fraction, e_cost: Fraction, grid: tuple[Fraction, ...],
-                 model: OrderModel, _policy: dict[tuple[int, int], Optional[int]],
-                 _values: dict[tuple[int, int], int],  # N of N / (_scale * _dens of the unopened boxes)
-                 _scale: int, _dens: list[int]) -> None:
-        setfield(self, "value", value)
-        setfield(self, "e_max", e_max)
-        setfield(self, "e_cost", e_cost)
-        setfield(self, "grid", grid)
-        setfield(self, "model", model)
-        setfield(self, "_policy", _policy)
-        setfield(self, "_values", _values)
-        setfield(self, "_scale", _scale)
-        setfield(self, "_dens", _dens)
-
-    def _key(self, opened: Sequence[str], best: Fraction) -> tuple[int, int]:
-        return self.model.mask_of(opened), self.grid.index(best)
-
-    def action(self, opened: Sequence[str], best: Fraction) -> Optional[str]:
+    def action(self, opened: Sequence[str], best: Fraction) -> str | None:
         """Optimal next box id at this state, or None to stop."""
-        choice = self._policy[self._key(opened, best)]
+        choice = self._policy[self.model.mask_of(opened), self.grid.index(best)]
         return None if choice is None else self.model.ids[choice]
-
-    def value_at(self, opened: Sequence[str], best: Fraction) -> Fraction:
-        mask, yk = key = self._key(opened, best)
-        unopened = math.prod(d for i, d in enumerate(self._dens) if not mask >> i & 1)
-        return Fraction(self._values[key], self._scale * unopened)
 
 
 def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fraction = Fraction(1)) -> OracleResult:
@@ -79,7 +59,7 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
     by_id = sorted(range(n), key=lambda i: model.ids[i])
 
     values: dict[tuple[int, int], int] = {}
-    policy: dict[tuple[int, int], Optional[int]] = {}
+    policy: dict[tuple[int, int], int | None] = {}
 
     def solve(mask: int, yk: int, load: tuple[int, ...], r: int) -> int:
         key = (mask, yk)
@@ -87,7 +67,7 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
         if cached is not None:
             return cached
         best_val = payoff[yk] * r
-        best_act: Optional[int] = None
+        best_act: int | None = None
         for i in by_id:
             after = model.try_open(mask, load, i)
             if after is None:
@@ -106,39 +86,29 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
     start, r0 = (0, grid.index(initial_best)), math.prod(dens)
     total = solve(*start, model.empty_load, r0)
 
-    parts: dict[tuple[int, int], tuple[int, int]] = {}
+    reward: dict[tuple[int, int], int] = {}
 
-    def split(mask: int, yk: int, r: int) -> tuple[int, int]:
+    def split(mask: int, yk: int, r: int) -> int:
+        """N of E[final best] = N / (L * r) under the recorded policy."""
         key = (mask, yk)
-        if key in parts:
-            return parts[key]
+        if key in reward:
+            return reward[key]
         act = policy[key]
         if act is None:
-            rew, cost = ints.grid[yk] * r, 0
+            rew = ints.grid[yk] * r
         else:
-            rew, cost = 0, costs[act] * r
-            child, sub = mask | (1 << act), r // dens[act]
+            rew, child, sub = 0, mask | (1 << act), r // dens[act]
             for vk, a in atoms[act]:
-                cr, cc = split(child, vk if vk > yk else yk, sub)
-                rew += a * cr
-                cost += a * cc
-        parts[key] = rew, cost
-        return rew, cost
+                rew += a * split(child, vk if vk > yk else yk, sub)
+        reward[key] = rew
+        return rew
 
-    e_max, e_cost = split(*start, r0)
+    best = split(*start, r0)
     del solve, split  # free the memo tables by refcount, not by a later cyclic GC pass
     den = ints.scale * r0
-    return OracleResult(
-        value=Fraction(total, den),
-        e_max=Fraction(e_max, den),
-        e_cost=Fraction(e_cost, den),
-        grid=tuple(grid),
-        model=model,
-        _policy=policy,
-        _values=values,
-        _scale=ints.scale,
-        _dens=dens,
-    )
+    value, e_max = Fraction(total, den), Fraction(best, den)
+    # each memo value is w * E[final best] - E[total spend] under the recorded policy
+    return OracleResult(value, e_max, terminal_weight * e_max - value, tuple(grid), model, policy, values)
 
 
 def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResult:
@@ -161,7 +131,7 @@ def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
         raise CapExceededError(
             f"fixed-order enumeration handles at most {FIXED_ORDER_BOX_CAP} boxes, got {instance.n}"
         )
-    best: Optional[tuple[tuple[str, ...], Fraction]] = None
+    best: tuple[tuple[str, ...], Fraction] | None = None
     seen = 0
 
     def extend(opened: list[str]) -> None:

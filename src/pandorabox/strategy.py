@@ -32,8 +32,9 @@ import heapq
 import math
 import struct
 from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
 
 from .core import (
     CapExceededError,
@@ -76,11 +77,17 @@ class ThresholdPolicy(Record):
         return {box_id: k for k, box_id in enumerate(self.tiebreak or sorted(self.thresholds))}
 
     @staticmethod
-    def for_instance(instance: Instance, thresholds: Mapping[str, Union[Fraction, int, str]],
+    def for_instance(instance: Instance, thresholds: Mapping[str, Fraction | int | str],
                      tiebreak: Sequence[str] = ()) -> "ThresholdPolicy":
         missing = [b.id for b in instance.boxes if b.id not in thresholds]
         if missing:
             raise ValidationError(f"policy is missing thresholds for boxes {missing}")
+        ids = instance.box_map.keys()
+        if tiebreak and (len(tiebreak) != len(ids) or ids != set(tiebreak)):
+            listed = Counter(tiebreak)
+            raise ValidationError(
+                f"tiebreak must list each box id once: missing {[i for i in ids if i not in listed]}, "
+                f"unknown {sorted(listed.keys() - ids)}, repeated {sorted(i for i, k in listed.items() if k > 1)}")
         parsed = {}
         for box_id, z in thresholds.items():
             try:
@@ -130,7 +137,7 @@ def fixed_opening_order(instance: Instance, policy: ThresholdPolicy) -> list[str
     for floor, z, i in ranked:
         if (floor, z) != prev:
             level, prev = level + 1, (floor, z)
-        entries[i] = (level, rank.get(model.ids[i], 0), model.ids[i], i)
+        entries[i] = (level, rank[model.ids[i]], model.ids[i], i)
     heap = [entries[i] for i, parents in enumerate(model.parent_masks) if not parents]
     heapq.heapify(heap)
     mask = 0
@@ -205,7 +212,7 @@ def evaluate_threshold_exact(instance: Instance, policy: ThresholdPolicy) -> Fra
     return revenue
 
 
-def evaluate_set(instance: Instance, ids: Union[Sequence[str], frozenset, set]) -> Fraction:
+def evaluate_set(instance: Instance, ids: Sequence[str] | frozenset | set) -> Fraction:
     """E[max over the set] minus its total cost; the set must be feasible."""
     violation = set_feasibility_violation(instance, ids)
     if violation is not None:

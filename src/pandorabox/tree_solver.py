@@ -18,9 +18,9 @@ constraints are refused: the problem is NP-hard there.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import attrgetter
-from typing import Sequence
 
 from .core import (ConstraintKind, Instance, IntDistribution, MatroidSideConstraint, Record,
                    UnsupportedConstraintError, ValidationError, build_preorder, max_sweep, setfield)

@@ -29,7 +29,8 @@ from pandorabox import (
     merge,
     validate_instance,
 )
-from pandorabox.line_solver import macro_partition, solve_line
+from pandorabox.core import Record
+from pandorabox.line_solver import ThresholdTable, solve_line
 from pandorabox.piecewise import PiecewiseLinear
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine
 
@@ -222,6 +223,22 @@ def reference_set_feasible(instance: Instance, ids) -> bool:
     return reached == chosen and reference_side_ok(instance, chosen)
 
 
+def graph_parents(graph: ConstraintGraph) -> dict[str, list[str]]:
+    """In-neighbours of every box with an in-edge, in edge order."""
+    out: dict[str, list[str]] = {}
+    for parent, child in graph.edges:
+        out.setdefault(child, []).append(parent)
+    return out
+
+
+def graph_children(graph: ConstraintGraph) -> dict[str, list[str]]:
+    """Out-neighbours of every box with an out-edge, in edge order."""
+    out: dict[str, list[str]] = {}
+    for parent, child in graph.edges:
+        out.setdefault(parent, []).append(child)
+    return out
+
+
 def reference_greedy_order(instance: Instance, thresholds, rank) -> list[str]:
     """The threshold rule's visiting order: repeatedly the openable box with
     the largest threshold, ties by rank, then id."""
@@ -302,8 +319,8 @@ def reference_solve_tree(instance: Instance) -> tuple[Fraction, tuple[str, ...],
     unconstrained instance: at every node the children's lines are merged,
     and the node followed by the merged line is re-solved as a line; the
     roots' lines are merged and re-solved once more for the value."""
-    children = instance.constraint.children()
-    parents = instance.constraint.parents()
+    children = graph_children(instance.constraint)
+    parents = graph_parents(instance.constraint)
 
     def annotated(ids) -> tuple[AnnotatedLine, Fraction]:
         zs, levels = reference_solve_line([instance.box_map[b] for b in ids])
@@ -535,6 +552,26 @@ def run_line_threshold(boxes, thresholds, values, horizon=None) -> tuple[tuple, 
         if x > y:
             y = x
     return tuple(history), y - spent
+
+
+class MacroBoxPartition(Record):
+    """Leader indices of the maximal runs whose thresholds stay above the
+    run leader's threshold (1-based, always starts at 1)."""
+
+    boundaries: tuple[int, ...]
+
+
+def macro_partition(thresholds: ThresholdTable) -> MacroBoxPartition:
+    """Leader indices: after j, the next leader is the first index whose
+    threshold does not exceed the threshold at j."""
+    z = thresholds.thresholds
+    if not z:
+        raise ValidationError("cannot partition an empty threshold table")
+    boundaries = [1]
+    for j in range(2, len(z) + 1):
+        if z[j - 1] <= z[boundaries[-1] - 1]:
+            boundaries.append(j)
+    return MacroBoxPartition(tuple(boundaries))
 
 
 def check_line_submartingale(boxes) -> None:

@@ -30,8 +30,11 @@ from pandorabox import cli
 from pandorabox.instances import figure1, figure1_tree_matroid, guard_line
 
 from helpers import (
+    graph_children,
+    graph_parents,
     rand_knapsack_side,
     rand_tree_instance,
+    reference_side_ok,
     with_side,
 )
 
@@ -75,7 +78,7 @@ class TestBuildPreorder:
         for _ in range(30):
             inst = rand_tree_instance(rng, rng.randint(1, 8))
             pre = build_preorder(inst)
-            children = inst.constraint.children()
+            children = graph_children(inst.constraint)
             position = {b: i + 1 for i, b in enumerate(pre.order)}
 
             def subtree(node):
@@ -254,8 +257,8 @@ class TestRunApprox:
             policy = solve_approx(inst)
             for seed in range(10):
                 traj = run_approx(inst, policy, rng_seed=seed)
-                assert inst.side.is_feasible(traj.final.opened)
-                parents = inst.constraint.parents()
+                assert reference_side_ok(inst, traj.final.opened)
+                parents = graph_parents(inst.constraint)
                 seen: set[str] = set()
                 for box_id, _ in traj.steps:
                     for p in parents.get(box_id, ()):

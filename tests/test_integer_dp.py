@@ -10,12 +10,14 @@ table entry must agree exactly, ties and stops at indifference included.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from pandorabox import BoxSpec, ConstraintKind, Instance, MatroidSideConstraint, line_optimal_value, solve_approx
+from pandorabox.core import integer_boxes
 from pandorabox.oracle import _engine
 
 from helpers import (
@@ -67,9 +69,10 @@ def test_oracle_matches_fraction_reference(kind):
         assert (result.value, result.e_max, result.e_cost) == (value, e_max, e_cost)
         assert result._policy == policy
         assert result._values.keys() == values.keys()
-        for mask, yk in values:
-            opened = [result.model.ids[i] for i in range(inst.n) if mask >> i & 1]
-            assert result.value_at(opened, result.grid[yk]) == values[(mask, yk)]
+        ints = integer_boxes(inst.boxes, result.grid, weight)
+        for (mask, yk), value in values.items():
+            unopened = math.prod(d for i, d in enumerate(ints.dens) if not mask >> i & 1)
+            assert F(result._values[mask, yk], ints.scale * unopened) == value
         half += weight != 1
         off_grid += initial_best not in inst.support_union()
         sided += inst.side.kind != MatroidSideConstraint.NONE

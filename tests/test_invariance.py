@@ -6,7 +6,8 @@ sampler stream reads only the seed, trial, step, id and probabilities (the
 factor 3/7 also brings a new denominator into the common denominator of
 the integer DPs, and keeps every fixed-order tie);
 renaming the boxes leaves every value unchanged; adding a free zero box as a
-separate root changes no value and no other threshold.
+separate root changes no value and no other threshold.  The oracle's
+reward/cost split (e_max, e_cost) is checked under all three.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ def test_renaming_ids_keeps_values():
         _, other_value, other_evaluated = tree_values(other)
         assert other_value == value
         assert other_evaluated == evaluated
-        assert solve_exact(other).value == solve_exact(inst).value
+        exact, other_exact = solve_exact(inst), solve_exact(other)
+        assert (other_exact.value, other_exact.e_max, other_exact.e_cost) == (exact.value, exact.e_max, exact.e_cost)
 
 
 def test_free_zero_root_keeps_values_and_thresholds():
@@ -138,4 +140,5 @@ def test_free_zero_root_keeps_values_and_thresholds():
         assert ext_value == value
         assert ext_evaluated == evaluated
         assert {i: ext_thresholds[i] for i in thresholds} == thresholds
-        assert solve_exact(extended).value == solve_exact(inst).value
+        exact, ext_exact = solve_exact(inst), solve_exact(extended)
+        assert (ext_exact.value, ext_exact.e_max, ext_exact.e_cost) == (exact.value, exact.e_max, exact.e_cost)

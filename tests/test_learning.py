@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +256,16 @@ def test_bare_package_import_loads_no_submodule():
     loaded = loaded_modules("import sys, pandorabox")
     assert "pandorabox" in loaded
     assert not {m for m in loaded if m.startswith("pandorabox.")}
+
+
+def test_no_submodule_imports_typing():
+    # without site (-S), which may import typing itself: the package's own imports alone
+    package = Path(__file__).resolve().parents[1] / "src" / "pandorabox"
+    names = sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
+    code = "import sys\nfor name in sys.argv[1:]:\n    __import__(f'pandorabox.{name}')\nprint(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code, *names], capture_output=True, text=True, check=True,
+                         env=env)
+    loaded = set(out.stdout.split())
+    assert {f"pandorabox.{name}" for name in names} <= loaded and "pandorabox.cli" in loaded
+    assert "typing" not in loaded

@@ -12,10 +12,8 @@ from pandorabox import (
     DiscreteDistribution,
     InvariantError,
     ValidationError,
-    compute_threshold,
     expected_excess,
     line_optimal_value,
-    macro_partition,
     solve_exact,
     solve_line,
     weitzman_reservation,
@@ -26,6 +24,7 @@ from helpers import (
     check_line_submartingale,
     enumerate_realizations,
     line_instance_of,
+    macro_partition,
     quadratic_max_distribution,
     quadratic_reservation,
     rand_box,
@@ -109,16 +108,18 @@ class TestHorizons:
 
 
 class TestComputeThreshold:
+    """The threshold a box gets as the prefix of a solved line: one prepend step."""
+
     def test_guard_prefix(self):
-        assert compute_threshold(GUARD[0], [GUARD[1]]) == 1
+        assert solve_line([GUARD[1]]).prepend(GUARD[0]).zs[0] == 1
 
     def test_empty_line_is_reservation_value(self):
         b = box("a", 1, [(3, "1/2"), (0, "1/2")])
-        assert compute_threshold(b, []) == weitzman_reservation(b)
+        assert solve_line([]).prepend(b).zs[0] == weitzman_reservation(b)
 
     def test_free_box_dominating_future(self):
         free = box("f", 0, [(5, 1)])
-        assert compute_threshold(free, GUARD) == 5
+        assert solve_line(GUARD).prepend(free).zs[0] == 5
 
     def test_matches_full_resolve(self):
         rng = random.Random(13)
@@ -126,8 +127,8 @@ class TestComputeThreshold:
             boxes = rand_line_boxes(rng, rng.randint(1, 5))
             head = rand_box(rng, 99)
             full = solve_line([head] + boxes)
-            assert compute_threshold(head, boxes) == full.thresholds.thresholds[0]
             stepped = solve_line(boxes).prepend(head)
+            assert stepped.zs[0] == full.thresholds.thresholds[0]
             assert stepped.thresholds == full.thresholds
             assert stepped.value_table.grid == full.value_table.grid
             for i in range(1, len(boxes) + 3):

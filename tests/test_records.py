@@ -11,15 +11,17 @@ from pathlib import Path
 import pytest
 
 from pandorabox.approx import ApproxPolicy, GuaranteeReport
-from pandorabox.core import (BoxSpec, ConstraintGraph, DiscreteDistribution, ExecutionState, Instance, InvariantError,
-                             MatroidSideConstraint, OrderModel, PreOrderIndex, ValidationError, dump_instance,
-                             load_instance)
+from pandorabox.core import (BoxSpec, ConstraintGraph, DiscreteDistribution, ExecutionState, Instance, IntegerBoxes,
+                             InvariantError, MatroidSideConstraint, OrderModel, PreOrderIndex, ValidationError,
+                             dump_instance, load_instance)
 from pandorabox.learning import EmpiricalModel, LearnReport, LearningConfig
-from pandorabox.line_solver import LineSolution, MacroBoxPartition, ThresholdTable, ValueTable
+from pandorabox.line_solver import LineSolution, ThresholdTable, ValueTable
 from pandorabox.oracle import OracleResult
 from pandorabox.piecewise import PiecewiseLinear
 from pandorabox.strategy import SimulationSummary, ThresholdPolicy, Trajectory
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine, TreeSolution
+
+from helpers import MacroBoxPartition
 
 # The fields of every record, in declaration order.
 FIELDS = {
@@ -31,6 +33,7 @@ FIELDS = {
     ExecutionState: ["opened", "best", "spent"],
     OrderModel: ["ids", "index", "parent_masks", "children", "weights", "capacity"],
     PreOrderIndex: ["order", "next_position"],
+    IntegerBoxes: ["scale", "dens", "costs", "atoms", "grid", "payoff"],
     ValueTable: ["grid", "kappas"],
     ThresholdTable: ["thresholds", "horizons"],
     MacroBoxPartition: ["boundaries"],
@@ -41,7 +44,7 @@ FIELDS = {
     ThresholdPolicy: ["thresholds", "tiebreak"],
     Trajectory: ["steps", "final"],
     SimulationSummary: ["mean", "stddev", "trials", "seed"],
-    OracleResult: ["value", "e_max", "e_cost", "grid", "model", "_policy", "_values", "_scale", "_dens"],
+    OracleResult: ["value", "e_max", "e_cost", "grid", "model", "_policy", "_values"],
     ApproxPolicy: ["instance", "preorder", "grid", "values", "actions"],
     GuaranteeReport: ["policy_value", "executed_value", "set_margin", "worst_set", "feasible_sets",
                       "benchmark_margin", "oracle_value", "oracle_e_max", "oracle_e_cost"],
@@ -50,7 +53,7 @@ FIELDS = {
     LearnReport: ["true_opt", "learned_policy_value", "gap", "epsilon", "samples_per_box"],
     PiecewiseLinear: ["xs", "ys", "right_slope"],
 }
-HOT = (AnnotatedEntry, ThresholdPolicy, PreOrderIndex, OracleResult)
+HOT = (AnnotatedEntry, ThresholdPolicy, PreOrderIndex, OracleResult, IntegerBoxes)
 
 # Two valid field sets that differ in every field, for the records that validate.
 VALID = {

@@ -28,6 +28,7 @@ from pandorabox import strategy
 from pandorabox.strategy import MAX_TRIALS, TRIAL_BLOCK, RewardSampler, u64
 
 from helpers import (
+    graph_parents,
     line_instance_of,
     literal_u64,
     rand_dist,
@@ -121,6 +122,21 @@ class TestPolicyThresholds:
         assert all(type(z) is Fraction for z in policy.thresholds.values())
         assert fixed_opening_order(inst, policy) == ["b", "a"]
         assert evaluate_threshold_exact(inst, policy) == 1
+
+    @pytest.mark.parametrize("tiebreak, why", [
+        (("b",), r"missing \['a'\], unknown \[\], repeated \[\]"),
+        (("zz", "b"), r"missing \['a'\], unknown \['zz'\], repeated \[\]"),
+        (("b", "a", "b"), r"missing \[\], unknown \[\], repeated \['b'\]"),
+    ], ids=["partial", "unknown", "repeated"])
+    def test_refuses_a_tiebreak_that_is_not_a_permutation(self, tiebreak, why):
+        with pytest.raises(ValidationError, match=f"tiebreak must list each box id once: {why}"):
+            ThresholdPolicy.for_instance(self.two_boxes(), {"a": 1, "b": 1}, tiebreak)
+
+    def test_tiebreak_orders_equal_thresholds(self):
+        inst = self.two_boxes()
+        for tiebreak, order in [((), ["a", "b"]), (("b", "a"), ["b", "a"]), (("a", "b"), ["a", "b"])]:
+            policy = ThresholdPolicy.for_instance(inst, {"a": 1, "b": 1}, tiebreak)
+            assert fixed_opening_order(inst, policy) == order
 
 
 class TestEvaluateThresholdExact:
@@ -240,7 +256,7 @@ class TestEvaluateSet:
         for _ in range(20):
             inst = rand_tree_instance(rng, rng.randint(1, 5))
             optimum = solve_exact(inst).value
-            parents = inst.constraint.parents()
+            parents = graph_parents(inst.constraint)
             ids = [b.id for b in inst.boxes]
             for r in range(len(ids) + 1):
                 for combo in itertools.combinations(ids, r):

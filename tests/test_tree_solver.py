@@ -29,6 +29,7 @@ from pandorabox.instances import figure1, figure1_tree_matroid
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine
 
 from helpers import (
+    graph_children,
     line_instance_of,
     rand_box,
     rand_dist,
@@ -232,7 +233,7 @@ class TestSolveTree:
         for _ in range(25):
             inst = rand_tree_instance(rng, rng.randint(1, 6))
             sol = solve_tree(inst)
-            children = inst.constraint.children()
+            children = graph_children(inst.constraint)
 
             def subtree_ids(node):
                 out = [node]
@@ -280,7 +281,7 @@ class TestSubtreeThresholds:
         instances += [rand_tie_instance(rng, ("tree", "forest")[trial % 2], max_n=10) for trial in range(100)]
         for inst in instances:
             sol = solve_tree(inst)
-            children = inst.constraint.children()
+            children = graph_children(inst.constraint)
             for box in inst.boxes:
                 ids, stack = set(), [box.id]
                 while stack:
