@@ -30,6 +30,7 @@ import json
 import math
 import operator
 import re
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -245,15 +246,21 @@ class DiscreteDistribution(Record):
 
 class IntDistribution:
     """Atoms on ints: value ``keys[k] / scale`` with probability ``probs[k] / den``; checked by
-    int comparisons: keys strictly increasing from 0 or above, numerators positive summing to ``den``."""
+    int comparisons: keys strictly increasing from 0 or above, numerators positive summing to ``den``.
 
-    __slots__ = ("keys", "scale", "probs", "den")
+    ``carrier`` is an int at most ``den`` that every prime of ``den`` divides (``den`` itself
+    when not given or larger).  A common factor of the numerators divides ``den``, so gcds
+    against the carrier, repeated while the numerators stay divisible, find all of it; the
+    carrier is a small int when ``den`` is a product of small ones."""
 
-    def __init__(self, keys: list[int], scale: int, probs: list[int], den: int) -> None:
+    __slots__ = ("keys", "scale", "probs", "den", "carrier")
+
+    def __init__(self, keys: list[int], scale: int, probs: list[int], den: int, carrier: int | None = None) -> None:
         if (not keys or len(keys) != len(probs) or keys[0] < 0 or min(probs) <= 0 or sum(probs) != den
                 or not all(map(operator.lt, keys, keys[1:]))):
             raise InvariantError(f"{len(keys)} keys and {len(probs)} numerators are not a distribution")
         self.keys, self.scale, self.probs, self.den = keys, scale, probs, den
+        self.carrier = den if carrier is None or carrier > den else carrier
 
     def expectation(self) -> Fraction:
         return Fraction(sum(map(operator.mul, self.keys, self.probs)), self.den * self.scale)
@@ -684,19 +691,20 @@ def reservation_scan(w: IntDistribution, cost: Fraction, box_id: str) -> Fractio
     above the current segment, on which the excess is S - z·M: int tests find
     the crossing segment, inverted into the one ``Fraction``.  Negative when
     cost > E[W]; the top of the support when cost = 0."""
-    if cost.numerator < 0:
+    c_num, c_den = cost.numerator, cost.denominator
+    if c_num < 0:
         raise ValidationError(f"box {box_id!r} has negative cost {describe_rational(cost)}")
     keys, probs = w.keys, w.probs
-    if not cost:
+    if not c_num:
         return Fraction(keys[-1], w.scale)
-    bound = cost.numerator * w.den * w.scale  # cost·den·scale·c_den
+    bound = c_num * w.den * w.scale  # cost·den·scale·c_den
     mass = tail = 0
     for j in range(len(keys) - 1, -1, -1):
         mass += probs[j]
         tail += probs[j] * keys[j]
         # below the support (j = 0) the excess is E[W] - z
-        if j == 0 or (tail - keys[j - 1] * mass) * cost.denominator > bound:
-            return Fraction(tail * cost.denominator - bound, mass * w.scale * cost.denominator)
+        if j == 0 or (tail - keys[j - 1] * mass) * c_den > bound:
+            return Fraction(tail * c_den - bound, mass * w.scale * c_den)
     raise InvariantError("a distribution without atoms")  # pragma: no cover (j = 0 returns)
 
 
@@ -883,15 +891,23 @@ def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribut
 def max_sweep(dists: Sequence[IntDistribution]) -> IntDistribution:
     """Exact distribution of max(X_1, ..., X_k) for independent X_i (one input: itself, not a copy).
 
-    One sweep over the sorted atoms of all inputs, with values over the lcm
-    of their scales, keeps each input's CDF numerator c_j over d_j.  The CDF
-    of the max, prod c_j / prod d_j, is kept as the number of inputs still
-    at 0 and the int product of the others, updated by ``// old * new``, so
-    after the sort each atom costs O(1) int operations however many inputs."""
+    Values go over the lcm of the input scales, probabilities over prod d_j,
+    and the CDF of the max is the product of the inputs' CDF numerators c_j.
+    Two inputs are merged in one pass over their sorted keys
+    (:func:`_max_of_two`), with the product formed as c_1·c_2.  Three or more
+    take one sweep over all atoms sorted together, which keeps the number of
+    inputs still at 0 and the int product of the others, updated by
+    ``// old * new``, so after the sort each atom costs O(1) int operations
+    however many inputs.  The carrier is the lcm of the inputs' carriers."""
     if not dists:
         raise ValidationError("max_distribution needs at least one distribution")
     if len(dists) == 1:
         return dists[0]
+    if len(dists) == 2:
+        a, b = dists
+        scale = math.lcm(a.scale, b.scale)
+        keys, probs = _max_of_two(a, b, scale)
+        return IntDistribution(keys, scale, probs, a.den * b.den, math.lcm(a.carrier, b.carrier))
     scale = math.lcm(*[d.scale for d in dists])
     events = []
     for j, d in enumerate(dists):
@@ -913,4 +929,37 @@ def max_sweep(dists: Sequence[IntDistribution]) -> IntDistribution:
             keys.append(key)
             probs.append(product - prev_cdf)
             prev_cdf = product
-    return IntDistribution(keys, scale, probs, math.prod([d.den for d in dists]))
+    return IntDistribution(keys, scale, probs, math.prod([d.den for d in dists]),
+                           math.lcm(*[d.carrier for d in dists]))
+
+
+def _max_of_two(a: IntDistribution, b: IntDistribution, scale: int) -> tuple[list[int], list[int]]:
+    """Keys over ``scale`` and numerators over a.den·b.den of max(A, B), by one merge
+    pass: each key of the input with fewer atoms is found among the other's keys by
+    bisection, and the other's atoms below it, where the first CDF stays c, each add
+    c times their numerator.  Neither input's lists change."""
+    if len(a.keys) > len(b.keys):
+        a, b = b, a
+    fa, fb = scale // a.scale, scale // b.scale
+    a_keys = a.keys if fa == 1 else [k * fa for k in a.keys]
+    b_keys = b.keys if fb == 1 else [k * fb for k in b.keys]
+    b_probs, n = b.probs, len(b_keys)
+    keys, probs = [], []
+    ca = cb = j = 0  # CDF numerators: A's below the current key, B's over its atoms before j
+    for key, p in zip(a_keys, a.probs):
+        stop = bisect_left(b_keys, key, j)
+        if ca:
+            keys += b_keys[j:stop]
+            probs += [ca * q for q in b_probs[j:stop]]
+        cb += sum(b_probs[j:stop])
+        below = ca * cb
+        if stop < n and b_keys[stop] == key:
+            cb += b_probs[stop]
+            stop += 1
+        j, ca = stop, ca + p
+        if cb:
+            keys.append(key)
+            probs.append(ca * cb - below)
+    keys += b_keys[j:]
+    probs += [ca * q for q in b_probs[j:]]
+    return keys, probs

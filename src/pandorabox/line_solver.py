@@ -19,8 +19,13 @@ at x >= 0.  Negative thresholds (cost-dominated prefixes) are kept; the
 executor simply never opens such a box from a nonnegative best.  The step
 runs on ints (:class:`.core.IntDistribution`: probability numerators over one
 denominator, value keys over one scale) up to the ``Fraction`` z_i, and V(x, i)
-is read off those ints; the grid DP ``line_optimal_value`` runs on integer
-numerators over one common denominator (``core.integer_boxes``).  No floats.
+is read off those ints.  On a line W is a two-input max, one merge pass
+(:func:`.core.max_sweep`), and kappa_i is brought to lowest terms by gcds
+against the carrier of its denominator's primes (an int no larger than the lcm
+of the suffix's reward denominators), not against the denominator itself: the
+step's int work is linear in the size of kappa's numerators.  The grid DP
+``line_optimal_value`` runs on integer numerators over one common denominator
+(``core.integer_boxes``).  No floats.
 """
 
 from __future__ import annotations
@@ -109,12 +114,24 @@ def capped_step(box: BoxSpec, after: Sequence[IntDistribution]) -> tuple[Fractio
     # min(W, top) with top = max(z, 0) <= max W: every atom at or above top moves onto it
     num, den = (z.numerator, z.denominator) if z.numerator > 0 else (0, 1)
     kept = bisect_left(w.keys, -(-num * w.scale // den))  # the atoms with key * den < num * scale
+    if not kept:  # no atom below top: the point mass at top, in lowest terms as z is
+        return z, IntDistribution([num], den, [1], 1)
     scale = math.lcm(w.scale, den)
-    keys = [k * (scale // w.scale) for k in w.keys[:kept]] + [num * (scale // den)]
-    probs = w.probs[:kept] + [w.den - sum(w.probs[:kept])]
-    # over the smallest scale and den, as the reduced Fractions would be
-    g, h = math.gcd(scale, *keys), math.gcd(w.den, *probs)
-    return z, IntDistribution([k // g for k in keys], scale // g, [p // h for p in probs], w.den // h)
+    f = scale // w.scale
+    keys = (w.keys[:kept] if f == 1 else [k * f for k in w.keys[:kept]]) + [num * (scale // den)]
+    probs = w.probs[:kept]
+    probs.append(w.den - sum(probs))
+    # over the smallest scale and den, as the reduced Fractions would be.  A common factor
+    # of the numerators divides w.den, so its primes divide w.carrier: divide by their gcd
+    # with the carrier (a small int, so each gcd is linear) until it is 1.
+    g = math.gcd(scale, *keys)
+    if g != 1:
+        keys, scale = [k // g for k in keys], scale // g
+    total, g = w.den, math.gcd(w.carrier, *probs)
+    while g != 1:
+        probs, total = [p // g for p in probs], total // g
+        g = math.gcd(g, *probs)
+    return z, IntDistribution(keys, scale, probs, total, w.carrier)
 
 
 def _horizons(thresholds: Sequence[Fraction]) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ size cap in exit 3, each with a one-line message, never a traceback."""
 from __future__ import annotations
 
 import json
+import sys
 import time
 from fractions import Fraction as F
 
@@ -251,6 +252,16 @@ def test_adaptivity_gap_bounds_n_times_the_bits_of_p():
     assert_clean_exit_3(res)
     assert res.stderr.startswith("error: adaptivity-gap handles at most ")
     assert res.stderr.endswith(", got 105000\n")
+
+
+def test_solve_value_too_long_to_print_exits_3(tmp_path):
+    # the p = 1/20 line's value has a denominator of about 17 000 bits
+    path = tmp_path / "gap.json"
+    assert run_cli("example", "adaptivity-gap", "--p", "1/20", "--out", str(path)).returncode == 0
+    res = run_cli("solve", "--input", str(path))
+    assert res.returncode == 3
+    assert res.stderr == f"error: value has more than {sys.get_int_max_str_digits()} digits to print\n"
+    assert res.stdout == ""
 
 
 def test_adaptivity_gap_cap_is_checked_before_building():

@@ -27,6 +27,7 @@ from pandorabox import (
 )
 from pandorabox.core import MAX_DOCUMENT_BYTES, IntDistribution, max_sweep
 from pandorabox.instances import figure1
+from pandorabox.line_solver import NOTHING
 
 from helpers import brute_max_distribution, quadratic_max_distribution, quadratic_reservation, rand_dist
 
@@ -291,6 +292,32 @@ class TestMaxDistribution:
             assert result == quadratic_max_distribution(dists)
             if len(dists) <= 3:
                 assert result == brute_max_distribution(dists)
+
+    @staticmethod
+    def two_input_cases():
+        of = DiscreteDistribution.of
+        yield "different scales", of([(F(1, 3), "1/2"), (F(5, 2), "1/2")]), of([(F(1, 4), "1/5"), (F(2, 7), "4/5")])
+        yield "shared keys", of([(0, "1/4"), (1, "1/4"), (2, "1/2")]), of([(1, "1/3"), (2, "1/3"), (3, "1/3")])
+        yield "one atom each", DiscreteDistribution.point(2), DiscreteDistribution.point(F(3, 2))
+        yield "one atom and a coin", DiscreteDistribution.point(2), coin(3)
+        yield "a coin and one atom", coin(3), DiscreteDistribution.point(2)
+        yield "all keys below", of([(0, "1/2"), (1, "1/2")]), of([(5, "2/3"), (F(13, 2), "1/3")])
+        yield "all keys above", of([(5, "2/3"), (F(13, 2), "1/3")]), of([(0, "1/2"), (1, "1/2")])
+        rng = random.Random(83)
+        for _ in range(300):
+            yield "random", rand_dist(rng, max_support=6, max_value=20), rand_dist(rng, max_support=6, max_value=20)
+
+    def test_two_input_merge_has_the_ints_of_the_sort_sweep(self):
+        """Two inputs take the merge path; a third, the point mass at 0, takes
+        the sort path and changes no int."""
+        for name, a, b in self.two_input_cases():
+            x, y = a.integer, b.integer
+            before = [(d.keys[:], d.scale, d.probs[:], d.den) for d in (x, y)]
+            merged, swept = max_sweep([x, y]), max_sweep([x, y, NOTHING])
+            assert ((merged.keys, merged.scale, merged.probs, merged.den, merged.carrier)
+                    == (swept.keys, swept.scale, swept.probs, swept.den, swept.carrier)), name
+            assert list(merged.distribution().atoms) == quadratic_max_distribution([a, b]), name
+            assert [(d.keys, d.scale, d.probs, d.den) for d in (x, y)] == before, name
 
     def test_one_input_sweep_is_its_input(self):
         rng = random.Random(79)

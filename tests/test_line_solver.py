@@ -18,6 +18,7 @@ from pandorabox import (
     solve_line,
     weitzman_reservation,
 )
+from pandorabox.instances import adaptivity_gap
 from pandorabox.line_solver import ThresholdTable, _horizons, capped_step
 
 from helpers import (
@@ -210,6 +211,32 @@ class TestCappedStep:
             assert z == ref_z and list(step.distribution().atoms) == ref_atoms
             assert step.den == math.lcm(*[p.denominator for _, p in ref_atoms])
             kappa = DiscreteDistribution(tuple(ref_atoms))
+
+    def test_carried_reductions_stay_complete(self):
+        """solve_line carries each kappa's ints from step to step; every one is
+        in lowest terms, also where a step divides by the carrier more than once."""
+
+        def dyadic(rng):  # up to three atoms with probabilities over 8
+            k = rng.randint(1, 3)
+            cuts = sorted(rng.sample(range(1, 8), k - 1))
+            values = sorted(rng.sample(range(40), k))
+            return DiscreteDistribution.of((v, F(b - a, 8)) for v, a, b in zip(values, [0, *cuts], [*cuts, 8]))
+
+        rng = random.Random(2029)
+        dyadic_line = [BoxSpec(f"b{i:03d}", F(rng.randint(0, 6), rng.choice((1, 2, 4))), dyadic(rng))
+                       for i in range(120)]
+        lines = [adaptivity_gap(F(1, q)).boxes[:300] for q in (10, 20, 30)] + [dyadic_line]
+        solutions = [solve_line(boxes) for boxes in lines]
+        for solution in solutions:
+            for kappa in solution.kappas:
+                assert math.gcd(kappa.den, *kappa.probs) == 1 and math.gcd(kappa.scale, *kappa.keys) == 1
+        # a step whose reduction removed a factor that W's carrier does not
+        # hold divided by a gcd with the carrier twice or more
+        kappas, repeated = solutions[-1].kappas, 0
+        for b, kappa, after in zip(dyadic_line, kappas, kappas[1:]):
+            removed = b.reward.integer.den * after.den // kappa.den
+            repeated += removed % math.lcm(b.reward.integer.carrier, after.carrier) != 0
+        assert repeated >= 10
 
 
 class TestMacroPartition:

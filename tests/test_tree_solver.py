@@ -25,7 +25,7 @@ from pandorabox import (
     solve_tree,
     weitzman_reservation,
 )
-from pandorabox.instances import figure1, figure1_tree_matroid
+from pandorabox.instances import adaptivity_gap, figure1, figure1_tree_matroid
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine
 
 from helpers import (
@@ -331,6 +331,14 @@ class TestScaling:
         start = time.perf_counter()
         assert solve_line(line).value > 0
         assert time.perf_counter() - start < 5.0
+
+    def test_adaptivity_gap_line_solves_fast(self):
+        # 4 500 boxes whose kappa denominators grow to about 44 000 bits; a step
+        # that takes a gcd of two such ints takes several seconds in all
+        inst = adaptivity_gap(Fraction(1, 30))
+        start = time.perf_counter()
+        assert solve_tree(inst).value > 0
+        assert time.perf_counter() - start < 3.0
 
     def test_random_and_bushy_trees_solve_fast(self):
         rng = random.Random(114)
