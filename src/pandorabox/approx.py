@@ -36,12 +36,15 @@ from .core import (
     CapExceededError,
     ExecutionState,
     Instance,
+    IntDistribution,
     PreOrderIndex,
     Record,
     ValidationError,
     build_preorder,
     integer_boxes,
+    max_sweep,
 )
+from .line_solver import NOTHING
 from .oracle import solve_exact
 from .strategy import RewardSampler, Trajectory
 
@@ -244,45 +247,35 @@ class GuaranteeReport(Record):
 def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fraction, tuple[str, ...], int]:
     """Minimum of (policy value - set value) over every feasible set:
     tree-closed (include a box only under an included parent) and
-    side-feasible, walked over the pre-order with include/skip branching."""
+    side-feasible, walked over the pre-order with include/skip branching.
+    The best reward of the chosen prefix is carried on ints, from the point
+    mass at 0, by one ``max_sweep`` with each included box's cached
+    ``reward.integer``."""
     preorder = policy.preorder
     n = preorder.n
-    grid = policy.grid
     boxes = [instance.box_map[b] for b in preorder.order]
     model = instance.order_model
-    cdfs = [[box.reward.cdf(v) for v in grid] for box in boxes]
     psi_start = policy.value
 
     best_margin: list = [None]
     worst: list = [()]
     count = [0]
 
-    def expected_max(cdf_prod: list[Fraction]) -> Fraction:
-        total = ZERO
-        prev = ZERO
-        for v, f in zip(grid, cdf_prod):
-            total += v * (f - prev)
-            prev = f
-        return total
-
-    def walk(pos: int, state, cdf_prod: list[Fraction], cost: Fraction, chosen: tuple[str, ...]) -> None:
+    def walk(pos: int, state, best: IntDistribution, cost: Fraction, chosen: tuple[str, ...]) -> None:
         if pos == n + 1:
             count[0] += 1
-            value = (expected_max(cdf_prod) if chosen else ZERO) - cost
-            margin = psi_start - value
+            margin = psi_start - (best.expectation() - cost)
             if best_margin[0] is None or margin < best_margin[0]:
                 best_margin[0] = margin
                 worst[0] = chosen
             return
-        nxt = preorder.next_position[pos - 1]
-        walk(nxt, state, cdf_prod, cost, chosen)  # skip the whole subtree
-        after = model.add(state, model.index[boxes[pos - 1].id])
+        walk(preorder.next_position[pos - 1], state, best, cost, chosen)  # skip the whole subtree
+        box = boxes[pos - 1]
+        after = model.add(state, model.index[box.id])
         if after is not None:
-            included = [a * b for a, b in zip(cdf_prod, cdfs[pos - 1])]
-            walk(pos + 1, after, included, cost + boxes[pos - 1].cost,
-                 chosen + (boxes[pos - 1].id,))
+            walk(pos + 1, after, max_sweep([best, box.reward.integer]), cost + box.cost, chosen + (box.id,))
 
-    walk(1, policy.start_state, [Fraction(1)] * len(grid), ZERO, ())
+    walk(1, policy.start_state, NOTHING, ZERO, ())
     assert best_margin[0] is not None
     return best_margin[0], worst[0], count[0]
 

@@ -290,7 +290,7 @@ def _example_adaptivity_gap(args) -> list[tuple[str, object]]:
         if value > best_value:
             best_value = value
             best_k = k
-    ratio = float("inf") if best_value == 0 else adaptive / best_value
+    ratio = adaptive / best_value
     return [
         ("name", "adaptivity-gap"),
         ("p", p),

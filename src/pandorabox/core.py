@@ -235,14 +235,6 @@ class DiscreteDistribution(Record):
         den = self.integer.den
         return tuple([-((-cum << 64) // den) for cum in itertools.accumulate(self.integer.probs)])
 
-    def cdf(self, x: Fraction) -> Fraction:
-        """P(X <= x)."""
-        total = Fraction(0)
-        for v, p in self.atoms:
-            if v <= x:
-                total += p
-        return total
-
 
 class IntDistribution:
     """Atoms on ints: value ``keys[k] / scale`` with probability ``probs[k] / den``; checked by
@@ -722,16 +714,17 @@ class IntegerBoxes(Record):
 
 
 def integer_boxes(boxes: Sequence[BoxSpec], grid: Sequence[Fraction], weight: Fraction = Fraction(1)) -> IntegerBoxes:
-    """:class:`IntegerBoxes` of ``boxes`` on ``grid`` (every support value in it), paying ``weight * y``."""
+    """:class:`IntegerBoxes` of ``boxes`` on ``grid`` (every support value in it), paying ``weight * y``.
+    D_i and the atom numerators are those of the box's cached ``reward.integer``."""
     payoff = grid if weight == 1 else [weight * y for y in grid]
     scale = math.lcm(*[q.denominator for q in (*grid, *payoff, *[b.cost for b in boxes])])
     index = {(y.numerator, y.denominator): k for k, y in enumerate(grid)}
-    dens = [math.lcm(*[p.denominator for _, p in b.reward.atoms]) for b in boxes]
-    atoms = [[(index[v.numerator, v.denominator], p.numerator * (d // p.denominator)) for v, p in b.reward.atoms]
-             for b, d in zip(boxes, dens)]
+    rewards = [b.reward.integer for b in boxes]
+    atoms = [[(index[v.numerator, v.denominator], a) for (v, _), a in zip(b.reward.atoms, r.probs)]
+             for b, r in zip(boxes, rewards)]
     costs, ys, pays = ([q.numerator * (scale // q.denominator) for q in qs]
                        for qs in ([b.cost for b in boxes], grid, payoff))
-    return IntegerBoxes(scale, dens, costs, atoms, ys, pays)
+    return IntegerBoxes(scale, [r.den for r in rewards], costs, atoms, ys, pays)
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def _check_learning_regime(instance: Instance) -> None:
 
 
 def round_down_to_grid(value: Fraction, step: Fraction) -> Fraction:
-    return (value / step).numerator // (value / step).denominator * step
+    return value // step * step
 
 
 def learn_model(instance: Instance, config: LearningConfig, rng_seed: int) -> EmpiricalModel:

@@ -44,7 +44,7 @@ from .core import (
     ParseError,
     Record,
     ValidationError,
-    max_distribution,
+    max_sweep,
     parse_rational,
     set_feasibility_violation,
     setfield,
@@ -220,9 +220,8 @@ def evaluate_set(instance: Instance, ids: Sequence[str] | frozenset | set) -> Fr
     chosen = sorted(set(ids))
     if not chosen:
         return ZERO
-    dist = max_distribution([instance.box_map[i].reward for i in chosen])
     cost = sum((instance.box_map[i].cost for i in chosen), ZERO)
-    return dist.expectation() - cost
+    return max_sweep([instance.box_map[i].reward.integer for i in chosen]).expectation() - cost
 
 
 class SimulationSummary(Record):
@@ -286,7 +285,11 @@ def simulate(instance: Instance, policy: ThresholdPolicy, trials: int, rng_seed:
     mean = total / trials
     if trials > 1:
         variance = (total_sq - trials * mean * mean) / (trials - 1)
-        stddev = math.sqrt(float(variance)) if variance > 0 else 0.0
+        try:
+            stddev = math.sqrt(float(variance)) if variance > 0 else 0.0
+        except OverflowError:
+            size = variance.numerator.bit_length() - variance.denominator.bit_length()
+            raise CapExceededError(f"sample variance about 2^{size} is past the float range") from None
     else:
         stddev = 0.0
     return SimulationSummary(mean=mean, stddev=stddev, trials=trials, seed=rng_seed)

@@ -7,8 +7,8 @@ values kappa_1..kappa_k sees W = max(X_b, kappa_1, ..., kappa_k), a product
 of CDFs, and one capped-value step gives its threshold and its own kappa.
 The kappa's are carried on ints (int probability numerators over one
 denominator, int value keys over one scale); no float is used.
-Nodes are solved in reverse pre-order (:func:`.core.build_preorder`), so
-every child is solved before its parent.  A forest's value is
+Boxes are solved in reverse pre-order (:func:`.core.build_preorder`), each
+after its children (``OrderModel.children``).  A forest's value is
 E[max(0, kappa_root1, ...)].  The exploration order is the executor's own
 greedy (:func:`.strategy.fixed_opening_order`, ties by pre-order position),
 so the solution is by construction the policy that runs.  DAGs and side
@@ -77,22 +77,14 @@ def solve_tree(instance: Instance) -> TreeSolution:
         raise UnsupportedConstraintError(f"no optimal threshold strategy exists under a {instance.side.kind} "
                                          "side constraint; use the 'approx' or 'oracle' command")
     index = build_preorder(instance)
-    kappas: dict[int, IntDistribution] = {}  # capped value of each solved subtree, by pre-order position
+    model = instance.order_model
+    kappas: dict[int, IntDistribution] = {}  # capped value of each solved subtree, by box position
     z: dict[str, Fraction] = {}
-
-    def pop_subtrees(first: int, stop: int) -> list[IntDistribution]:
-        """Capped values of the subtrees at first, next(first), ... < stop."""
-        popped = []
-        while first < stop:
-            popped.append(kappas.pop(first))
-            first = index.next_position[first - 1]
-        return popped
-
-    for i in range(index.n, 0, -1):
-        box = instance.box_map[index.order[i - 1]]
-        z[box.id], kappas[i] = capped_step(box, pop_subtrees(i + 1, index.next_position[i - 1]))
+    for box_id in reversed(index.order):
+        i = model.index[box_id]
+        z[box_id], kappas[i] = capped_step(instance.boxes[i], [kappas.pop(c) for c in model.children[i]])
 
     order = fixed_opening_order(instance, ThresholdPolicy(z, index.order))
     line = AnnotatedLine(tuple(AnnotatedEntry(b, z[b]) for b in order))
-    value = max_sweep(pop_subtrees(1, index.n + 1)).expectation()
+    value = max_sweep(list(kappas.values())).expectation()  # the roots' kappas are left
     return TreeSolution(thresholds={b: z[b] for b in order}, order=line, value=value)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -30,10 +31,13 @@ from pandorabox import cli
 from pandorabox.instances import figure1, figure1_tree_matroid, guard_line
 
 from helpers import (
+    brute_max_distribution,
     graph_children,
     graph_parents,
     rand_knapsack_side,
+    rand_partition_side,
     rand_tree_instance,
+    reference_set_feasible,
     reference_side_ok,
     with_side,
 )
@@ -317,6 +321,31 @@ class TestVerifyGuarantee:
         if report.worst_set:
             direct = evaluate_set(inst, report.worst_set)
             assert policy.value - direct == report.set_margin
+
+    def test_set_margin_is_the_minimum_over_every_feasible_set(self):
+        """Against brute force over every subset: the margin is the policy value
+        minus the best feasible set's value, the count is the number of feasible
+        subsets (the empty set included), and the reported worst set attains it."""
+        rng = random.Random(107)
+        for k in range(60):
+            inst = rand_tree_instance(rng, rng.randint(1, 7))
+            ids = [b.id for b in inst.boxes]
+            inst = with_side(inst, (rand_knapsack_side if k % 2 else rand_partition_side)(rng, ids))
+
+            def brute(subset) -> Fraction:
+                if not subset:
+                    return F(0)
+                dist = brute_max_distribution([inst.box_map[b].reward for b in subset])
+                return sum(v * p for v, p in dist) - sum(inst.box_map[b].cost for b in subset)
+
+            values = [brute(subset) for r in range(len(ids) + 1) for subset in itertools.combinations(ids, r)
+                      if reference_set_feasible(inst, subset)]
+            policy = solve_approx(inst)
+            report = verify_guarantee(inst, policy)
+            best = max(values)
+            assert report.set_margin == policy.value - best
+            assert report.feasible_sets == len(values)
+            assert brute(report.worst_set) == best
 
     def test_half_benchmark_margin_nonneg_on_random_instances(self):
         rng = random.Random(103)

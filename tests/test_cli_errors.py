@@ -289,6 +289,19 @@ def test_simulate_over_the_trials_cap_exits_3(tmp_path, trials, got):
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_simulate_variance_past_the_float_range_exits_3(tmp_path, json_flag):
+    doc = {"boxes": [
+        {"id": "a", "cost": "1", "reward": [{"value": "1e155", "prob": "1/2"}, {"value": "0", "prob": "1/2"}]},
+        {"id": "b", "cost": "1", "reward": [{"value": "3", "prob": "1/2"}, {"value": "0", "prob": "1/2"}]},
+    ]}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("simulate", "--input", str(path), "--trials", "50", "--seed", "1", *json_flag)
+    assert_clean_exit_3(res)
+    assert res.stderr == "error: sample variance about 2^1028 is past the float range\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_result_too_long_to_print_exits_3(tmp_path, json_flag):
     doc = {"boxes": [{"id": "a", "cost": "0", "reward": [{"value": "99e4300", "prob": "1"}]}]}
     path = tmp_path / "inst.json"

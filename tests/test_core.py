@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -309,15 +310,25 @@ class TestMaxDistribution:
 
     def test_two_input_merge_has_the_ints_of_the_sort_sweep(self):
         """Two inputs take the merge path; a third, the point mass at 0, takes
-        the sort path and changes no int."""
+        the sort path and changes no int.  The inputs' order changes no int
+        either: the two swapped, and every permutation of 3-4 inputs."""
+        def ints(d):
+            return d.keys, d.scale, d.probs, d.den, d.carrier
+
         for name, a, b in self.two_input_cases():
             x, y = a.integer, b.integer
             before = [(d.keys[:], d.scale, d.probs[:], d.den) for d in (x, y)]
-            merged, swept = max_sweep([x, y]), max_sweep([x, y, NOTHING])
-            assert ((merged.keys, merged.scale, merged.probs, merged.den, merged.carrier)
-                    == (swept.keys, swept.scale, swept.probs, swept.den, swept.carrier)), name
+            merged = max_sweep([x, y])
+            for other in (max_sweep([x, y, NOTHING]), max_sweep([y, x])):
+                assert ints(merged) == ints(other), name
             assert list(merged.distribution().atoms) == quadratic_max_distribution([a, b]), name
             assert [(d.keys, d.scale, d.probs, d.den) for d in (x, y)] == before, name
+        rng = random.Random(89)
+        for _ in range(60):
+            dists = [rand_dist(rng, max_support=6, max_value=20).integer for _ in range(rng.randint(3, 4))]
+            first = ints(max_sweep(dists))
+            for perm in itertools.permutations(dists):
+                assert ints(max_sweep(list(perm))) == first
 
     def test_one_input_sweep_is_its_input(self):
         rng = random.Random(79)

@@ -303,6 +303,23 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             simulate(inst, policy, trials=0, rng_seed=1)
 
+    @pytest.mark.parametrize("big", ["1e154", "1e155"])
+    def test_variance_past_the_float_range_is_a_cap(self, big):
+        """The stddev is the reference's float wherever the variance fits a
+        float; past that range it is refused with the variance's size."""
+        inst = Instance(boxes=(
+            BoxSpec("a", F(1), DiscreteDistribution.of([(big, "1/2"), (0, "1/2")])),
+            BoxSpec("b", F(1), DiscreteDistribution.of([(3, "1/2"), (0, "1/2")])),
+        ))
+        sol = solve_tree(inst)
+        policy = ThresholdPolicy.for_instance(inst, sol.thresholds, sol.order.ids())
+        if big == "1e154":
+            assert simulate(inst, policy, trials=50, rng_seed=1) == reference_simulate(inst, policy, 50, 1)
+            return
+        with pytest.raises(CapExceededError) as exc:
+            simulate(inst, policy, trials=50, rng_seed=1)
+        assert str(exc.value) == "sample variance about 2^1028 is past the float range"
+
     def test_trials_capped_before_the_order_is_built(self, monkeypatch):
         inst = guard_line()
         sol = solve_tree(inst)

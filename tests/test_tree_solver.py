@@ -17,12 +17,16 @@ from pandorabox import (
     ThresholdPolicy,
     UnsupportedConstraintError,
     ValidationError,
+    best_fixed_order,
+    evaluate_set,
     evaluate_threshold_exact,
     load_instance,
     merge,
+    solve_approx,
     solve_exact,
     solve_line,
     solve_tree,
+    verify_guarantee,
     weitzman_reservation,
 )
 from pandorabox.instances import adaptivity_gap, figure1, figure1_tree_matroid
@@ -358,7 +362,10 @@ class TestScaling:
 
 def test_solve_leaves_cached_reward_ints_unchanged():
     """A leaf's step sweeps one input, which ``max_sweep`` returns as it is:
-    the box's cached int reward.  No step may mutate its lists."""
+    the box's cached int reward.  No step may mutate its lists, nor may the
+    other readers of those ints: the oracle, the approx sweep and its set
+    walk, the fixed-order search and ``evaluate_set`` (one box is a sweep of
+    one input, so its cached object itself)."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     import gen
 
@@ -371,3 +378,16 @@ def test_solve_leaves_cached_reward_ints_unchanged():
             before = ints(inst)
             solve_tree(inst)
             assert ints(inst) == before, item["name"]
+    for item in gen.exhaustive_pool(1):
+        inst = load_instance(item["text"])
+        before = ints(inst)
+        if item["kind"] == "dag":
+            solve_exact(inst)
+        elif item["kind"] == "approx":
+            verify_guarantee(inst, solve_approx(inst))
+        else:  # the fixed-order search on a 10-box DAG takes seconds
+            best_fixed_order(inst)
+        free = Instance(boxes=inst.boxes)  # every single box is a feasible set here
+        for box in inst.boxes:
+            evaluate_set(free, [box.id])
+        assert ints(inst) == before, item["name"]
