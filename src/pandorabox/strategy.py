@@ -6,6 +6,9 @@ equality).  The choice of the next box never depends on observed rewards, so
 every strategy has a fixed exploration order; only the stopping point is
 random.  That reduction makes exact evaluation a one-dimensional sweep and
 simulation a cheap walk down an order built once on int threshold levels.
+Exact evaluation and ``run_threshold`` take the greedy order lazily, box by
+box from the heap, and stop taking boxes once no realization runs on; the
+evaluation sweep carries int keys and masses and builds one ``Fraction``.
 
 Sampling is counter-based: ``u64`` hashes the text "seed|trial|step|box",
 built as a head "seed|trial" and a tail "|step|box", with SHA-256 to a
@@ -30,10 +33,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+import operator
 import struct
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 
 from .core import (
@@ -41,6 +45,7 @@ from .core import (
     DiscreteDistribution,
     ExecutionState,
     Instance,
+    IntDistribution,
     ParseError,
     Record,
     ValidationError,
@@ -83,6 +88,9 @@ class ThresholdPolicy(Record):
         if missing:
             raise ValidationError(f"policy is missing thresholds for boxes {missing}")
         ids = instance.box_map.keys()
+        unknown = [box_id for box_id in thresholds if box_id not in ids]
+        if unknown:
+            raise ValidationError(f"policy has thresholds for unknown boxes {unknown}")
         if tiebreak and (len(tiebreak) != len(ids) or ids != set(tiebreak)):
             listed = Counter(tiebreak)
             raise ValidationError(
@@ -120,15 +128,9 @@ class RewardSampler:
         return dist.atoms[bisect_right(dist.cut_points, u)][0]
 
 
-def fixed_opening_order(instance: Instance, policy: ThresholdPolicy) -> list[str]:
-    """The realization-independent order in which the strategy visits boxes:
-    greedy argmax threshold over currently openable boxes, until nothing is
-    openable.  Stopping is decided separately against this order.
-
-    The openable boxes sit in a heap of (level, tie-break rank, id, i), with int levels
-    from one sort on (floor(z·2^64), z), largest first: ``Fraction``s compare only at
-    equal floors.  A box that overflows the side load drops for good (loads only grow).
-    """
+def _greedy_walk(instance: Instance, policy: ThresholdPolicy) -> Iterator[str]:
+    """Yields the boxes of :func:`fixed_opening_order` one at a time, so a caller that
+    stops early leaves the rest of the heap unwalked."""
     model = instance.order_model
     rank = policy.rank()
     ranked = sorted((((z.numerator << 64) // z.denominator, z, i)
@@ -142,7 +144,6 @@ def fixed_opening_order(instance: Instance, policy: ThresholdPolicy) -> list[str
     heapq.heapify(heap)
     mask = 0
     load = model.empty_load
-    order: list[str] = []
     while heap:
         _, _, box_id, i = heapq.heappop(heap)
         after = model.try_open(mask, load, i)
@@ -150,21 +151,32 @@ def fixed_opening_order(instance: Instance, policy: ThresholdPolicy) -> list[str
             continue
         mask |= 1 << i
         load = after
-        order.append(box_id)
+        yield box_id
         for child in model.children[i]:
             heapq.heappush(heap, entries[child])
-    return order
+
+
+def fixed_opening_order(instance: Instance, policy: ThresholdPolicy) -> list[str]:
+    """The realization-independent order in which the strategy visits boxes:
+    greedy argmax threshold over currently openable boxes, until nothing is
+    openable.  Stopping is decided separately against this order.
+
+    The openable boxes sit in a heap of (level, tie-break rank, id, i), with int levels
+    from one sort on (floor(z·2^64), z), largest first: ``Fraction``s compare only at
+    equal floors.  A box that overflows the side load drops for good (loads only grow).
+    """
+    return list(_greedy_walk(instance, policy))
 
 
 def run_threshold(instance: Instance, policy: ThresholdPolicy, rng_seed: int,
                   trial: int = 0) -> Trajectory:
-    """Execute the strategy once with lazily sampled rewards."""
+    """Execute the strategy once with lazily sampled rewards; the greedy walk stops
+    at the first box whose threshold the best reward reaches."""
     sampler = RewardSampler(rng_seed, trial)
-    order = fixed_opening_order(instance, policy)
     best = ZERO
     spent = ZERO
     steps: list[tuple[str, Fraction]] = []
-    for step, box_id in enumerate(order):
+    for step, box_id in enumerate(_greedy_walk(instance, policy)):
         if best >= policy.thresholds[box_id]:
             break
         box = instance.box_map[box_id]
@@ -182,38 +194,51 @@ def run_threshold(instance: Instance, policy: ThresholdPolicy, rng_seed: int,
 def evaluate_threshold_exact(instance: Instance, policy: ThresholdPolicy) -> Fraction:
     """Exact expected net revenue of the strategy.
 
-    Sweeps the fixed order forward, carrying the exact distribution of the
+    Sweeps the greedy order forward, carrying the exact distribution of the
     best reward among still-running realizations; mass stops as soon as its
-    best reaches the next threshold.
+    best reaches the next threshold, and the walk takes no more boxes once no
+    mass is running.  On ints: a best reward is a key over one scale L, raised
+    by lcm as each visited box's reward scale and cost denominator arrive; a
+    mass is a numerator over D, the product of the visited boxes' reward
+    denominators; the revenue is one numerator over L·D.  A key y stops at z
+    when y·z.den >= z.num·L, that is when y >= ceil(z·L).
     """
-    order = fixed_opening_order(instance, policy)
-    running: dict[Fraction, Fraction] = {ZERO: Fraction(1)}
-    revenue = ZERO
-    for box_id in order:
-        z = policy.thresholds[box_id]
-        box = instance.box_map[box_id]
-        surviving: dict[Fraction, Fraction] = {}
-        for y, mass in running.items():
-            if y >= z:
-                revenue += mass * y
-            else:
-                surviving[y] = surviving.get(y, ZERO) + mass
-        if not surviving:
-            return revenue
-        nxt: dict[Fraction, Fraction] = {}
-        for y, mass in surviving.items():
-            revenue -= mass * box.cost
-            for v, p in box.reward.atoms:
-                top = v if v > y else y
-                nxt[top] = nxt.get(top, ZERO) + mass * p
-        running = nxt
-    for y, mass in running.items():
-        revenue += mass * y
-    return revenue
+    box_map, thresholds = instance.box_map, policy.thresholds
+    ys, ms = [0], [1]  # running best-reward keys over scale, ascending, and mass numerators over den
+    scale = den = 1
+    revenue = 0  # over scale * den
+    for box_id in _greedy_walk(instance, policy):
+        z = thresholds[box_id]
+        stop = bisect_left(ys, -(-z.numerator * scale // z.denominator))
+        if stop < len(ys):
+            revenue += sum(map(operator.mul, ys[stop:], ms[stop:]))
+            del ys[stop:], ms[stop:]
+        if not ys:
+            break
+        box = box_map[box_id]
+        w, cost = box.reward.integer, box.cost
+        grown = math.lcm(scale, w.scale, cost.denominator)
+        if grown != scale:
+            f = grown // scale
+            ys = [y * f for y in ys]
+            revenue *= f
+            scale = grown
+        mass = sum(ms)
+        revenue = (revenue - mass * (cost.numerator * (scale // cost.denominator))) * w.den
+        # the running masses over their sum are a distribution; its max with the reward
+        # has numerators over mass·w.den, which are the masses over den·w.den
+        step = max_sweep([IntDistribution(ys, scale, ms, mass), w])
+        ys, ms = step.keys, step.probs
+        den *= w.den
+    revenue += sum(map(operator.mul, ys, ms))
+    return Fraction(revenue, scale * den)
 
 
 def evaluate_set(instance: Instance, ids: Sequence[str] | frozenset | set) -> Fraction:
-    """E[max over the set] minus its total cost; the set must be feasible."""
+    """E[max over the set] minus its total cost; the set must be feasible and list each box once."""
+    repeated = sorted(box_id for box_id, k in Counter(ids).items() if k > 1)
+    if repeated:
+        raise ValidationError(f"set lists boxes {repeated} more than once")
     violation = set_feasibility_violation(instance, ids)
     if violation is not None:
         raise ValidationError(violation)

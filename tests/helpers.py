@@ -116,6 +116,16 @@ def line_instance_of(boxes) -> Instance:
     return Instance(boxes=tuple(boxes), constraint=ConstraintGraph(kind, edges))
 
 
+def distinct_value_line(n: int, seed: int = 0) -> Instance:
+    """A line of n boxes, box k paying 0 or a value of its own in [1, 10^6],
+    each with probability 1/2, at cost (k + 1)/100: the running support of an
+    evaluation sweep grows by about one key per box."""
+    rng = random.Random(seed)
+    values = rng.sample(range(1, 10**6 + 1), n)
+    return line_instance_of([BoxSpec(f"b{k:04d}", F(k + 1, 100), DiscreteDistribution.of([(0, F(1, 2)), (v, F(1, 2))]))
+                             for k, v in enumerate(values)])
+
+
 def rand_tree_instance(rng: random.Random, n: int) -> Instance:
     boxes = tuple(rand_box(rng, i) for i in range(n))
     edges = tuple((boxes[rng.randrange(i)].id, boxes[i].id) for i in range(1, n))
@@ -452,6 +462,37 @@ def reference_line_optimal_value(boxes) -> Fraction:
             nxt[y] = cont if cont > y else y
         current = nxt
     return current[ZERO]
+
+
+def reference_evaluate_threshold_exact(instance: Instance, policy: ThresholdPolicy) -> Fraction:
+    """Exact expected net revenue of the strategy by a ``Fraction`` sweep of
+    the whole fixed order: the distribution of the best reward among
+    still-running realizations, each mass stopping as soon as its best
+    reaches the next threshold."""
+    order = fixed_opening_order(instance, policy)
+    running: dict[Fraction, Fraction] = {ZERO: F(1)}
+    revenue = ZERO
+    for box_id in order:
+        z = policy.thresholds[box_id]
+        box = instance.box_map[box_id]
+        surviving: dict[Fraction, Fraction] = {}
+        for y, mass in running.items():
+            if y >= z:
+                revenue += mass * y
+            else:
+                surviving[y] = surviving.get(y, ZERO) + mass
+        if not surviving:
+            return revenue
+        nxt: dict[Fraction, Fraction] = {}
+        for y, mass in surviving.items():
+            revenue -= mass * box.cost
+            for v, p in box.reward.atoms:
+                top = v if v > y else y
+                nxt[top] = nxt.get(top, ZERO) + mass * p
+        running = nxt
+    for y, mass in running.items():
+        revenue += mass * y
+    return revenue
 
 
 def literal_u64(seed: int, trial: int, step: int, box_id: str) -> int:

@@ -100,6 +100,27 @@ def test_threshold_that_is_not_a_rational_names_its_box(tmp_path, command):
     assert res.stderr == "error: threshold of box 'a': expected a rational, got boolean True\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_thresholds_for_unknown_boxes_exit_2(tmp_path, json_flag):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"boxes": [{"id": "a", "cost": "1", "reward": [{"value": "3", "prob": "1"}]},
+                                          {"id": "b", "cost": "0", "reward": [{"value": "1", "prob": "1"}]}]}))
+    thresholds = tmp_path / "z.json"
+    thresholds.write_text('{"a": 1, "b": 2, "zz": 5}')
+    res = run_cli("evaluate", "--input", str(inst), "--thresholds", str(thresholds), *json_flag)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: policy has thresholds for unknown boxes ['zz']\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_evaluate_set_with_a_repeated_id_exits_2(tmp_path, json_flag):
+    inst = tmp_path / "inst.json"
+    inst.write_text(dump_instance(guard_line()))
+    res = run_cli("evaluate", "--input", str(inst), "--set", "g1,g1", *json_flag)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: set lists boxes ['g1'] more than once\n"
+
+
 def test_instance_with_integer_over_the_digit_limit_exits_2(tmp_path):
     # json.loads raises a plain ValueError here, not a JSONDecodeError
     path = tmp_path / "inst.json"

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +14,14 @@ from pandorabox import (
     CapExceededError,
     DiscreteDistribution,
     Instance,
+    OrderModel,
     ParseError,
     ThresholdPolicy,
     ValidationError,
     evaluate_set,
     evaluate_threshold_exact,
     fixed_opening_order,
+    load_instance,
     max_distribution,
     run_threshold,
     simulate,
@@ -28,15 +33,20 @@ from pandorabox import strategy
 from pandorabox.strategy import MAX_TRIALS, TRIAL_BLOCK, RewardSampler, u64
 
 from helpers import (
+    distinct_value_line,
     graph_parents,
     line_instance_of,
     literal_u64,
     rand_dist,
+    rand_knapsack_side,
     rand_line_boxes,
+    rand_partition_side,
     rand_tie_instance,
     rand_tree_instance,
     reference_draw,
+    reference_evaluate_threshold_exact,
     reference_simulate,
+    with_side,
 )
 
 F = Fraction
@@ -132,6 +142,10 @@ class TestPolicyThresholds:
         with pytest.raises(ValidationError, match=f"tiebreak must list each box id once: {why}"):
             ThresholdPolicy.for_instance(self.two_boxes(), {"a": 1, "b": 1}, tiebreak)
 
+    def test_refuses_thresholds_for_unknown_boxes(self):
+        with pytest.raises(ValidationError, match=r"policy has thresholds for unknown boxes \['zz'\]"):
+            ThresholdPolicy.for_instance(self.two_boxes(), {"a": 1, "b": 2, "zz": 5})
+
     def test_tiebreak_orders_equal_thresholds(self):
         inst = self.two_boxes()
         for tiebreak, order in [((), ["a", "b"]), (("b", "a"), ["b", "a"]), (("a", "b"), ["a", "b"])]:
@@ -212,6 +226,93 @@ class TestEvaluateThresholdExact:
             assert evaluate_threshold_exact(inst, policy) == total
 
 
+class TestEvaluateMatchesReference:
+    """The int sweep over the lazy walk against the ``Fraction`` sweep of the
+    whole order in ``helpers``: every value must be the same ``Fraction``."""
+
+    @staticmethod
+    def check(inst, policy) -> None:
+        assert evaluate_threshold_exact(inst, policy) == reference_evaluate_threshold_exact(inst, policy)
+
+    def test_bench_pools(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        import gen
+
+        for seed in (1, 2, 3):
+            for item in gen.tree_solve_pool(seed) + gen.simulate_pool(seed):
+                inst = load_instance(item["text"])
+                self.check(inst, solved_policy(inst))
+
+    def test_tie_instances_with_random_thresholds_and_sides(self):
+        rng = random.Random(19)
+        kinds = ("line", "tree", "forest", "dag", "unconstrained")
+        for case in range(1600):
+            inst = rand_tie_instance(rng, kinds[case % 5])
+            ids = [b.id for b in inst.boxes]
+            if case % 3 == 1:
+                inst = with_side(inst, rand_knapsack_side(rng, ids))
+            elif case % 3 == 2:
+                inst = with_side(inst, rand_partition_side(rng, ids))
+            # reward values as thresholds make masses stop at equality
+            palette = [F(rng.randint(-2, 9), rng.choice((1, 2, 3))) for _ in range(4)]
+            palette += [v for b in inst.boxes for v in b.reward.values()]
+            thresholds = {i: rng.choice(palette) for i in ids}
+            tiebreak = rng.sample(ids, len(ids)) if rng.random() < 0.5 else ()
+            self.check(inst, ThresholdPolicy.for_instance(inst, thresholds, tiebreak))
+
+    @pytest.mark.parametrize("side", ("none", "knapsack", "partition"))
+    @pytest.mark.parametrize("kind", ("line", "tree", "forest", "dag"))
+    def test_close_threshold_palettes(self, kind, side):
+        from test_order_model import close_thresholds, instances
+
+        for rng, inst in instances(113, 40, kind, side, max_n=9):
+            palette = close_thresholds(rng)
+            thresholds = {b.id: rng.choice(palette) for b in inst.boxes}
+            ids = [b.id for b in inst.boxes]
+            self.check(inst, ThresholdPolicy.for_instance(inst, thresholds, rng.sample(ids, len(ids))))
+
+    def test_adaptivity_gap_line(self):
+        inst = adaptivity_gap(F(1, 10))
+        self.check(inst, solved_policy(inst))
+
+    def test_distinct_value_lines(self):
+        for n in (60, 120, 180, 240, 300):
+            inst = distinct_value_line(n, seed=n)
+            self.check(inst, solved_policy(inst))
+
+
+class TestEvaluationWalk:
+    def test_distinct_value_line_evaluates_fast(self):
+        # the running support grows by about one key per box; on Fraction
+        # masses this line took over 10 s
+        inst = distinct_value_line(1000)
+        policy = solved_policy(inst)
+        start = time.perf_counter()
+        assert evaluate_threshold_exact(inst, policy) == solve_tree(inst).value
+        assert time.perf_counter() - start < 3.0
+
+    def test_walk_stops_once_no_mass_runs(self, monkeypatch):
+        # the first box pays more than every threshold, so every realization
+        # stops at the second box; the other 1 998 are never taken from the heap
+        boxes = [BoxSpec("a0000", F(1), DiscreteDistribution.point(10**6))]
+        boxes += [BoxSpec(f"b{k:04d}", F(1), DiscreteDistribution.point(1)) for k in range(1, 2000)]
+        inst = Instance(boxes=tuple(boxes))
+        policy = ThresholdPolicy.for_instance(inst, {b.id: 100 if b.id == "a0000" else 50 for b in boxes})
+        calls = []
+        try_open = OrderModel.try_open
+
+        def counted(self, mask, load, i):
+            calls.append(i)
+            return try_open(self, mask, load, i)
+
+        monkeypatch.setattr(OrderModel, "try_open", counted)
+        assert evaluate_threshold_exact(inst, policy) == 10**6 - 1
+        assert len(calls) < 10
+        calls.clear()
+        assert [box_id for box_id, _ in run_threshold(inst, policy, rng_seed=1).steps] == ["a0000"]
+        assert len(calls) < 10
+
+
 class TestEvaluateSet:
     def test_empty_set(self):
         inst = rand_tree_instance(random.Random(19), 3)
@@ -230,6 +331,12 @@ class TestEvaluateSet:
             ids = [b.id for b in inst.boxes[:k]]
             expected = jackpot * (1 - (1 - p * p) ** k) - k * cost
             assert evaluate_set(inst, ids) == expected
+
+    def test_refuses_a_repeated_id(self):
+        box = BoxSpec("a", F(1), DiscreteDistribution.of([(3, "1/2"), (0, "1/2")]))
+        inst = Instance(boxes=(box, BoxSpec("b", F(0), DiscreteDistribution.point(1))))
+        with pytest.raises(ValidationError, match=r"set lists boxes \['a'\] more than once"):
+            evaluate_set(inst, ["a", "b", "a"])
 
     def test_infeasible_set_names_constraint(self):
         inst = guard_line()
