@@ -1,11 +1,15 @@
 """Brute-force exact solver over states (opened set, best reward).
 
-Ground truth for the optimality tests: memoized Bellman recursion over
-bitmask states with the best-reward grid {0} plus every support value.
-Works for any constraint kind including DAGs and matroid side constraints;
-deliberately exponential, guarded by explicit caps.  The recursion runs on
-ints over one common denominator (``core.integer_boxes``, no floats), so
-every comparison is exact; ``Fraction``s are built only for reported values.
+Ground truth for the optimality tests: a Bellman DP over bitmask states
+with the best-reward grid {0} plus every support value.  A forward pass,
+one level of opened-set size at a time, finds the reachable states; a
+backward pass from the deepest level solves each of them once.  Works for
+any constraint kind including DAGs and matroid side constraints;
+deliberately exponential, guarded by explicit caps.  The DP runs on ints
+over one common denominator (``core.integer_boxes``, no floats), so every
+comparison is exact; ``Fraction``s are built only for reported values.
+The best fixed order is found the same way, one backward DP step per
+distinct suffix of the maximal feasible orders.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import CapExceededError, Instance, Record, feasible_next, integer_boxes
-from .line_solver import line_optimal_value
+from .core import CapExceededError, Instance, Record, integer_boxes
 
 ZERO = Fraction(0)
 
@@ -40,9 +43,19 @@ class OracleResult(Record):
 
 
 def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fraction = Fraction(1)) -> OracleResult:
-    """Memoized Bellman recursion over (opened set, best reward); stopping
-    with best reward y pays ``terminal_weight * y``.  A state's value is an
-    int at the scale r = prod of D_i over its unopened boxes."""
+    """Bellman DP over (opened set, best reward); stopping with best reward
+    y pays ``terminal_weight * y``.  A state's value is an int at the scale
+    r = prod of D_i over its unopened boxes.
+
+    The forward pass goes one popcount level at a time from the empty set.
+    Each opened set M reached carries its scale r, its side load, the boxes
+    whose order rule holds (as a bitmask) and the grid indices of the best
+    rewards reachable there.  Those do not depend on the opening order: the
+    largest of the start and the boxes' lowest atoms, and every atom of M
+    above it.  The backward pass solves each level from the deepest up,
+    each set's openable boxes taken once in ascending id order, and reads
+    the children's values from per-set rows of the level below, which it
+    drops once the level is done.  Every reachable state is solved once."""
     n = instance.n
     if n > HARD_BOX_CAP:
         raise CapExceededError(f"oracle handles at most {HARD_BOX_CAP} boxes, got {n}")
@@ -57,34 +70,58 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
     costs, dens, atoms, payoff = ints.costs, ints.dens, ints.atoms, ints.payoff
     # Candidate iteration in ascending id order fixes the argmax tie-break.
     by_id = sorted(range(n), key=lambda i: model.ids[i])
+    # A set's state: the largest lowest atom (or start) ``low``, its boxes'
+    # atoms ``bits``, r, the side load and the boxes with no in-edge or an
+    # open parent.  The reachable best rewards are low and the bits above it.
+    lowest = [atoms[i][0][0] for i in range(n)]
+    atom_bits = [sum(1 << vk for vk, _ in atoms[i]) for i in range(n)]
+    child_bits = [sum(1 << c for c in model.children[i]) for i in range(n)]
+    roots = sum(1 << i for i, parents in enumerate(model.parent_masks) if not parents)
+    start, r0 = grid.index(initial_best), math.prod(dens)
+    level = {0: (start, 0, r0, model.empty_load, roots)}
+    levels = []
+    while level:
+        deeper: dict[int, tuple | None] = {}  # None: the set overflows the side
+        states = []
+        for mask, (low, bits, r, load, allowed) in level.items():
+            free, openable = allowed & ~mask, []
+            for i in by_id:
+                if free >> i & 1:
+                    child = mask | 1 << i
+                    if child not in deeper:
+                        after = model.add(load, i)
+                        deeper[child] = None if after is None else (
+                            max(low, lowest[i]), bits | atom_bits[i], r // dens[i], after, allowed | child_bits[i])
+                    if deeper[child] is not None:
+                        openable.append(i)
+            states.append((mask, 1 << low | bits >> low + 1 << low + 1, r, openable))
+        levels.append(states)
+        level = {mask: state for mask, state in deeper.items() if state is not None}
 
     values: dict[tuple[int, int], int] = {}
     policy: dict[tuple[int, int], int | None] = {}
-
-    def solve(mask: int, yk: int, load: tuple[int, ...], r: int) -> int:
-        key = (mask, yk)
-        cached = values.get(key)
-        if cached is not None:
-            return cached
-        best_val = payoff[yk] * r
-        best_act: int | None = None
-        for i in by_id:
-            after = model.try_open(mask, load, i)
-            if after is None:
-                continue
-            val = -costs[i] * r
-            child, sub = mask | (1 << i), r // dens[i]
-            for vk, a in atoms[i]:
-                val += a * solve(child, vk if vk > yk else yk, after, sub)
-            if val > best_val:
-                best_val = val
-                best_act = i
-        values[key] = best_val
-        policy[key] = best_act
-        return best_val
-
-    start, r0 = (0, grid.index(initial_best)), math.prod(dens)
-    total = solve(*start, model.empty_load, r0)
+    rows: dict[int, list] = {}
+    while levels:
+        below, rows = rows, {}
+        for mask, ys, r, openable in levels.pop():
+            options = [(i, -costs[i] * r, atoms[i], below[mask | 1 << i]) for i in openable]
+            row = rows[mask] = [0] * len(grid)
+            while ys:
+                bit = ys & -ys
+                ys ^= bit
+                yk = bit.bit_length() - 1
+                best_val = payoff[yk] * r
+                best_act: int | None = None
+                for i, val, box_atoms, child in options:
+                    for vk, a in box_atoms:
+                        val += a * child[vk if vk > yk else yk]
+                    if val > best_val:
+                        best_val = val
+                        best_act = i
+                key = (mask, yk)
+                row[yk] = values[key] = best_val
+                policy[key] = best_act
+    del rows, below
 
     reward: dict[tuple[int, int], int] = {}
 
@@ -103,8 +140,8 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
         reward[key] = rew
         return rew
 
-    best = split(*start, r0)
-    del solve, split  # free the memo tables by refcount, not by a later cyclic GC pass
+    total, best = values[0, start], split(0, start, r0)
+    del split  # free the memo table by refcount, not by a later cyclic GC pass
     den = ints.scale * r0
     value, e_max = Fraction(total, den), Fraction(best, den)
     # each memo value is w * E[final best] - E[total spend] under the recorded policy
@@ -123,39 +160,89 @@ def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResu
 def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
     """Best strategy whose exploration order is fixed upfront.
 
-    Enumerates every maximal feasible order (the adaptive-stopping value of
-    a prefix never beats its extension) and scores each with a 1-D DP over
-    (position, best reward).  Ties break lexicographically on the order.
+    Every maximal feasible order (the adaptive-stopping value of a prefix
+    never beats its extension) opens a maximal feasible set: order-closed,
+    within the side constraint, with no box left to add.  Each such set's
+    orders are built from the back, carrying the backward DP row over the
+    best reward (ints of one ``integer_boxes`` of the instance) down the
+    search, so each distinct suffix costs one step; the front box is solved
+    at best reward 0 alone.  Ties break lexicographically on the order.
     """
-    if instance.n > FIXED_ORDER_BOX_CAP:
+    n = instance.n
+    if n > FIXED_ORDER_BOX_CAP:
         raise CapExceededError(
-            f"fixed-order enumeration handles at most {FIXED_ORDER_BOX_CAP} boxes, got {instance.n}"
+            f"fixed-order enumeration handles at most {FIXED_ORDER_BOX_CAP} boxes, got {n}"
         )
-    best: tuple[tuple[str, ...], Fraction] | None = None
+    model = instance.order_model
+    ids, parents = model.ids, model.parent_masks
+    ints = integer_boxes(instance.boxes, sorted(set(instance.support_union()) | {ZERO}))
+    costs, dens, atoms, payoff = ints.costs, ints.dens, ints.atoms, ints.payoff
+    best: tuple[int, int, tuple[str, ...]] | None = None  # value N / (L * r) as (N, r), order
     seen = 0
+    reach: dict[int, list[int]] = {}
 
-    def extend(opened: list[str]) -> None:
+    def reachable(mask: int) -> list[int]:
+        """Grid indices of the best reward, from 0, once the boxes of ``mask`` are open:
+        the largest lowest atom and every atom above it."""
+        if mask not in reach:
+            opened = [i for i in range(n) if mask >> i & 1]
+            low = max(atoms[i][0][0] for i in opened)
+            reach[mask] = sorted({low} | {vk for i in opened for vk, _ in atoms[i] if vk > low})
+        return reach[mask]
+
+    def step(i: int, row: list[int], r: int, at: list[int]) -> list[int]:
+        """The values in front of box i at scale r, at the grid indices ``at`` (0 elsewhere)."""
+        cost, out = costs[i] * r, [0] * len(payoff)
+        for yk in at:
+            val = -cost
+            for vk, a in atoms[i]:
+                val += a * row[vk if vk > yk else yk]
+            stop = payoff[yk] * r
+            out[yk] = val if val > stop else stop
+        return out
+
+    def place(unplaced: int, suffix: list[int], row: list[int], r: int) -> None:
+        """The orders of ``unplaced`` in front of ``suffix``, behind which ``row`` holds the values."""
         nonlocal best, seen
-        candidates = feasible_next(instance, opened)
-        if not candidates:
+        if not unplaced & (unplaced - 1):  # the front box, at best reward 0
+            front = unplaced.bit_length() - 1
             seen += 1
             if seen > FIXED_ORDER_SEQUENCE_CAP:
-                raise CapExceededError(
-                    f"more than {FIXED_ORDER_SEQUENCE_CAP} feasible orders; instance too loose"
-                )
-            value = line_optimal_value([instance.box_map[b] for b in opened])
-            order = tuple(opened)
-            if best is None or value > best[1] or (value == best[1] and order < best[0]):
-                best = (order, value)
+                raise CapExceededError(f"more than {FIXED_ORDER_SEQUENCE_CAP} feasible orders; instance too loose")
+            r *= dens[front]
+            value = max(0, sum(a * row[vk] for vk, a in atoms[front]) - costs[front] * r)
+            if best is None or value * best[1] >= best[0] * r:
+                order = (ids[front], *[ids[i] for i in reversed(suffix)])
+                if best is None or value * best[1] > best[0] * r or order < best[2]:
+                    best = (value, r, order)
             return
-        for box_id in sorted(candidates):
-            opened.append(box_id)
-            extend(opened)
-            opened.pop()
+        # ``unplaced`` stays order-closed, so every box in it has a parent in
+        # front of it; a box may not go last while it is another's only parent.
+        blocked = 0
+        for c in range(n):
+            held = parents[c] & unplaced
+            if unplaced >> c & 1 and held and not held & (held - 1):
+                blocked |= held
+        last = unplaced & ~blocked
+        for i in range(n):
+            if last >> i & 1:
+                rest, sub = unplaced & ~(1 << i), r * dens[i]
+                suffix.append(i)
+                place(rest, suffix, step(i, row, sub, reachable(rest)), sub)
+                suffix.pop()
 
-    extend([])
+    for mask in range(1 << n):
+        if any(mask >> i & 1 and not model.order_allows(mask, i) for i in range(n)):
+            continue  # not order-closed
+        load = model.load_of(mask)
+        if load is None or any(model.try_open(mask, load, i) is not None for i in range(n)):
+            continue  # overflows, or not maximal
+        if mask:
+            place(mask, [], payoff, 1)
+        else:  # every box overflows the side alone: the empty order
+            seen, best = 1, (0, 1, ())
     assert best is not None
-    return best
+    return best[2], Fraction(best[0], ints.scale * best[1])
 
 
 def best_half_reward_benchmark(instance: Instance) -> Fraction:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from pandorabox import (
     BoxSpec,
+    CapExceededError,
     ConstraintGraph,
     ConstraintKind,
     DiscreteDistribution,
@@ -25,10 +26,13 @@ from pandorabox import (
     ValidationError,
     build_preorder,
     expected_excess,
+    feasible_next,
     fixed_opening_order,
+    line_optimal_value,
     merge,
     validate_instance,
 )
+from pandorabox import oracle
 from pandorabox.core import Record
 from pandorabox.line_solver import ThresholdTable, solve_line
 from pandorabox.piecewise import PiecewiseLinear
@@ -164,6 +168,25 @@ def rand_partition_side(rng: random.Random, ids, max_parts: int = 3) -> MatroidS
 
 def with_side(instance: Instance, side: MatroidSideConstraint) -> Instance:
     return Instance(boxes=instance.boxes, constraint=instance.constraint, side=side)
+
+
+def with_negative_costs(instance: Instance, rng: random.Random) -> Instance:
+    """Unvalidated copy with some costs lowered below 0 (the DPs accept them)."""
+    boxes = tuple(BoxSpec(b.id, b.cost - rng.choice((0, 1, F(3, 2))), b.reward) for b in instance.boxes)
+    return Instance(boxes=boxes, constraint=instance.constraint, side=instance.side)
+
+
+def rand_case(rng: random.Random, kind: str, max_n: int) -> Instance:
+    """A tie-heavy instance with, at random, a knapsack or partition side
+    and negative costs."""
+    inst = rand_tie_instance(rng, kind, max_n=max_n)
+    ids = [b.id for b in inst.boxes]
+    roll = rng.random()
+    if roll < 0.3:
+        inst = with_side(inst, rand_knapsack_side(rng, ids))
+    elif roll < 0.6:
+        inst = with_side(inst, rand_partition_side(rng, ids))
+    return with_negative_costs(inst, rng) if rng.random() < 0.25 else inst
 
 
 def rand_graph_instance(rng: random.Random, n: int, kind: str) -> Instance:
@@ -462,6 +485,41 @@ def reference_line_optimal_value(boxes) -> Fraction:
             nxt[y] = cont if cont > y else y
         current = nxt
     return current[ZERO]
+
+
+def reference_best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
+    """``oracle.best_fixed_order`` by a forward search over every maximal
+    feasible order, each scored by its own ``line_optimal_value``; ties break
+    lexicographically on the order, under the same caps and messages."""
+    if instance.n > oracle.FIXED_ORDER_BOX_CAP:
+        raise CapExceededError(
+            f"fixed-order enumeration handles at most {oracle.FIXED_ORDER_BOX_CAP} boxes, got {instance.n}"
+        )
+    best: tuple[tuple[str, ...], Fraction] | None = None
+    seen = 0
+
+    def extend(opened: list[str]) -> None:
+        nonlocal best, seen
+        candidates = feasible_next(instance, opened)
+        if not candidates:
+            seen += 1
+            if seen > oracle.FIXED_ORDER_SEQUENCE_CAP:
+                raise CapExceededError(
+                    f"more than {oracle.FIXED_ORDER_SEQUENCE_CAP} feasible orders; instance too loose"
+                )
+            value = line_optimal_value([instance.box_map[b] for b in opened])
+            order = tuple(opened)
+            if best is None or value > best[1] or (value == best[1] and order < best[0]):
+                best = (order, value)
+            return
+        for box_id in sorted(candidates):
+            opened.append(box_id)
+            extend(opened)
+            opened.pop()
+
+    extend([])
+    assert best is not None
+    return best
 
 
 def reference_evaluate_threshold_exact(instance: Instance, policy: ThresholdPolicy) -> Fraction:

@@ -16,46 +16,20 @@ from fractions import Fraction
 
 import pytest
 
-from pandorabox import BoxSpec, ConstraintKind, Instance, MatroidSideConstraint, line_optimal_value, solve_approx
+from pandorabox import ConstraintKind, MatroidSideConstraint, line_optimal_value, solve_approx
 from pandorabox.core import integer_boxes
 from pandorabox.oracle import _engine
 
-from helpers import (
-    rand_knapsack_side,
-    rand_partition_side,
-    rand_tie_instance,
-    reference_approx,
-    reference_engine,
-    reference_line_optimal_value,
-    with_side,
-)
+from helpers import rand_case, reference_approx, reference_engine, reference_line_optimal_value
 
 F = Fraction
 # 7/3 and -1/2 lie off every reward grid; 5/2 and 0 on some
 INITIAL_BESTS = (F(0), F(0), F(1), F(5, 2), F(7, 3), F(-1, 2))
 
 
-def with_negative_costs(instance: Instance, rng: random.Random) -> Instance:
-    """Unvalidated copy with some costs lowered below 0 (the DPs accept them)."""
-    boxes = tuple(BoxSpec(b.id, b.cost - rng.choice((0, 1, F(3, 2))), b.reward) for b in instance.boxes)
-    return Instance(boxes=boxes, constraint=instance.constraint, side=instance.side)
-
-
-def rand_case(rng: random.Random, kind: str, max_n: int) -> Instance:
-    """A tie-heavy instance with, at random, a knapsack or partition side
-    and negative costs."""
-    inst = rand_tie_instance(rng, kind, max_n=max_n)
-    ids = [b.id for b in inst.boxes]
-    roll = rng.random()
-    if roll < 0.3:
-        inst = with_side(inst, rand_knapsack_side(rng, ids))
-    elif roll < 0.6:
-        inst = with_side(inst, rand_partition_side(rng, ids))
-    return with_negative_costs(inst, rng) if rng.random() < 0.25 else inst
-
-
 @pytest.mark.parametrize(
-    "kind", (ConstraintKind.DAG, ConstraintKind.TREE, ConstraintKind.LINE, ConstraintKind.FOREST)
+    "kind",
+    (ConstraintKind.DAG, ConstraintKind.TREE, ConstraintKind.LINE, ConstraintKind.FOREST, ConstraintKind.UNCONSTRAINED),
 )
 def test_oracle_matches_fraction_reference(kind):
     rng = random.Random(f"int-oracle-{kind}")

@@ -247,9 +247,12 @@ def test_cli_import_leaves_numpy_out(tmp_path):
 
 
 def test_cli_oracle_leaves_the_tree_solver_out(tmp_path):
-    loaded = cli_modules(tmp_path, "oracle")
-    assert "pandorabox.oracle" in loaded
-    assert not loaded & {"pandorabox.tree_solver", "pandorabox.approx", "pandorabox.learning"}
+    # the exhaustive engines score fixed orders themselves, so not even the line DP loads
+    for command in ("oracle", "fixed-order"):
+        loaded = cli_modules(tmp_path, command)
+        assert "pandorabox.oracle" in loaded
+        skipped = {"pandorabox.tree_solver", "pandorabox.line_solver", "pandorabox.approx", "pandorabox.learning"}
+        assert not loaded & skipped, command
 
 
 def test_bare_package_import_loads_no_submodule():

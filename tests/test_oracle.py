@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,23 +9,29 @@ import pytest
 from pandorabox import (
     BoxSpec,
     CapExceededError,
+    ConstraintGraph,
+    ConstraintKind,
     DiscreteDistribution,
     Instance,
+    MatroidSideConstraint,
     best_fixed_order,
     best_half_reward_benchmark,
     solve_exact,
     solve_line,
     weitzman_reservation,
 )
+from pandorabox import oracle
 from pandorabox.instances import figure1
 
 from helpers import (
     decision_tree_sup_half,
     line_instance_of,
     rand_box,
+    rand_case,
     rand_line_boxes,
     rand_knapsack_side,
     rand_tree_instance,
+    reference_best_fixed_order,
     with_side,
 )
 
@@ -131,6 +138,41 @@ class TestBestFixedOrder:
             inst = rand_tree_instance(rng, rng.randint(1, 6))
             _, fixed_value = best_fixed_order(inst)
             assert fixed_value <= solve_exact(inst).value
+
+    def test_matches_reference(self, monkeypatch):
+        rng = random.Random("fixed-order")
+        cut_short = negative = 0
+        for kind in ConstraintKind.ALL:
+            for _ in range(60):
+                inst = rand_case(rng, kind, max_n=6)
+                order, value = best_fixed_order(inst)
+                assert (order, value) == reference_best_fixed_order(inst)
+                cut_short += len(order) < inst.n
+                negative += any(b.cost < 0 for b in inst.boxes)
+        assert cut_short > 50 and negative > 30
+        # every box overflows the side alone: the one maximal order is empty
+        inst = rand_tree_instance(rng, 4)
+        inst = with_side(inst, MatroidSideConstraint.partition({b.id: 0 for b in inst.boxes}, (0,)))
+        assert best_fixed_order(inst) == reference_best_fixed_order(inst) == ((), 0)
+        monkeypatch.setattr(oracle, "FIXED_ORDER_SEQUENCE_CAP", 5)
+        inst = Instance(boxes=tuple(rand_box(rng, i) for i in range(4)))  # 24 orders
+        messages = []
+        for search in (best_fixed_order, reference_best_fixed_order):
+            with pytest.raises(CapExceededError) as caught:
+                search(inst)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] == "more than 5 feasible orders; instance too loose"
+
+    def test_star_enumerates_fast(self):
+        # a root with 8 leaves has 8! = 40 320 maximal orders
+        rng = random.Random(71)
+        boxes = tuple(rand_box(rng, i) for i in range(9))
+        edges = tuple((boxes[0].id, leaf.id) for leaf in boxes[1:])
+        inst = Instance(boxes=boxes, constraint=ConstraintGraph(ConstraintKind.TREE, edges))
+        start = time.perf_counter()
+        order, value = best_fixed_order(inst)
+        assert time.perf_counter() - start < 2
+        assert order[0] == boxes[0].id and value <= solve_exact(inst).value
 
 
 class TestNegativeCosts:
