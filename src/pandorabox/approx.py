@@ -6,8 +6,10 @@ state compresses to "the position currently considered": the descendants of
 position i occupy exactly i+1 .. next(i)-1, and skipping a box jumps to
 next(i).  The side constraint enters only through a compressed statistic of
 the opened set (the oblivious oracle): the weight total for a generalized
-knapsack.  The backward sweep computes, for every (position, best reward,
-oracle state), the value of the best sweep strategy
+knapsack.  A forward pass by position collects the (position, best reward,
+oracle state) cells that skip and open moves reach from position 1 with the
+empty state and any best reward; the backward sweep computes, for each of
+them, the value of the best sweep strategy
 
     value(i, y, D) = max( y,                                 terminate
                           value(next(i), y, D),              skip subtree
@@ -26,7 +28,6 @@ those ints, and a cell becomes a ``Fraction`` only when it is read.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
@@ -79,7 +80,9 @@ class ApproxPolicy(Record):
     ``values[(i, y_index, state)]`` is the best sweep value from position i
     (a read-only mapping that builds the ``Fraction`` on each read);
     ``actions[...]`` is None to terminate or the position to open next.  The
-    oracle state is the side load of ``instance.order_model``.  The action
+    oracle state is the side load of ``instance.order_model``.  Only cells a
+    run can reach from position 1 with the empty load (at any best reward)
+    are kept; reading any other key raises ``KeyError``.  The action
     must be looked up with the state tracked along the run: two histories
     can reach the same (position, best) with different remaining capacity,
     so the state is part of the key.
@@ -102,7 +105,7 @@ class ApproxPolicy(Record):
 
 
 def solve_approx(instance: Instance) -> ApproxPolicy:
-    """Backward sweep over (position, best-reward grid, oracle state)."""
+    """Backward sweep over the reachable (position, best-reward grid, oracle state) cells."""
     preorder = build_preorder(instance)
     model = instance.order_model
     if len(model.capacity) > MAX_ORACLE_DIMENSION:
@@ -114,31 +117,44 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
         if cap > bound:
             raise CapExceededError(f"capacity entry {cap} exceeds the {bound} bound")
     grid = instance.support_union()
-    states = list(itertools.product(*(range(cap + 1) for cap in model.capacity)))
     n = preorder.n
-    cells = (n + 1) * len(grid) * len(states)
+    cells = (n + 1) * len(grid) * math.prod(cap + 1 for cap in model.capacity)
     if cells > TABLE_CELL_CAP:
         raise CapExceededError(f"table would need {cells} cells, cap is {TABLE_CELL_CAP}")
 
     boxes = [instance.box_map[b] for b in preorder.order]
+    slots = [model.index[b.id] for b in boxes]
     ints = integer_boxes(boxes, grid)
     # a value at position i is N / (L * scale[i]), scale[i] = prod_{j >= i} D_j
     scale = [0] + [math.prod(ints.dens[k:]) for k in range(n + 1)]
+    # forward: reach[i] maps each load a run can hold at position i to the
+    # grid indices of the best reward it can hold there with that load
+    reach: list[dict] = [{} for _ in range(n + 2)]
+    reach[1][model.empty_load] = set(range(len(grid)))
+    for i in range(1, n + 1):
+        nxt, atoms = preorder.next_position[i - 1], ints.atoms[i - 1]
+        for state, yks in reach[i].items():
+            reach[nxt].setdefault(state, set()).update(yks)
+            after_open = model.add(state, slots[i - 1])
+            if after_open is not None:
+                reach[i + 1].setdefault(after_open, set()).update(
+                    vk if vk > yk else yk for yk in yks for vk, _ in atoms)
+
     values: dict = {}
     actions: dict = {}
-    for yk, y in enumerate(ints.payoff):
-        for state in states:
-            values[(n + 1, yk, state)] = y
+    for state, yks in reach[n + 1].items():
+        for yk in yks:
+            values[(n + 1, yk, state)] = ints.payoff[yk]
             actions[(n + 1, yk, state)] = None
 
     for i in range(n, 0, -1):
         nxt = preorder.next_position[i - 1]
         r, lift = scale[i], scale[i] // scale[nxt]
         cost, atoms = -ints.costs[i - 1] * r, ints.atoms[i - 1]
-        for state in states:
-            after_open = model.add(state, model.index[boxes[i - 1].id])
-            for yk, y in enumerate(ints.payoff):
-                y *= r
+        for state, yks in reach[i].items():
+            after_open = model.add(state, slots[i - 1])
+            for yk in yks:
+                y = ints.payoff[yk] * r
                 skip_val = values[(nxt, yk, state)] * lift
                 open_val = cost
                 if after_open is not None:

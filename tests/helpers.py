@@ -469,6 +469,33 @@ def reference_approx(instance: Instance) -> tuple[dict, dict]:
     return values, actions
 
 
+def reachable_approx_cells(instance: Instance) -> set:
+    """The (position, grid index, side load) cells of ``solve_approx``'s
+    table that a run can reach: a closure over skip and open moves from
+    position 1 with the empty load and every grid value, on ``Fraction``s."""
+    preorder = build_preorder(instance)
+    model = instance.order_model
+    grid = instance.support_union()
+    y_index = {y: k for k, y in enumerate(grid)}
+    stack = [(1, yk, model.empty_load) for yk in range(len(grid))]
+    seen: set = set()
+    while stack:
+        cell = stack.pop()
+        if cell in seen:
+            continue
+        seen.add(cell)
+        i, yk, load = cell
+        if i > preorder.n:
+            continue
+        stack.append((preorder.next_position[i - 1], yk, load))
+        box = instance.box_map[preorder.order[i - 1]]
+        after = model.add(load, model.index[box.id])
+        if after is not None:
+            y = grid[yk]
+            stack.extend((i + 1, y_index[v if v > y else y], after) for v, _ in box.reward.atoms)
+    return seen
+
+
 def reference_line_optimal_value(boxes) -> Fraction:
     """Grid DP over (position, best reward) on ``Fraction``s."""
     grid = {ZERO}

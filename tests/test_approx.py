@@ -207,6 +207,18 @@ class TestSolveApprox:
         with pytest.raises(CapExceededError, match="cells"):
             solve_approx(with_side(inst, side))
 
+    def test_table_keeps_only_reachable_cells(self):
+        # a full table here is 13 positions x 9 grid values x 9^4 loads
+        # (767 637 cells); unit weights leave few reachable loads
+        inst = rand_tree_instance(random.Random(77), 12)
+        side = MatroidSideConstraint.knapsack(
+            {b.id: (1, 1, 1, 1) for b in inst.boxes}, (8, 8, 8, 8)
+        )
+        inst = with_side(inst, side)
+        policy = solve_approx(inst)
+        assert len(policy.actions) <= 1000
+        assert exact_policy_value(inst, policy) == policy.value
+
     def test_matches_tree_solver_when_capacity_never_binds(self):
         rng = random.Random(79)
         for _ in range(30):

@@ -6,6 +6,8 @@ run on Python ints over one common denominator
 ``helpers.reference_approx`` and ``helpers.reference_line_optimal_value``
 are the same recursions on ``Fraction``s, so every value, policy action and
 table entry must agree exactly, ties and stops at indifference included.
+The approx table keeps only the cells a run can reach
+(``helpers.reachable_approx_cells``); the reference fills them all.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from pandorabox import ConstraintKind, MatroidSideConstraint, line_optimal_value
 from pandorabox.core import integer_boxes
 from pandorabox.oracle import _engine
 
-from helpers import rand_case, reference_approx, reference_engine, reference_line_optimal_value
+from helpers import (
+    rand_case,
+    reachable_approx_cells,
+    reference_approx,
+    reference_engine,
+    reference_line_optimal_value,
+)
 
 F = Fraction
 # 7/3 and -1/2 lie off every reward grid; 5/2 and 0 on some
@@ -63,8 +71,10 @@ def test_approx_matches_fraction_reference(kind):
         inst = rand_case(rng, kind, max_n=9)
         policy = solve_approx(inst)
         values, actions = reference_approx(inst)
-        assert policy.values == values
-        assert policy.actions == actions
+        assert set(policy.values) == set(policy.actions) == reachable_approx_cells(inst)
+        for key, value in policy.values.items():
+            assert value == values[key]
+            assert policy.actions[key] == actions[key]
         assert all(type(v) is Fraction for v in policy.values.values())
         sided += inst.side.kind != MatroidSideConstraint.NONE
         negative += any(b.cost < 0 for b in inst.boxes)
