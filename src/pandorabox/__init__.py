@@ -14,8 +14,8 @@ _HOMES = {
         "BoxSpec", "CapExceededError", "ConstraintGraph", "ConstraintKind", "DiscreteDistribution", "ExecutionState",
         "Instance", "InvariantError", "MatroidSideConstraint", "OrderModel", "PandoraError", "ParseError",
         "PreOrderIndex", "UnsupportedConstraintError", "ValidationError", "build_preorder", "constraint_allows",
-        "dump_instance", "expected_excess", "feasible_next", "format_rational", "load_instance", "max_distribution",
-        "parse_rational", "set_feasibility_violation", "validate_instance", "weitzman_reservation",
+        "dump_instance", "feasible_next", "format_rational", "load_instance", "parse_rational",
+        "set_feasibility_violation", "validate_instance", "weitzman_reservation",
     ),
     "line_solver": ("LineSolution", "ThresholdTable", "ValueTable", "line_optimal_value", "solve_line"),
     "tree_solver": ("AnnotatedEntry", "AnnotatedLine", "TreeSolution", "merge", "solve_tree"),

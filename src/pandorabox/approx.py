@@ -15,9 +15,10 @@ them, the value of the best sweep strategy
                           value(next(i), y, D),              skip subtree
                           -c_i + E[value(i+1, y v X_i, D+i)] open box i )
 
-with value(n+1, y, D) = y and value(., ., infeasible) = 0.  The recorded
-action resolves skip chains, so executing the policy means following open
-and terminate decisions while tracking (position, best, oracle state).
+with value(n+1, y, D) = y; opening box i is a move only when D+i fits the
+side.  The recorded action resolves skip chains, so executing the policy
+means following open and terminate decisions while tracking (position,
+best, oracle state).
 
 The resulting strategy is at least as good as opening any fixed feasible
 set, and earns at least half the expected best reward of any adaptive
@@ -154,24 +155,18 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
         for state, yks in reach[i].items():
             after_open = model.add(state, slots[i - 1])
             for yk in yks:
-                y = ints.payoff[yk] * r
-                skip_val = values[(nxt, yk, state)] * lift
-                open_val = cost
-                if after_open is not None:
+                best, act = ints.payoff[yk] * r, None
+                if after_open is not None:  # an open that overflows the side is no move
+                    open_val = cost
                     for vk, a in atoms:
                         open_val += a * values[(i + 1, vk if vk > yk else yk, after_open)]
-                best = y
-                if open_val > best:
-                    best = open_val
+                    if open_val > best:
+                        best, act = open_val, i
+                skip_val = values[(nxt, yk, state)] * lift
                 if skip_val > best:
-                    best = skip_val
+                    best, act = skip_val, actions[(nxt, yk, state)]
                 values[(i, yk, state)] = best
-                if best == y:
-                    actions[(i, yk, state)] = None
-                elif best == open_val:
-                    actions[(i, yk, state)] = i
-                else:
-                    actions[(i, yk, state)] = actions[(nxt, yk, state)]
+                actions[(i, yk, state)] = act
     return ApproxPolicy(
         instance=instance,
         preorder=preorder,

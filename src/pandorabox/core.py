@@ -660,15 +660,6 @@ def dump_instance(instance: Instance) -> str:
 # Exact distribution arithmetic
 # ---------------------------------------------------------------------------
 
-def expected_excess(dist: DiscreteDistribution, z: Fraction) -> Fraction:
-    """E[(X - z)_+], exactly.  ``z`` may be negative."""
-    total = Fraction(0)
-    for v, p in dist.atoms:
-        if v > z:
-            total += p * (v - z)
-    return total
-
-
 def weitzman_reservation(box: BoxSpec) -> Fraction:
     """Smallest z with E[(X - z)_+] = cost (:func:`reservation_scan` of the reward)."""
     return reservation_scan(box.reward.integer, box.cost, box.id)
@@ -711,6 +702,20 @@ class IntegerBoxes(Record):
     a * N(child) over ``atoms[i]`` (grid index, a = p * D_i), children at r // D_i."""
 
     __slots__ = ("scale", "dens", "costs", "atoms", "grid", "payoff")
+
+    def step(self, i: int, after: list[int], r: int, at: Iterable[int]) -> list[int]:
+        """The values in front of box i at scale r, given ``after`` behind it (at
+        r // D_i), at the grid indices ``at`` and 0 elsewhere: the larger of stopping
+        and opening box i."""
+        cost, atoms, payoff = self.costs[i] * r, self.atoms[i], self.payoff
+        out = [0] * len(payoff)
+        for yk in at:
+            val = -cost
+            for vk, a in atoms:
+                val += a * after[vk if vk > yk else yk]
+            stop = payoff[yk] * r
+            out[yk] = val if val > stop else stop
+        return out
 
 
 def integer_boxes(boxes: Sequence[BoxSpec], grid: Sequence[Fraction], weight: Fraction = Fraction(1)) -> IntegerBoxes:
@@ -876,11 +881,6 @@ def set_feasibility_violation(instance: Instance, ids: Iterable[str]) -> str | N
     return None
 
 
-def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
-    """Exact distribution of max(X_1, ..., X_k) for independent X_i (:func:`max_sweep`)."""
-    return max_sweep([d.integer for d in dists]).distribution()
-
-
 def max_sweep(dists: Sequence[IntDistribution]) -> IntDistribution:
     """Exact distribution of max(X_1, ..., X_k) for independent X_i (one input: itself, not a copy).
 
@@ -893,7 +893,7 @@ def max_sweep(dists: Sequence[IntDistribution]) -> IntDistribution:
     ``// old * new``, so after the sort each atom costs O(1) int operations
     however many inputs.  The carrier is the lcm of the inputs' carriers."""
     if not dists:
-        raise ValidationError("max_distribution needs at least one distribution")
+        raise ValidationError("max_sweep needs at least one distribution")
     if len(dists) == 1:
         return dists[0]
     if len(dists) == 2:

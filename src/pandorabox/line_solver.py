@@ -158,21 +158,15 @@ def line_optimal_value(boxes: Sequence[BoxSpec]) -> Fraction:
 
     Values are only ever queried at observed-max points, so a DP restricted
     to {0} plus the support union is exact; the values in front of box i
-    are ints over L * prod_{j >= i} D_j.  It shares no step with
-    :func:`solve_line`, so each checks the other.
+    are ints over L * prod_{j >= i} D_j, one ``IntegerBoxes.step`` per box.
+    It shares no step with :func:`solve_line`, so each checks the other.
     """
     grid = {ZERO}
     for box in boxes:
         grid.update(box.reward.values())
     ints = integer_boxes(boxes, sorted(grid))
-    current, r = ints.payoff, 1
+    current, r, every = ints.payoff, 1, range(len(grid))
     for i in range(len(boxes) - 1, -1, -1):
         r *= ints.dens[i]
-        cost, atoms, nxt = ints.costs[i] * r, ints.atoms[i], []
-        for yk, y in enumerate(ints.payoff):
-            cont = -cost
-            for vk, a in atoms:
-                cont += a * current[vk if vk > yk else yk]
-            nxt.append(max(cont, y * r))
-        current = nxt
+        current = ints.step(i, current, r, every)
     return Fraction(current[0], ints.scale * r)

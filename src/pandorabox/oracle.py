@@ -8,8 +8,8 @@ any constraint kind including DAGs and matroid side constraints;
 deliberately exponential, guarded by explicit caps.  The DP runs on ints
 over one common denominator (``core.integer_boxes``, no floats), so every
 comparison is exact; ``Fraction``s are built only for reported values.
-The best fixed order is found the same way, one backward DP step per
-distinct suffix of the maximal feasible orders.
+The best fixed order walks the same forward pass, one backward DP step
+(``IntegerBoxes.step``) per distinct suffix of the maximal feasible orders.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import CapExceededError, Instance, Record, integer_boxes
+from .core import CapExceededError, Instance, IntegerBoxes, OrderModel, Record, integer_boxes
 
 ZERO = Fraction(0)
 
@@ -42,32 +42,14 @@ class OracleResult(Record):
         return None if choice is None else self.model.ids[choice]
 
 
-def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fraction = Fraction(1)) -> OracleResult:
-    """Bellman DP over (opened set, best reward); stopping with best reward
-    y pays ``terminal_weight * y``.  A state's value is an int at the scale
-    r = prod of D_i over its unopened boxes.
-
-    The forward pass goes one popcount level at a time from the empty set.
-    Each opened set M reached carries its scale r, its side load, the boxes
-    whose order rule holds (as a bitmask) and the grid indices of the best
-    rewards reachable there.  Those do not depend on the opening order: the
-    largest of the start and the boxes' lowest atoms, and every atom of M
-    above it.  The backward pass solves each level from the deepest up,
-    each set's openable boxes taken once in ascending id order, and reads
-    the children's values from per-set rows of the level below, which it
-    drops once the level is done.  Every reachable state is solved once."""
-    n = instance.n
-    if n > HARD_BOX_CAP:
-        raise CapExceededError(f"oracle handles at most {HARD_BOX_CAP} boxes, got {n}")
-    grid = sorted(set(instance.support_union()) | {initial_best})
-    estimate = (1 << n) * len(grid)
-    if estimate > STATE_ESTIMATE_CAP:
-        raise CapExceededError(
-            f"state estimate 2^{n} * {len(grid)} = {estimate} exceeds cap {STATE_ESTIMATE_CAP}"
-        )
-    model = instance.order_model
-    ints = integer_boxes(instance.boxes, grid, terminal_weight)
-    costs, dens, atoms, payoff = ints.costs, ints.dens, ints.atoms, ints.payoff
+def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int) -> list[list[tuple[int, int, int, list[int]]]]:
+    """The opened sets reachable from the empty set (order-closed, within the side),
+    by popcount level: (mask, bitset of the grid indices of its best rewards from
+    grid index ``start``, r = prod of D_i over its unopened boxes, the boxes that can
+    open next in ascending id order).  The best rewards do not depend on the opening
+    order: the largest of the start and the boxes' lowest atoms, and every atom above it."""
+    n = len(model.ids)
+    dens, atoms = ints.dens, ints.atoms
     # Candidate iteration in ascending id order fixes the argmax tie-break.
     by_id = sorted(range(n), key=lambda i: model.ids[i])
     # A set's state: the largest lowest atom (or start) ``low``, its boxes'
@@ -77,8 +59,7 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
     atom_bits = [sum(1 << vk for vk, _ in atoms[i]) for i in range(n)]
     child_bits = [sum(1 << c for c in model.children[i]) for i in range(n)]
     roots = sum(1 << i for i, parents in enumerate(model.parent_masks) if not parents)
-    start, r0 = grid.index(initial_best), math.prod(dens)
-    level = {0: (start, 0, r0, model.empty_load, roots)}
+    level = {0: (start, 0, math.prod(dens), model.empty_load, roots)}
     levels = []
     while level:
         deeper: dict[int, tuple | None] = {}  # None: the set overflows the side
@@ -97,6 +78,31 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
             states.append((mask, 1 << low | bits >> low + 1 << low + 1, r, openable))
         levels.append(states)
         level = {mask: state for mask, state in deeper.items() if state is not None}
+    return levels
+
+
+def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fraction = Fraction(1)) -> OracleResult:
+    """Bellman DP over (opened set, best reward); stopping with best reward
+    y pays ``terminal_weight * y``.  A state's value is an int at the scale
+    r = prod of D_i over its unopened boxes.  The backward pass solves the
+    levels of :func:`_opened_sets` from the deepest up, each set's openable
+    boxes in ascending id order, reading the children's values from per-set
+    rows of the level below, dropped once the level is done, so every
+    reachable state is solved once."""
+    n = instance.n
+    if n > HARD_BOX_CAP:
+        raise CapExceededError(f"oracle handles at most {HARD_BOX_CAP} boxes, got {n}")
+    grid = sorted(set(instance.support_union()) | {initial_best})
+    estimate = (1 << n) * len(grid)
+    if estimate > STATE_ESTIMATE_CAP:
+        raise CapExceededError(
+            f"state estimate 2^{n} * {len(grid)} = {estimate} exceeds cap {STATE_ESTIMATE_CAP}"
+        )
+    model = instance.order_model
+    ints = integer_boxes(instance.boxes, grid, terminal_weight)
+    costs, dens, atoms, payoff = ints.costs, ints.dens, ints.atoms, ints.payoff
+    start, r0 = grid.index(initial_best), math.prod(dens)
+    levels = _opened_sets(model, ints, start)
 
     values: dict[tuple[int, int], int] = {}
     policy: dict[tuple[int, int], int | None] = {}
@@ -161,45 +167,27 @@ def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
     """Best strategy whose exploration order is fixed upfront.
 
     Every maximal feasible order (the adaptive-stopping value of a prefix
-    never beats its extension) opens a maximal feasible set: order-closed,
-    within the side constraint, with no box left to add.  Each such set's
-    orders are built from the back, carrying the backward DP row over the
-    best reward (ints of one ``integer_boxes`` of the instance) down the
-    search, so each distinct suffix costs one step; the front box is solved
-    at best reward 0 alone.  Ties break lexicographically on the order.
+    never beats its extension) opens a maximal set of :func:`_opened_sets`,
+    one with no box left to open.  Its orders are built from the back: a box
+    may go last when the rest is again such a set.  The backward DP row over
+    the best reward (``IntegerBoxes.step``, only at the best rewards reachable
+    in front of it) is carried down the search, so each distinct suffix costs
+    one step; the front box is solved at best reward 0 alone.  Ties break
+    lexicographically on the order.
     """
     n = instance.n
     if n > FIXED_ORDER_BOX_CAP:
         raise CapExceededError(
             f"fixed-order enumeration handles at most {FIXED_ORDER_BOX_CAP} boxes, got {n}"
         )
-    model = instance.order_model
-    ids, parents = model.ids, model.parent_masks
-    ints = integer_boxes(instance.boxes, sorted(set(instance.support_union()) | {ZERO}))
-    costs, dens, atoms, payoff = ints.costs, ints.dens, ints.atoms, ints.payoff
+    ids = instance.order_model.ids
+    ints = integer_boxes(instance.boxes, instance.support_union())
+    costs, dens, atoms = ints.costs, ints.dens, ints.atoms
+    sets = [entry for level in _opened_sets(instance.order_model, ints, 0) for entry in level]
+    # each reachable set's best rewards, from 0, as grid indices
+    reach = {mask: [k for k in range(len(ints.grid)) if ys >> k & 1] for mask, ys, _, _ in sets}
     best: tuple[int, int, tuple[str, ...]] | None = None  # value N / (L * r) as (N, r), order
     seen = 0
-    reach: dict[int, list[int]] = {}
-
-    def reachable(mask: int) -> list[int]:
-        """Grid indices of the best reward, from 0, once the boxes of ``mask`` are open:
-        the largest lowest atom and every atom above it."""
-        if mask not in reach:
-            opened = [i for i in range(n) if mask >> i & 1]
-            low = max(atoms[i][0][0] for i in opened)
-            reach[mask] = sorted({low} | {vk for i in opened for vk, _ in atoms[i] if vk > low})
-        return reach[mask]
-
-    def step(i: int, row: list[int], r: int, at: list[int]) -> list[int]:
-        """The values in front of box i at scale r, at the grid indices ``at`` (0 elsewhere)."""
-        cost, out = costs[i] * r, [0] * len(payoff)
-        for yk in at:
-            val = -cost
-            for vk, a in atoms[i]:
-                val += a * row[vk if vk > yk else yk]
-            stop = payoff[yk] * r
-            out[yk] = val if val > stop else stop
-        return out
 
     def place(unplaced: int, suffix: list[int], row: list[int], r: int) -> None:
         """The orders of ``unplaced`` in front of ``suffix``, behind which ``row`` holds the values."""
@@ -216,32 +204,19 @@ def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
                 if best is None or value * best[1] > best[0] * r or order < best[2]:
                     best = (value, r, order)
             return
-        # ``unplaced`` stays order-closed, so every box in it has a parent in
-        # front of it; a box may not go last while it is another's only parent.
-        blocked = 0
-        for c in range(n):
-            held = parents[c] & unplaced
-            if unplaced >> c & 1 and held and not held & (held - 1):
-                blocked |= held
-        last = unplaced & ~blocked
         for i in range(n):
-            if last >> i & 1:
-                rest, sub = unplaced & ~(1 << i), r * dens[i]
+            rest = unplaced & ~(1 << i)
+            if rest != unplaced and rest in reach:
+                sub = r * dens[i]
                 suffix.append(i)
-                place(rest, suffix, step(i, row, sub, reachable(rest)), sub)
+                place(rest, suffix, ints.step(i, row, sub, reach[rest]), sub)
                 suffix.pop()
 
-    for mask in range(1 << n):
-        if any(mask >> i & 1 and not model.order_allows(mask, i) for i in range(n)):
-            continue  # not order-closed
-        load = model.load_of(mask)
-        if load is None or any(model.try_open(mask, load, i) is not None for i in range(n)):
-            continue  # overflows, or not maximal
-        if mask:
-            place(mask, [], payoff, 1)
-        else:  # every box overflows the side alone: the empty order
-            seen, best = 1, (0, 1, ())
-    assert best is not None
+    for mask, _, _, openable in sets:
+        if mask and not openable:  # a maximal set
+            place(mask, [], ints.payoff, 1)
+    if best is None:  # every box overflows the side alone: the empty order
+        return (), ZERO
     return best[2], Fraction(best[0], ints.scale * best[1])
 
 

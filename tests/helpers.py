@@ -25,15 +25,13 @@ from pandorabox import (
     ThresholdPolicy,
     ValidationError,
     build_preorder,
-    expected_excess,
     feasible_next,
     fixed_opening_order,
-    line_optimal_value,
     merge,
     validate_instance,
 )
 from pandorabox import oracle
-from pandorabox.core import Record
+from pandorabox.core import Record, max_sweep
 from pandorabox.line_solver import ThresholdTable, solve_line
 from pandorabox.piecewise import PiecewiseLinear
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine
@@ -288,6 +286,20 @@ def reference_greedy_order(instance: Instance, thresholds, rank) -> list[str]:
 # simulator
 # ---------------------------------------------------------------------------
 
+def expected_excess(dist: DiscreteDistribution, z: Fraction) -> Fraction:
+    """E[(X - z)_+], exactly.  ``z`` may be negative."""
+    total = ZERO
+    for v, p in dist.atoms:
+        if v > z:
+            total += p * (v - z)
+    return total
+
+
+def max_distribution(dists) -> DiscreteDistribution:
+    """Exact distribution of max(X_1, ..., X_k) for independent X_i (``core.max_sweep``)."""
+    return max_sweep([d.integer for d in dists]).distribution()
+
+
 def quadratic_max_distribution(dists) -> list[tuple[Fraction, Fraction]]:
     """Distribution of the max as the product of the inputs' CDFs, each
     CDF summed afresh at every point of the union support."""
@@ -453,12 +465,13 @@ def reference_approx(instance: Instance) -> tuple[dict, dict]:
             after_open = model.add(state, model.index[box.id])
             for yk, y in enumerate(grid):
                 skip_val = values[(nxt, yk, state)]
-                open_val = -box.cost
+                open_val = None  # opening a box that overflows the side is no move
                 if after_open is not None:
+                    open_val = -box.cost
                     for v, p in box.reward.atoms:
                         vk = y_index[v] if v > y else yk
                         open_val += p * values[(i + 1, vk, after_open)]
-                best = max(y, open_val, skip_val)
+                best = max(y, skip_val) if open_val is None else max(y, open_val, skip_val)
                 values[(i, yk, state)] = best
                 if best == y:
                     actions[(i, yk, state)] = None
@@ -516,7 +529,7 @@ def reference_line_optimal_value(boxes) -> Fraction:
 
 def reference_best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
     """``oracle.best_fixed_order`` by a forward search over every maximal
-    feasible order, each scored by its own ``line_optimal_value``; ties break
+    feasible order, each scored by :func:`reference_line_optimal_value`; ties break
     lexicographically on the order, under the same caps and messages."""
     if instance.n > oracle.FIXED_ORDER_BOX_CAP:
         raise CapExceededError(
@@ -534,7 +547,7 @@ def reference_best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fra
                 raise CapExceededError(
                     f"more than {oracle.FIXED_ORDER_SEQUENCE_CAP} feasible orders; instance too loose"
                 )
-            value = line_optimal_value([instance.box_map[b] for b in opened])
+            value = reference_line_optimal_value([instance.box_map[b] for b in opened])
             order = tuple(opened)
             if best is None or value > best[1] or (value == best[1] and order < best[0]):
                 best = (order, value)

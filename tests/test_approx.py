@@ -11,6 +11,7 @@ from pandorabox import (
     BoxSpec,
     CapExceededError,
     ConstraintGraph,
+    ConstraintKind,
     DiscreteDistribution,
     Instance,
     MatroidSideConstraint,
@@ -34,6 +35,7 @@ from helpers import (
     brute_max_distribution,
     graph_children,
     graph_parents,
+    rand_case,
     rand_knapsack_side,
     rand_partition_side,
     rand_tree_instance,
@@ -174,6 +176,25 @@ class TestSolveApprox:
         policy = solve_approx(inst)
         assert policy.value == 0
         assert policy.actions[(1, 0, (0,))] is None
+
+    def test_box_that_never_fits_is_not_opened_for_its_refund(self):
+        # a negative cost (library callers only) must not make an overflowing open a move
+        box = BoxSpec("b00", F(-1), DiscreteDistribution.point(2))
+        inst = Instance((box,), side=MatroidSideConstraint.knapsack({"b00": (0, 3)}, (2, 2)))
+        policy = solve_approx(inst)
+        assert policy.value == 0
+        assert policy.actions[(1, 0, policy.start_state)] is None
+        assert exact_policy_value(inst, policy) == policy.value
+
+    def test_recorded_opens_fit_with_negative_costs(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            inst = rand_case(rng, ConstraintKind.TREE, max_n=7)
+            model, policy = inst.order_model, solve_approx(inst)
+            for (_, _, state), act in policy.actions.items():
+                if act is not None:
+                    assert model.add(state, model.index[policy.preorder.order[act - 1]]) is not None
+            assert exact_policy_value(inst, policy) == policy.value
 
     def test_guard_path_with_loose_capacity(self):
         inst = cardinality(guard_line(), 2)

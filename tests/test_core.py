@@ -19,9 +19,7 @@ from pandorabox import (
     ParseError,
     ValidationError,
     dump_instance,
-    expected_excess,
     load_instance,
-    max_distribution,
     parse_rational,
     validate_instance,
     weitzman_reservation,
@@ -30,7 +28,14 @@ from pandorabox.core import MAX_DOCUMENT_BYTES, IntDistribution, max_sweep
 from pandorabox.instances import figure1
 from pandorabox.line_solver import NOTHING
 
-from helpers import brute_max_distribution, quadratic_max_distribution, quadratic_reservation, rand_dist
+from helpers import (
+    brute_max_distribution,
+    expected_excess,
+    max_distribution,
+    quadratic_max_distribution,
+    quadratic_reservation,
+    rand_dist,
+)
 
 F = Fraction
 
@@ -261,6 +266,10 @@ class TestMaxDistribution:
     def test_identity(self):
         d = DiscreteDistribution.point(0)
         assert max_distribution([d]) == d
+
+    def test_empty_input_names_max_sweep(self):
+        with pytest.raises(ValidationError, match="^max_sweep needs at least one distribution$"):
+            max_sweep([])
 
     def test_two_coins(self):
         d = coin(1)

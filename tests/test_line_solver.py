@@ -12,7 +12,6 @@ from pandorabox import (
     DiscreteDistribution,
     InvariantError,
     ValidationError,
-    expected_excess,
     line_optimal_value,
     solve_exact,
     solve_line,
@@ -24,6 +23,7 @@ from pandorabox.line_solver import ThresholdTable, _horizons, capped_step
 from helpers import (
     check_line_submartingale,
     enumerate_realizations,
+    expected_excess,
     line_instance_of,
     macro_partition,
     quadratic_max_distribution,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -21,6 +23,7 @@ from pandorabox import (
     weitzman_reservation,
 )
 from pandorabox import oracle
+from pandorabox.core import integer_boxes
 from pandorabox.instances import figure1
 
 from helpers import (
@@ -32,6 +35,8 @@ from helpers import (
     rand_knapsack_side,
     rand_tree_instance,
     reference_best_fixed_order,
+    reference_next,
+    reference_set_feasible,
     with_side,
 )
 
@@ -102,6 +107,39 @@ class TestSolveExact:
         for bad in (F(1), F(2), F(5, 2)):
             with pytest.raises(ValidationError):
                 figure1(bad)
+
+
+@pytest.mark.parametrize("kind", ConstraintKind.ALL)
+def test_opened_sets_match_brute_force(kind):
+    """The shared forward pass: every feasible set once, at its popcount level,
+    with its openable boxes, its scale and the best rewards every atom choice gives."""
+    rng = random.Random(31)
+    for _ in range(40):
+        inst = rand_case(rng, kind, max_n=7)
+        grid = inst.support_union()
+        start = rng.randrange(len(grid))
+        ints = integer_boxes(inst.boxes, grid)
+        model, ids = inst.order_model, inst.order_model.ids
+        levels = oracle._opened_sets(model, ints, start)
+        seen = set()
+        for size, level in enumerate(levels):
+            for mask, ys, r, openable in level:
+                opened = [b.id for i, b in enumerate(inst.boxes) if mask >> i & 1]
+                assert len(opened) == size and mask not in seen
+                seen.add(mask)
+                assert openable == sorted((model.index[b] for b in reference_next(inst, opened)), key=ids.__getitem__)
+                assert r == math.prod(ints.dens[i] for i in range(inst.n) if not mask >> i & 1)
+                bests = {grid[start]}
+                for box_id in opened:
+                    bests = {max(y, v) for y in bests for v in inst.box_map[box_id].reward.values()}
+                assert ys == sum(1 << grid.index(y) for y in bests)
+        feasible = {
+            sum(1 << i for i in chosen)
+            for k in range(inst.n + 1)
+            for chosen in itertools.combinations(range(inst.n), k)
+            if reference_set_feasible(inst, [ids[i] for i in chosen])
+        }
+        assert seen == feasible
 
 
 class TestBestFixedOrder:

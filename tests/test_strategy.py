@@ -22,7 +22,6 @@ from pandorabox import (
     evaluate_threshold_exact,
     fixed_opening_order,
     load_instance,
-    max_distribution,
     run_threshold,
     simulate,
     solve_exact,
@@ -37,6 +36,7 @@ from helpers import (
     graph_parents,
     line_instance_of,
     literal_u64,
+    max_distribution,
     rand_dist,
     rand_knapsack_side,
     rand_line_boxes,
