@@ -3,7 +3,11 @@
 Ground truth for the optimality tests: a Bellman DP over bitmask states
 with the best-reward grid {0} plus every support value.  A forward pass,
 one level of opened-set size at a time, finds the reachable states; a
-backward pass from the deepest level solves each of them once.  Works for
+backward pass from the deepest level solves each of them once.  A state
+whose best reward is at least every unopened box's Weitzman index (with
+cost c_i / w) stops without a look at its options: by Weitzman's rule even
+the unconstrained problem stops there, and the order and side constraints
+only remove options.  Works for
 any constraint kind including DAGs and matroid side constraints;
 deliberately exponential, guarded by explicit caps.  The DP runs on ints
 over one common denominator (``core.integer_boxes``, no floats), so every
@@ -18,7 +22,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import CapExceededError, Instance, IntegerBoxes, OrderModel, Record, integer_boxes
+from .core import CapExceededError, Instance, IntegerBoxes, OrderModel, Record, describe_rational, integer_boxes
 
 ZERO = Fraction(0)
 
@@ -29,29 +33,78 @@ FIXED_ORDER_SEQUENCE_CAP = 250_000
 
 
 class OracleResult(Record):
-    """Optimal value, the optimal Markov policy on visited states, and the
-    reward/cost split E[final best] / E[total spend] under that policy.
-    ``_values`` holds each visited state's value as the int N of
+    """Optimal value, the optimal Markov policy on the reachable states, and
+    the reward/cost split E[final best] / E[total spend] under that policy.
+    ``_policy`` and ``_values`` hold only the scanned states, those below
+    their set's stop index (:func:`_stop_indices`, kept per box in
+    ``_stops``); ``_values`` holds each one's value as the int N of
     N / (L * prod of D_i over its unopened boxes) (``core.integer_boxes``)."""
 
-    __slots__ = ("value", "e_max", "e_cost", "grid", "model", "_policy", "_values")
+    __slots__ = ("value", "e_max", "e_cost", "grid", "model", "_policy", "_values", "_stops")
 
     def action(self, opened: Sequence[str], best: Fraction) -> str | None:
-        """Optimal next box id at this state, or None to stop."""
-        choice = self._policy[self.model.mask_of(opened), self.grid.index(best)]
-        return None if choice is None else self.model.ids[choice]
+        """Optimal next box id at this state, or None to stop: None at any
+        state at or above its stop index.  A ``ValueError`` for an unknown or
+        repeated id or a best reward off the grid, a ``KeyError`` for another
+        state the DP did not solve."""
+        model, mask = self.model, 0
+        for box_id in opened:
+            i = model.index.get(box_id)
+            if i is None or mask >> i & 1:
+                raise ValueError(f"box {box_id!r} is {'unknown' if i is None else 'opened twice'}")
+            mask |= 1 << i
+        if best not in self.grid:
+            raise ValueError(f"best reward {describe_rational(Fraction(best))} is not on the oracle's grid")
+        key = mask, self.grid.index(best)
+        if key in self._policy:
+            choice = self._policy[key]
+            return None if choice is None else model.ids[choice]
+        if key[1] >= max((h for i, h in enumerate(self._stops) if not mask >> i & 1), default=0):
+            return None
+        raise KeyError(f"state ({', '.join(opened)}) at best reward {describe_rational(Fraction(best))} "
+                       "is not reachable from the solved start")
 
 
-def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int) -> list[list[tuple[int, int, int, list[int]]]]:
+def _stop_indices(ints: IntegerBoxes) -> list[int]:
+    """Each box's stop index h_i: the first grid index k with
+    sum over its atoms above y_k of a * (payoff[vk] - payoff[k]) <= costs[i] * D_i,
+    that is w * E[(X_i - y_k)^+] <= c_i, so y_k is at least the box's Weitzman
+    index for cost c_i / w; ``len(grid)`` (never) for a negative cost.  The
+    excess is nonincreasing in k, so one scan down from the top finds it."""
+    payoff, stops = ints.payoff, []
+    for cost, den, atoms in zip(ints.costs, ints.dens, ints.atoms):
+        bound, above = cost * den, sorted(atoms, reverse=True)
+        mass = tail = j = 0
+        k = len(payoff) - 1
+        while k >= 0:
+            while j < len(above) and above[j][0] > k:
+                mass += above[j][1]
+                tail += above[j][1] * payoff[above[j][0]]
+                j += 1
+            if tail - payoff[k] * mass > bound:
+                break
+            k -= 1
+        stops.append(k + 1)
+    return stops
+
+
+def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int,
+                 stops: Sequence[int]) -> list[list[tuple[int, int, int, int, list[int]]]]:
     """The opened sets reachable from the empty set (order-closed, within the side),
     by popcount level: (mask, bitset of the grid indices of its best rewards from
-    grid index ``start``, r = prod of D_i over its unopened boxes, the boxes that can
-    open next in ascending id order).  The best rewards do not depend on the opening
-    order: the largest of the start and the boxes' lowest atoms, and every atom above it."""
+    grid index ``start``, its stop index H = the largest ``stops[i]`` over its
+    unopened boxes (0 when none is), r = prod of D_i over its unopened boxes, the
+    boxes that can open next in ascending id order).  The best rewards do not depend
+    on the opening order: the largest of the start and the boxes' lowest atoms, and
+    every atom above it.  A set whose lowest best reward is at least H is not
+    expanded (no box can open next): every state of it stops.  ``stops`` of
+    ``[len(grid)] * n`` expands every set."""
     n = len(model.ids)
     dens, atoms = ints.dens, ints.atoms
     # Candidate iteration in ascending id order fixes the argmax tie-break.
     by_id = sorted(range(n), key=lambda i: model.ids[i])
+    # H of a set is the stop index of its first unopened box in this order.
+    ranked = sorted(((h, i) for i, h in enumerate(stops)), reverse=True)
     # A set's state: the largest lowest atom (or start) ``low``, its boxes'
     # atoms ``bits``, r, the side load and the boxes with no in-edge or an
     # open parent.  The reachable best rewards are low and the bits above it.
@@ -65,17 +118,24 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int) -> list[list
         deeper: dict[int, tuple | None] = {}  # None: the set overflows the side
         states = []
         for mask, (low, bits, r, load, allowed) in level.items():
-            free, openable = allowed & ~mask, []
-            for i in by_id:
-                if free >> i & 1:
-                    child = mask | 1 << i
-                    if child not in deeper:
-                        after = model.add(load, i)
-                        deeper[child] = None if after is None else (
-                            max(low, lowest[i]), bits | atom_bits[i], r // dens[i], after, allowed | child_bits[i])
-                    if deeper[child] is not None:
-                        openable.append(i)
-            states.append((mask, 1 << low | bits >> low + 1 << low + 1, r, openable))
+            stop = 0
+            for h, i in ranked:
+                if not mask >> i & 1:
+                    stop = h
+                    break
+            openable = []
+            if low < stop:
+                free = allowed & ~mask
+                for i in by_id:
+                    if free >> i & 1:
+                        child = mask | 1 << i
+                        if child not in deeper:
+                            after = model.add(load, i)
+                            deeper[child] = None if after is None else (
+                                max(low, lowest[i]), bits | atom_bits[i], r // dens[i], after, allowed | child_bits[i])
+                        if deeper[child] is not None:
+                            openable.append(i)
+            states.append((mask, 1 << low | bits >> low + 1 << low + 1, stop, r, openable))
         levels.append(states)
         level = {mask: state for mask, state in deeper.items() if state is not None}
     return levels
@@ -88,7 +148,13 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
     levels of :func:`_opened_sets` from the deepest up, each set's openable
     boxes in ascending id order, reading the children's values from per-set
     rows of the level below, dropped once the level is done, so every
-    reachable state is solved once."""
+    reachable state is solved once.  A state at or above its set's stop index
+    (:func:`_stop_indices`) is worth ``payoff * r`` and is not scanned: with
+    best reward y and every unopened box's Weitzman index (cost c_i / w) at
+    most y, no policy of the unconstrained problem beats w * y, and the order
+    and side constraints only remove options.  Its row entry is written, and
+    its state is left out of ``_values`` and ``_policy``; the start value is
+    read from the root row."""
     n = instance.n
     if n > HARD_BOX_CAP:
         raise CapExceededError(f"oracle handles at most {HARD_BOX_CAP} boxes, got {n}")
@@ -102,19 +168,29 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
     ints = integer_boxes(instance.boxes, grid, terminal_weight)
     costs, dens, atoms, payoff = ints.costs, ints.dens, ints.atoms, ints.payoff
     start, r0 = grid.index(initial_best), math.prod(dens)
-    levels = _opened_sets(model, ints, start)
+    stops = _stop_indices(ints)
+    levels = _opened_sets(model, ints, start, stops)
 
     values: dict[tuple[int, int], int] = {}
     policy: dict[tuple[int, int], int | None] = {}
     rows: dict[int, list] = {}
     while levels:
         below, rows = rows, {}
-        for mask, ys, r, openable in levels.pop():
-            options = [(i, -costs[i] * r, atoms[i], below[mask | 1 << i]) for i in openable]
+        for mask, ys, stop, r, openable in levels.pop():
             row = rows[mask] = [0] * len(grid)
-            while ys:
+            scan = ys & (1 << stop) - 1
+            ys ^= scan
+            while ys:  # the stops
                 bit = ys & -ys
                 ys ^= bit
+                yk = bit.bit_length() - 1
+                row[yk] = payoff[yk] * r
+            if not scan:
+                continue
+            options = [(i, -costs[i] * r, atoms[i], below[mask | 1 << i]) for i in openable]
+            while scan:
+                bit = scan & -scan
+                scan ^= bit
                 yk = bit.bit_length() - 1
                 best_val = payoff[yk] * r
                 best_act: int | None = None
@@ -127,6 +203,7 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
                 key = (mask, yk)
                 row[yk] = values[key] = best_val
                 policy[key] = best_act
+    total = rows[0][start]
     del rows, below
 
     reward: dict[tuple[int, int], int] = {}
@@ -136,7 +213,7 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
         key = (mask, yk)
         if key in reward:
             return reward[key]
-        act = policy[key]
+        act = policy.get(key)  # None at a stop, scanned or not
         if act is None:
             rew = ints.grid[yk] * r
         else:
@@ -146,12 +223,12 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
         reward[key] = rew
         return rew
 
-    total, best = values[0, start], split(0, start, r0)
+    best = split(0, start, r0)
     del split  # free the memo table by refcount, not by a later cyclic GC pass
     den = ints.scale * r0
     value, e_max = Fraction(total, den), Fraction(best, den)
     # each memo value is w * E[final best] - E[total spend] under the recorded policy
-    return OracleResult(value, e_max, terminal_weight * e_max - value, tuple(grid), model, policy, values)
+    return OracleResult(value, e_max, terminal_weight * e_max - value, tuple(grid), model, policy, values, stops)
 
 
 def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResult:
@@ -183,9 +260,10 @@ def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
     ids = instance.order_model.ids
     ints = integer_boxes(instance.boxes, instance.support_union())
     costs, dens, atoms = ints.costs, ints.dens, ints.atoms
-    sets = [entry for level in _opened_sets(instance.order_model, ints, 0) for entry in level]
+    never = [len(ints.grid)] * n  # every maximal set is needed, so no set stops early
+    sets = [entry for level in _opened_sets(instance.order_model, ints, 0, never) for entry in level]
     # each reachable set's best rewards, from 0, as grid indices
-    reach = {mask: [k for k in range(len(ints.grid)) if ys >> k & 1] for mask, ys, _, _ in sets}
+    reach = {mask: [k for k in range(len(ints.grid)) if ys >> k & 1] for mask, ys, _, _, _ in sets}
     best: tuple[int, int, tuple[str, ...]] | None = None  # value N / (L * r) as (N, r), order
     seen = 0
 
@@ -212,7 +290,7 @@ def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
                 place(rest, suffix, ints.step(i, row, sub, reach[rest]), sub)
                 suffix.pop()
 
-    for mask, _, _, openable in sets:
+    for mask, _, _, _, openable in sets:
         if mask and not openable:  # a maximal set
             place(mask, [], ints.payoff, 1)
     if best is None:  # every box overflows the side alone: the empty order

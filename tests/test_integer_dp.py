@@ -6,8 +6,11 @@ run on Python ints over one common denominator
 ``helpers.reference_approx`` and ``helpers.reference_line_optimal_value``
 are the same recursions on ``Fraction``s, so every value, policy action and
 table entry must agree exactly, ties and stops at indifference included.
-The approx table keeps only the cells a run can reach
-(``helpers.reachable_approx_cells``); the reference fills them all.
+The oracle scans only the states below their set's stop index; the
+reference scans every reachable state, and each one the oracle leaves out
+must be a stop worth w·y there.  The approx table keeps only the cells a
+run can reach (``helpers.reachable_approx_cells``); the reference fills
+them all.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ INITIAL_BESTS = (F(0), F(0), F(1), F(5, 2), F(7, 3), F(-1, 2))
 )
 def test_oracle_matches_fraction_reference(kind):
     rng = random.Random(f"int-oracle-{kind}")
-    half = off_grid = sided = 0
+    half = off_grid = sided = dropped = 0
     for _ in range(150):
         inst = rand_case(rng, kind, max_n=7)
         initial_best = rng.choice(INITIAL_BESTS)
@@ -49,16 +52,24 @@ def test_oracle_matches_fraction_reference(kind):
         result = _engine(inst, initial_best, weight)
         value, e_max, e_cost, policy, values = reference_engine(inst, initial_best, weight)
         assert (result.value, result.e_max, result.e_cost) == (value, e_max, e_cost)
-        assert result._policy == policy
-        assert result._values.keys() == values.keys()
+        assert result._values.keys() == result._policy.keys() <= values.keys()
         ints = integer_boxes(inst.boxes, result.grid, weight)
+        ids = inst.order_model.ids
         for (mask, yk), value in values.items():
-            unopened = math.prod(d for i, d in enumerate(ints.dens) if not mask >> i & 1)
-            assert F(result._values[mask, yk], ints.scale * unopened) == value
+            act = policy[mask, yk]
+            if (mask, yk) in result._values:
+                unopened = math.prod(d for i, d in enumerate(ints.dens) if not mask >> i & 1)
+                assert F(result._values[mask, yk], ints.scale * unopened) == value
+                assert result._policy[mask, yk] == act
+            else:
+                assert act is None and value == weight * result.grid[yk]
+            opened = [ids[i] for i in range(inst.n) if mask >> i & 1]
+            assert result.action(opened, result.grid[yk]) == (None if act is None else ids[act])
+        dropped += len(values) - len(result._values)
         half += weight != 1
         off_grid += initial_best not in inst.support_union()
         sided += inst.side.kind != MatroidSideConstraint.NONE
-    assert half > 20 and off_grid > 20 and sided > 60
+    assert half > 20 and off_grid > 20 and sided > 60 and dropped > 500
 
 
 @pytest.mark.parametrize(

@@ -31,10 +31,12 @@ from helpers import (
     line_instance_of,
     rand_box,
     rand_case,
+    rand_graph_instance,
     rand_line_boxes,
     rand_knapsack_side,
     rand_tree_instance,
     reference_best_fixed_order,
+    reference_engine,
     reference_next,
     reference_set_feasible,
     with_side,
@@ -112,34 +114,106 @@ class TestSolveExact:
 @pytest.mark.parametrize("kind", ConstraintKind.ALL)
 def test_opened_sets_match_brute_force(kind):
     """The shared forward pass: every feasible set once, at its popcount level,
-    with its openable boxes, its scale and the best rewards every atom choice gives."""
+    with its stop index, its openable boxes, its scale and the best rewards every
+    atom choice gives; with the boxes' stop indices, only the sets reached through
+    sets whose lowest best reward is below their stop index."""
     rng = random.Random(31)
+    unbuilt = 0
     for _ in range(40):
         inst = rand_case(rng, kind, max_n=7)
         grid = inst.support_union()
         start = rng.randrange(len(grid))
-        ints = integer_boxes(inst.boxes, grid)
+        weight = rng.choice((F(1), F(1, 2)))
+        ints = integer_boxes(inst.boxes, grid, weight)
         model, ids = inst.order_model, inst.order_model.ids
-        levels = oracle._opened_sets(model, ints, start)
-        seen = set()
-        for size, level in enumerate(levels):
-            for mask, ys, r, openable in level:
-                opened = [b.id for i, b in enumerate(inst.boxes) if mask >> i & 1]
-                assert len(opened) == size and mask not in seen
-                seen.add(mask)
-                assert openable == sorted((model.index[b] for b in reference_next(inst, opened)), key=ids.__getitem__)
-                assert r == math.prod(ints.dens[i] for i in range(inst.n) if not mask >> i & 1)
-                bests = {grid[start]}
-                for box_id in opened:
-                    bests = {max(y, v) for y in bests for v in inst.box_map[box_id].reward.values()}
-                assert ys == sum(1 << grid.index(y) for y in bests)
+        stops = oracle._stop_indices(ints)
+        for box, h in zip(inst.boxes, stops):
+            if box.cost < 0:
+                assert h == len(grid)
+            else:
+                index = weitzman_reservation(BoxSpec(box.id, box.cost / weight, box.reward))
+                assert h == next(k for k, y in enumerate(grid) if y >= index)
         feasible = {
             sum(1 << i for i in chosen)
             for k in range(inst.n + 1)
             for chosen in itertools.combinations(range(inst.n), k)
             if reference_set_feasible(inst, [ids[i] for i in chosen])
         }
-        assert seen == feasible
+        for box_stops in ([len(grid)] * inst.n, stops):
+            expanded, seen = set(), set()
+            for size, level in enumerate(oracle._opened_sets(model, ints, start, box_stops)):
+                for mask, ys, stop, r, openable in level:
+                    opened = [b.id for i, b in enumerate(inst.boxes) if mask >> i & 1]
+                    assert len(opened) == size and mask not in seen
+                    seen.add(mask)
+                    assert stop == max((h for i, h in enumerate(box_stops) if not mask >> i & 1), default=0)
+                    bests = {grid[start]}
+                    for box_id in opened:
+                        bests = {max(y, v) for y in bests for v in inst.box_map[box_id].reward.values()}
+                    assert ys == sum(1 << grid.index(y) for y in bests)
+                    nxt = sorted((model.index[b] for b in reference_next(inst, opened)), key=ids.__getitem__)
+                    if grid.index(min(bests)) < stop:
+                        expanded.add(mask)
+                        assert openable == nxt
+                    else:
+                        assert openable == []
+                    assert r == math.prod(ints.dens[i] for i in range(inst.n) if not mask >> i & 1)
+            # the empty set, and each feasible set one box beyond an expanded set
+            beyond = {m for m in feasible if any(m & ~(1 << i) in expanded for i in range(inst.n) if m >> i & 1)}
+            assert seen == {0} | beyond
+            if box_stops is not stops:
+                assert seen == feasible
+        unbuilt += len(feasible) - len(seen)
+    assert unbuilt > 20
+
+
+class TestStopIndex:
+    """A state at or above every unopened box's Weitzman index stops unscanned."""
+
+    def test_scans_far_fewer_states_than_the_reference(self):
+        inst = rand_graph_instance(random.Random(1), 8, ConstraintKind.DAG)
+        res = solve_exact(inst)
+        value, e_max, e_cost, _, values = reference_engine(inst)
+        assert (res.value, res.e_max, res.e_cost) == (value, e_max, e_cost)
+        assert len(values) == 254 and len(res._policy) <= 40
+
+    def test_negative_cost_box_opened_above_every_atom(self):
+        refund = BoxSpec("a", F(-1), DiscreteDistribution.point(0))
+        res = solve_exact(Instance(boxes=(refund, coin_box("b"))), initial_best=F(5))
+        assert res.value == 6 and res.action((), F(5)) == "a"
+        # once it is open, b's index (1) is below the best reward: a stop, unscanned
+        assert res.action(("a",), F(5)) is None and (1, res.grid.index(F(5))) not in res._policy
+
+    def test_start_above_every_index_stops_at_once(self):
+        inst = Instance(boxes=(coin_box("a"), coin_box("b", cost=0)))
+        res = solve_exact(inst, initial_best=F(4))
+        assert res.value == res.e_max == 4 and res.e_cost == 0
+        assert res.action((), F(4)) is None and res._policy == res._values == {}
+
+
+class TestOracleAction:
+    def test_pruned_state_stops(self):
+        res = solve_exact(figure1())
+        # C's index is 2, so with A, C and D open at best reward 5/2 every box left stops
+        assert res.action(("A", "C", "D"), F(5, 2)) is None
+        assert (0b1101, res.grid.index(F(5, 2))) not in res._policy
+
+    def test_unreached_state_is_a_key_error(self):
+        with pytest.raises(KeyError, match=r"state \(B\) at best reward 0 is not reachable") as caught:
+            solve_exact(figure1()).action(("B",), F(0))
+        assert "\n" not in str(caught.value)
+
+    def test_off_grid_best_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^best reward 1 is not on the oracle's grid$"):
+            solve_exact(figure1()).action((), F(1))
+
+    def test_repeated_id_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^box 'A' is opened twice$"):
+            solve_exact(figure1()).action(("A", "A"), F(0))
+
+    def test_unknown_id_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^box 'Z' is unknown$"):
+            solve_exact(figure1()).action(("A", "Z"), F(0))
 
 
 class TestBestFixedOrder:

@@ -44,7 +44,7 @@ FIELDS = {
     ThresholdPolicy: ["thresholds", "tiebreak"],
     Trajectory: ["steps", "final"],
     SimulationSummary: ["mean", "stddev", "trials", "seed"],
-    OracleResult: ["value", "e_max", "e_cost", "grid", "model", "_policy", "_values"],
+    OracleResult: ["value", "e_max", "e_cost", "grid", "model", "_policy", "_values", "_stops"],
     ApproxPolicy: ["instance", "preorder", "grid", "values", "actions"],
     GuaranteeReport: ["policy_value", "executed_value", "set_margin", "worst_set", "feasible_sets",
                       "benchmark_margin", "oracle_value", "oracle_e_max", "oracle_e_cost"],
