@@ -97,14 +97,16 @@ def _read_thresholds(instance: Instance, path: str | None):
     return ThresholdPolicy.for_instance(instance, raw)
 
 
+def _threshold_pairs(solution) -> list[tuple[str, object]]:
+    """``threshold.<id>`` for each box of a ``TreeSolution`` in its order, then ``value``."""
+    return [*((f"threshold.{entry.box_id}", entry.threshold) for entry in solution.order.entries),
+            ("value", solution.value)]
+
+
 def cmd_solve(args) -> None:
     from .tree_solver import solve_tree
     solution = solve_tree(_read_instance(args.input))
-    pairs: list[tuple[str, object]] = [("order", ",".join(solution.order.ids()))]
-    for entry in solution.order.entries:
-        pairs.append((f"threshold.{entry.box_id}", entry.threshold))
-    pairs.append(("value", solution.value))
-    emit(pairs, args.json)
+    emit([("order", ",".join(solution.order.ids())), *_threshold_pairs(solution)], args.json)
 
 
 def cmd_evaluate(args) -> None:
@@ -307,12 +309,7 @@ def _example_guard_line(args) -> list[tuple[str, object]]:
     from .tree_solver import solve_tree
     instance = guard_line()
     _write_example(instance, args.out)
-    solution = solve_tree(instance)
-    pairs: list[tuple[str, object]] = [("name", "guard-line")]
-    for entry in solution.order.entries:
-        pairs.append((f"threshold.{entry.box_id}", entry.threshold))
-    pairs.append(("value", solution.value))
-    return pairs
+    return [("name", "guard-line"), *_threshold_pairs(solve_tree(instance))]
 
 
 def cmd_example(args) -> None:

@@ -122,11 +122,12 @@ class Record:
     """Base of the immutable records.  The fields (``_fields``) are the names
     in ``__slots__``, else the names annotated in the class body, in order.
     A record equals one of its class with equal fields, hashes and shows
-    field by field, and refuses attribute assignment.  This ``__init__``
-    takes the fields by position or keyword, an omitted one from the class
-    attribute of its name (records with ``__slots__`` have no defaults);
-    the hot ``AnnotatedEntry`` and ``ThresholdPolicy`` write their own with
-    :data:`setfield`."""
+    field by field (``hash`` raises ``TypeError`` when a field is unhashable,
+    such as a dict, as a frozen dataclass does), and refuses attribute
+    assignment.  This ``__init__`` takes the fields by position or keyword,
+    an omitted one from the class attribute of its name (records with
+    ``__slots__`` have no defaults); the hot ``AnnotatedEntry`` and
+    ``ThresholdPolicy`` write their own with :data:`setfield`."""
 
     __slots__ = ()
 

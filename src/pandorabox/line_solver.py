@@ -42,42 +42,11 @@ ZERO = Fraction(0)
 NOTHING = IntDistribution([0], 1, [1], 1)  # the capped value of an empty line
 
 
-class ValueTable(Record):
-    """Optimal values V(x, i) = E[max(x, kappa_i)] for i = 1..n+1.
-
-    The grid is {0}, every support value and the support of every kappa_i
-    (which holds every nonnegative threshold).  V(., i) is linear between
-    grid points, and above the grid V(x, i) = x.
-    """
-
-    grid: tuple[Fraction, ...]
-    kappas: tuple[IntDistribution, ...]  # kappas[i-1] is kappa_i
-
-    def at(self, x: Fraction, i: int) -> Fraction:
-        """V(x, i) for any x >= 0 (1-based i, i = n+1 is the horizon)."""
-        if x < 0:
-            raise InvariantError(f"{x} is below the domain start 0")
-        k, a, b = self.kappas[i - 1], x.numerator, x.denominator
-        top = a * k.scale  # x = top / (b * scale), each key = key * b / (b * scale)
-        return Fraction(sum(max(top, key * b) * p for key, p in zip(k.keys, k.probs)), b * k.scale * k.den)
-
-
-class ThresholdTable(Record):
-    """Per-box thresholds z_i and dependence horizons d(i).
-
-    d(i) is the first t >= i with z_{t+1} < z_i, or n when no later
-    threshold drops below z_i; z_i depends only on boxes i..d(i).
-    """
-
-    thresholds: tuple[Fraction, ...]
-    horizons: tuple[int, ...]
-
-
 class LineSolution(Record):
     """What the backward recursion produces for a line: its boxes, the
     thresholds z_1..z_n and the capped values kappa_1..kappa_{n+1} (on
-    ints).  The value table and the threshold table are derived from these
-    once, on first read."""
+    ints), with V(x, i) = E[max(x, kappa_i)] read from them.  The value grid
+    and the dependence horizons are derived once, on first read."""
 
     boxes: tuple[BoxSpec, ...]
     zs: tuple[Fraction, ...]
@@ -89,15 +58,27 @@ class LineSolution(Record):
         return self.kappas[0].expectation()
 
     @cached_property
-    def value_table(self) -> ValueTable:
-        """V(., i) = x -> E[max(x, kappa_i)] read from the kappas, with their common grid."""
+    def grid(self) -> tuple[Fraction, ...]:
+        """{0}, every support value and the support of every kappa_i (which holds
+        every nonnegative threshold): V(., i) is linear between grid points, and
+        above the grid V(x, i) = x."""
         grid = {ZERO}.union(*(b.reward.values() for b in self.boxes))
         grid.update(Fraction(key, k.scale) for k in self.kappas for key in k.keys)
-        return ValueTable(tuple(sorted(grid)), self.kappas)
+        return tuple(sorted(grid))
 
     @cached_property
-    def thresholds(self) -> ThresholdTable:
-        return ThresholdTable(self.zs, _horizons(self.zs))
+    def horizons(self) -> tuple[int, ...]:
+        """Dependence horizons d(i): the first t >= i with z_{t+1} < z_i, or n when
+        no later threshold drops below z_i; z_i depends only on boxes i..d(i)."""
+        return _horizons(self.zs)
+
+    def at(self, x: Fraction, i: int) -> Fraction:
+        """V(x, i) for any x >= 0 (1-based i, i = n+1 is the horizon)."""
+        if x < 0:
+            raise InvariantError(f"{x} is below the domain start 0")
+        k, a, b = self.kappas[i - 1], x.numerator, x.denominator
+        top = a * k.scale  # x = top / (b * scale), each key = key * b / (b * scale)
+        return Fraction(sum(max(top, key * b) * p for key, p in zip(k.keys, k.probs)), b * k.scale * k.den)
 
     def prepend(self, box: BoxSpec) -> "LineSolution":
         """Solution of [box] + line: one capped-value step over this suffix."""

@@ -5,24 +5,26 @@ with the best-reward grid {0} plus every support value.  A forward pass,
 one level of opened-set size at a time, finds the reachable states; a
 backward pass from the deepest level solves each of them once.  A state
 whose best reward is at least every unopened box's Weitzman index (with
-cost c_i / w) stops without a look at its options: by Weitzman's rule even
-the unconstrained problem stops there, and the order and side constraints
-only remove options.  Works for
-any constraint kind including DAGs and matroid side constraints;
-deliberately exponential, guarded by explicit caps.  The DP runs on ints
-over one common denominator (``core.integer_boxes``, no floats), so every
-comparison is exact; ``Fraction``s are built only for reported values.
-The best fixed order walks the same forward pass, one backward DP step
-(``IntegerBoxes.step``) per distinct suffix of the maximal feasible orders.
+cost c_i / w, ``core.reservation_scan``) stops without a look at its options:
+by Weitzman's rule even the unconstrained problem stops there, and the order
+and side constraints only remove options.  Works for any constraint kind
+including DAGs and matroid side constraints; deliberately exponential,
+guarded by explicit caps.  The DP runs on ints over one common denominator
+(``core.integer_boxes``, no floats), so every comparison is exact;
+``Fraction``s are built only for reported values.  The best fixed order
+walks the same forward pass, one backward DP step (``IntegerBoxes.step``)
+per distinct suffix of the maximal feasible orders.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import CapExceededError, Instance, IntegerBoxes, OrderModel, Record, describe_rational, integer_boxes
+from .core import (BoxSpec, CapExceededError, Instance, IntegerBoxes, OrderModel, Record, describe_rational,
+                   integer_boxes, reservation_scan)
 
 ZERO = Fraction(0)
 
@@ -65,27 +67,15 @@ class OracleResult(Record):
                        "is not reachable from the solved start")
 
 
-def _stop_indices(ints: IntegerBoxes) -> list[int]:
-    """Each box's stop index h_i: the first grid index k with
-    sum over its atoms above y_k of a * (payoff[vk] - payoff[k]) <= costs[i] * D_i,
-    that is w * E[(X_i - y_k)^+] <= c_i, so y_k is at least the box's Weitzman
-    index for cost c_i / w; ``len(grid)`` (never) for a negative cost.  The
-    excess is nonincreasing in k, so one scan down from the top finds it."""
-    payoff, stops = ints.payoff, []
-    for cost, den, atoms in zip(ints.costs, ints.dens, ints.atoms):
-        bound, above = cost * den, sorted(atoms, reverse=True)
-        mass = tail = j = 0
-        k = len(payoff) - 1
-        while k >= 0:
-            while j < len(above) and above[j][0] > k:
-                mass += above[j][1]
-                tail += above[j][1] * payoff[above[j][0]]
-                j += 1
-            if tail - payoff[k] * mass > bound:
-                break
-            k -= 1
-        stops.append(k + 1)
-    return stops
+def _stop_indices(boxes: Sequence[BoxSpec], ints: IntegerBoxes, weight: Fraction) -> list[int]:
+    """Each box's stop index h_i: the first grid index at or above its Weitzman
+    index z for cost c_i / w (``core.reservation_scan``), ``len(grid)`` (never) for
+    a negative cost.  w * E[(X_i - y)^+] is nonincreasing, and strictly decreasing
+    below max X_i, so w * E[(X_i - y_k)^+] <= c_i exactly when y_k >= z, that is
+    when the int ``grid[k]`` = y_k * L is at least ceil(z * L)."""
+    zs = [None if b.cost < 0 else reservation_scan(b.reward.integer, b.cost / weight, b.id) for b in boxes]
+    return [len(ints.grid) if z is None else bisect_left(ints.grid, -(-z.numerator * ints.scale // z.denominator))
+            for z in zs]
 
 
 def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int,
@@ -168,7 +158,7 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
     ints = integer_boxes(instance.boxes, grid, terminal_weight)
     costs, dens, atoms, payoff = ints.costs, ints.dens, ints.atoms, ints.payoff
     start, r0 = grid.index(initial_best), math.prod(dens)
-    stops = _stop_indices(ints)
+    stops = _stop_indices(instance.boxes, ints, terminal_weight)
     levels = _opened_sets(model, ints, start, stops)
 
     values: dict[tuple[int, int], int] = {}

@@ -32,7 +32,7 @@ from pandorabox import (
 )
 from pandorabox import oracle
 from pandorabox.core import Record, max_sweep
-from pandorabox.line_solver import ThresholdTable, solve_line
+from pandorabox.line_solver import solve_line
 from pandorabox.piecewise import PiecewiseLinear
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine
 
@@ -700,12 +700,11 @@ class MacroBoxPartition(Record):
     boundaries: tuple[int, ...]
 
 
-def macro_partition(thresholds: ThresholdTable) -> MacroBoxPartition:
-    """Leader indices: after j, the next leader is the first index whose
-    threshold does not exceed the threshold at j."""
-    z = thresholds.thresholds
+def macro_partition(z: tuple[Fraction, ...]) -> MacroBoxPartition:
+    """Leader indices of the thresholds z_1..z_n: after j, the next leader is
+    the first index whose threshold does not exceed the threshold at j."""
     if not z:
-        raise ValidationError("cannot partition an empty threshold table")
+        raise ValidationError("cannot partition an empty list of thresholds")
     boundaries = [1]
     for j in range(2, len(z) + 1):
         if z[j - 1] <= z[boundaries[-1] - 1]:
@@ -717,8 +716,8 @@ def check_line_submartingale(boxes) -> None:
     """Exact check: truncating the optimal line run at successive macro-box
     boundaries gives conditional expectations that never decrease."""
     solution = solve_line(boxes)
-    z = solution.thresholds.thresholds
-    bounds = macro_partition(solution.thresholds).boundaries
+    z = solution.zs
+    bounds = macro_partition(z).boundaries
     ends = [0] + [bounds[k + 1] - 1 for k in range(len(bounds) - 1)] + [len(boxes)]
 
     outcomes = list(enumerate_realizations(boxes))

@@ -115,26 +115,25 @@ def test_criterion_4_threshold_structure_invariants():
     for _ in range(lines):
         boxes = rand_line_boxes(rng, rng.randint(1, 6))
         sol = solve_line(boxes)
-        z = sol.thresholds.thresholds
-        d = sol.thresholds.horizons
+        z = sol.zs
+        d = sol.horizons
         # monotone append
-        appended = solve_line(boxes + [rand_box(rng, 88)]).thresholds.thresholds
+        appended = solve_line(boxes + [rand_box(rng, 88)]).zs
         assert all(b >= a for a, b in zip(z, appended))
         # prefix dependence through the horizon
         for i in range(1, len(boxes) + 1):
             window = boxes[i - 1 : d[i - 1]]
-            assert solve_line(window).thresholds.thresholds[0] == z[i - 1]
+            assert solve_line(window).zs[0] == z[i - 1]
         # fixed point, minimality, Lipschitz
-        table = sol.value_table
         for i, zi in enumerate(z, start=1):
             if zi >= 0:
-                assert table.at(zi, i) == zi
-            for x in table.grid:
+                assert sol.at(zi, i) == zi
+            for x in sol.grid:
                 if x < zi:
-                    assert table.at(x, i) > x
+                    assert sol.at(x, i) > x
         for i in range(1, len(boxes) + 2):
-            for a, b in zip(table.grid, table.grid[1:]):
-                diff = table.at(b, i) - table.at(a, i)
+            for a, b in zip(sol.grid, sol.grid[1:]):
+                diff = sol.at(b, i) - sol.at(a, i)
                 assert F(0) <= diff <= b - a
     report(4, f"{lines} random lines: monotone append, horizon windows, "
               f"smallest-fixed-point minimality and 1-Lipschitz tables hold exactly")

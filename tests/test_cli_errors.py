@@ -309,6 +309,26 @@ def test_simulate_over_the_trials_cap_exits_3(tmp_path, trials, got):
     assert res.stderr == f"error: simulate handles at most {MAX_TRIALS} trials, got {got}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, n, message",
+    [
+        # rewards 1..4 and 0 make a grid of 5 values
+        (["oracle"], 20, "state estimate 2^20 * 5 = 5242880 exceeds cap 5000000"),
+        (["fixed-order"], 11, "fixed-order enumeration handles at most 10 boxes, got 11"),
+        (["approx", "--verify"], 13, "set enumeration handles at most 12 boxes, got 13"),
+    ],
+    ids=["oracle", "fixed-order", "approx-verify"],
+)
+def test_exhaustive_commands_over_their_caps_exit_3(tmp_path, argv, n, message):
+    doc = {"boxes": [{"id": f"b{k:02d}", "cost": "1", "reward": [{"value": str(k % 4 + 1), "prob": "1"}]}
+                     for k in range(n)]}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli(argv[0], "--input", str(path), *argv[1:])
+    assert_clean_exit_3(res)
+    assert res.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_simulate_variance_past_the_float_range_exits_3(tmp_path, json_flag):
     doc = {"boxes": [

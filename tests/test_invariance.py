@@ -1,10 +1,11 @@
 """Metamorphic checks that guard refactors of the solvers.
 
 Scaling every cost and reward by a positive factor scales every value and
-threshold by it, and also the simulated mean under the same seed, since the
-sampler stream reads only the seed, trial, step, id and probabilities (the
-factor 3/7 also brings a new denominator into the common denominator of
-the integer DPs, and keeps every fixed-order tie);
+threshold by it, the line solver's value grid and V(x, i) too (its horizons
+and the oracle's stop indices stay), and also the simulated mean under the
+same seed, since the sampler stream reads only the seed, trial, step, id and
+probabilities (the factor 3/7 also brings a new denominator into the common
+denominator of the integer DPs, and keeps every fixed-order tie);
 renaming the boxes leaves every value unchanged; adding a free zero box as a
 separate root changes no value and no other threshold.  The oracle's
 reward/cost split (e_max, e_cost) is checked under all three.
@@ -28,6 +29,7 @@ from pandorabox import (
     simulate,
     solve_approx,
     solve_exact,
+    solve_line,
     solve_tree,
     validate_instance,
 )
@@ -106,6 +108,14 @@ def test_scaling_costs_and_rewards_scales_values_and_thresholds():
         exact, big_exact = solve_exact(inst), solve_exact(big)
         assert big_exact.value == LAMBDA * exact.value
         assert (big_exact.e_max, big_exact.e_cost) == (LAMBDA * exact.e_max, LAMBDA * exact.e_cost)
+        # the stop indices scale with the grid, so the same states are scanned
+        assert big_exact._stops == exact._stops and len(big_exact._policy) == len(exact._policy)
+        if inst.constraint.kind == ConstraintKind.LINE:
+            line, big_line = solve_line(inst.boxes), solve_line(big.boxes)
+            assert big_line.grid == tuple(LAMBDA * x for x in line.grid)
+            assert big_line.horizons == line.horizons
+            assert all(big_line.at(LAMBDA * x, i) == LAMBDA * line.at(x, i)
+                       for i in range(1, inst.n + 2) for x in line.grid)
         order, fixed_value = best_fixed_order(inst)
         assert best_fixed_order(big) == (order, LAMBDA * fixed_value)
         assert best_half_reward_benchmark(big) == LAMBDA * best_half_reward_benchmark(inst)

@@ -18,7 +18,7 @@ from pandorabox import (
     weitzman_reservation,
 )
 from pandorabox.instances import adaptivity_gap
-from pandorabox.line_solver import ThresholdTable, _horizons, capped_step
+from pandorabox.line_solver import _horizons, capped_step
 
 from helpers import (
     check_line_submartingale,
@@ -48,31 +48,31 @@ GUARD = [box("g1", 1, [(0, 1)]), box("g2", 0, [(2, 1)])]
 class TestSolveLine:
     def test_guard_line_thresholds(self):
         sol = solve_line(GUARD)
-        assert sol.thresholds.thresholds == (F(1), F(2))
+        assert sol.zs == (F(1), F(2))
 
     def test_guard_line_values(self):
-        table = solve_line(GUARD).value_table
-        assert table.at(F(0), 1) == 1
-        assert table.at(F(3), 1) == 3
+        sol = solve_line(GUARD)
+        assert sol.at(F(0), 1) == 1
+        assert sol.at(F(3), 1) == 3
         with pytest.raises(InvariantError):
-            table.at(F(-1, 2), 1)  # below the domain start 0
+            sol.at(F(-1, 2), 1)  # below the domain start 0
 
     def test_single_box_recovers_reservation_value(self):
         rng = random.Random(3)
         for _ in range(100):
             b = rand_box(rng, 0)
-            assert solve_line([b]).thresholds.thresholds[0] == weitzman_reservation(b)
+            assert solve_line([b]).zs[0] == weitzman_reservation(b)
 
     def test_threshold_can_sit_between_support_values(self):
         # The deeper levels' fixed points create breakpoints between
         # support values; support-grid interpolation would report 8/5 here.
         prefix = box("p", "1/4", [("3/2", "1/2"), (0, "1/2")])
         sol = solve_line([prefix] + GUARD)
-        assert sol.thresholds.thresholds[0] == 1
+        assert sol.zs[0] == 1
 
     def test_negative_threshold_for_cost_dominated_prefix(self):
         sol = solve_line([box("a", 2, [(1, 1)])])
-        assert sol.thresholds.thresholds == (F(-1),)
+        assert sol.zs == (F(-1),)
         assert sol.value == 0
 
     def test_value_matches_fast_path_and_oracle(self):
@@ -89,8 +89,8 @@ class TestHorizons:
         rng = random.Random(41)
         for _ in range(1600):
             boxes = list(rand_tie_instance(rng, ConstraintKind.LINE).boxes)
-            table = solve_line(boxes).thresholds
-            assert table.horizons == reference_horizons(table.thresholds)
+            sol = solve_line(boxes)
+            assert sol.horizons == reference_horizons(sol.zs)
 
     @pytest.mark.parametrize(
         "zs, horizons",
@@ -129,12 +129,12 @@ class TestComputeThreshold:
             head = rand_box(rng, 99)
             full = solve_line([head] + boxes)
             stepped = solve_line(boxes).prepend(head)
-            assert stepped.zs[0] == full.thresholds.thresholds[0]
-            assert stepped.thresholds == full.thresholds
-            assert stepped.value_table.grid == full.value_table.grid
+            assert stepped.zs[0] == full.zs[0]
+            assert stepped.zs == full.zs and stepped.horizons == full.horizons
+            assert stepped.grid == full.grid
             for i in range(1, len(boxes) + 3):
-                for x in full.value_table.grid:
-                    assert stepped.value_table.at(x, i) == full.value_table.at(x, i)
+                for x in full.grid:
+                    assert stepped.at(x, i) == full.at(x, i)
 
 
 def big_dist(rng: random.Random, bits: int = 200) -> DiscreteDistribution:
@@ -249,19 +249,18 @@ class TestMacroPartition:
         ],
     )
     def test_worked_examples(self, z, expected):
-        table = ThresholdTable(tuple(F(v) for v in z), tuple(range(1, len(z) + 1)))
-        assert macro_partition(table).boundaries == expected
+        assert macro_partition(tuple(F(v) for v in z)).boundaries == expected
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
-            macro_partition(ThresholdTable((), ()))
+            macro_partition(())
 
     def test_runs_stay_above_leader(self):
         rng = random.Random(17)
         for _ in range(80):
             sol = solve_line(rand_line_boxes(rng, rng.randint(1, 6)))
-            z = sol.thresholds.thresholds
-            bounds = macro_partition(sol.thresholds).boundaries
+            z = sol.zs
+            bounds = macro_partition(z).boundaries
             assert bounds[0] == 1
             for k, leader in enumerate(bounds):
                 end = bounds[k + 1] - 1 if k + 1 < len(bounds) else len(z)
@@ -277,8 +276,8 @@ class TestClaimedInvariants:
         for _ in range(self.N_LINES):
             boxes = rand_line_boxes(rng, rng.randint(1, 5))
             extra = rand_box(rng, 77)
-            before = solve_line(boxes).thresholds.thresholds
-            after = solve_line(boxes + [extra]).thresholds.thresholds
+            before = solve_line(boxes).zs
+            after = solve_line(boxes + [extra]).zs
             assert all(b >= a for a, b in zip(before, after))
 
     def test_prefix_dependence_window(self):
@@ -286,41 +285,40 @@ class TestClaimedInvariants:
         for _ in range(self.N_LINES):
             boxes = rand_line_boxes(rng, rng.randint(1, 6))
             sol = solve_line(boxes)
-            z = sol.thresholds.thresholds
-            d = sol.thresholds.horizons
+            z = sol.zs
+            d = sol.horizons
             for i in range(1, len(boxes) + 1):
                 window = boxes[i - 1 : d[i - 1]]
-                assert solve_line(window).thresholds.thresholds[0] == z[i - 1]
+                assert solve_line(window).zs[0] == z[i - 1]
 
     def test_fixed_point_and_minimality(self):
         rng = random.Random(29)
         for _ in range(self.N_LINES):
             boxes = rand_line_boxes(rng, rng.randint(1, 6))
             sol = solve_line(boxes)
-            table = sol.value_table
-            for i, z in enumerate(sol.thresholds.thresholds, start=1):
+            for i, z in enumerate(sol.zs, start=1):
                 if z >= 0:
-                    assert table.at(z, i) == z
-                    assert z in table.grid
-                for x in table.grid:
+                    assert sol.at(z, i) == z
+                    assert z in sol.grid
+                for x in sol.grid:
                     if x < z:
-                        assert table.at(x, i) > x
+                        assert sol.at(x, i) > x
 
     def test_lipschitz_between_grid_points(self):
         rng = random.Random(31)
         for _ in range(self.N_LINES):
             boxes = rand_line_boxes(rng, rng.randint(1, 6))
-            table = solve_line(boxes).value_table
+            sol = solve_line(boxes)
             for i in range(1, len(boxes) + 2):
-                for a, b in zip(table.grid, table.grid[1:]):
-                    diff = table.at(b, i) - table.at(a, i)
+                for a, b in zip(sol.grid, sol.grid[1:]):
+                    diff = sol.at(b, i) - sol.at(a, i)
                     assert F(0) <= diff <= b - a
-                    assert table.at((a + b) / 2, i) == (table.at(a, i) + table.at(b, i)) / 2  # linear
-                top = table.grid[-1]
-                assert table.at(top, i) == top  # identity above the grid
+                    assert sol.at((a + b) / 2, i) == (sol.at(a, i) + sol.at(b, i)) / 2  # linear
+                top = sol.grid[-1]
+                assert sol.at(top, i) == top  # identity above the grid
             n1 = len(boxes) + 1
-            for x in table.grid:
-                assert table.at(x, n1) == x  # horizon level is the identity
+            for x in sol.grid:
+                assert sol.at(x, n1) == x  # horizon level is the identity
 
     def test_stopping_time_independent_of_start_below_strict_minimum(self):
         # When z_i is strictly below every later threshold, the run from
@@ -330,7 +328,7 @@ class TestClaimedInvariants:
         checked = 0
         for _ in range(200):
             boxes = rand_line_boxes(rng, rng.randint(2, 5))
-            z = solve_line(boxes).thresholds.thresholds
+            z = solve_line(boxes).zs
             n = len(boxes)
             for i in range(1, n):
                 zi = z[i - 1]
@@ -367,16 +365,15 @@ class TestClaimedInvariants:
         for _ in range(40):
             boxes = rand_line_boxes(rng, rng.randint(1, 5))
             sol = solve_line(boxes)
-            table = sol.value_table
             probes = set()
-            for a, b in zip(table.grid, table.grid[1:]):
+            for a, b in zip(sol.grid, sol.grid[1:]):
                 probes.add((a + b) / 2)
                 probes.add(a + (b - a) / 7)
-            probes.add(table.grid[-1] + F(13, 9))
+            probes.add(sol.grid[-1] + F(13, 9))
             for i in range(1, len(boxes) + 1):
                 suffix = line_instance_of(boxes[i - 1 :])
                 for x in sorted(probes):
-                    assert table.at(x, i) == solve_exact(suffix, initial_best=x).value
+                    assert sol.at(x, i) == solve_exact(suffix, initial_best=x).value
 
 
 class TestDegenerateLines:
@@ -384,20 +381,20 @@ class TestDegenerateLines:
         boxes = [BoxSpec(f"z{i}", F(i, 3), DiscreteDistribution.point(0)) for i in range(4)]
         sol = solve_line(boxes)
         assert sol.value == 0
-        assert all(z <= 0 for z in sol.thresholds.thresholds)
+        assert all(z <= 0 for z in sol.zs)
 
     def test_free_zero_reward_chain_prepends_harmlessly(self):
         chain = [BoxSpec(f"f{i}", F(0), DiscreteDistribution.point(0)) for i in range(3)]
         prize = BoxSpec("p", F(1), DiscreteDistribution.of([(5, "1/2"), (0, "1/2")]))
         sol = solve_line(chain + [prize])
         assert sol.value == solve_line([prize]).value == F(3, 2)
-        assert sol.thresholds.thresholds[-1] == weitzman_reservation(prize)
+        assert sol.zs[-1] == weitzman_reservation(prize)
 
     def test_equal_thresholds_everywhere(self):
         dist = DiscreteDistribution.of([(4, "1/4"), (0, "3/4")])
         boxes = [BoxSpec(f"t{i}", F(1), dist) for i in range(5)]
         sol = solve_line(boxes)
-        zs = sol.thresholds.thresholds
+        zs = sol.zs
         assert zs[-1] == weitzman_reservation(boxes[-1])
         assert all(a >= b for a, b in zip(zs, zs[1:]))  # suffix shrinks
         assert sol.value == solve_exact(line_instance_of(boxes)).value
@@ -416,7 +413,7 @@ class TestDegenerateLines:
         dist = DiscreteDistribution.of([(9, "1/3"), (0, "2/3")])
         boxes = [BoxSpec(f"i{k:02d}", F(1), dist) for k in range(40)]
         sol = solve_line(boxes)
-        zs = sol.thresholds.thresholds
+        zs = sol.zs
         assert all(a >= b for a, b in zip(zs, zs[1:]))
         assert zs[-1] == weitzman_reservation(boxes[-1]) == 6
 

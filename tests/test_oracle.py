@@ -126,13 +126,11 @@ def test_opened_sets_match_brute_force(kind):
         weight = rng.choice((F(1), F(1, 2)))
         ints = integer_boxes(inst.boxes, grid, weight)
         model, ids = inst.order_model, inst.order_model.ids
-        stops = oracle._stop_indices(ints)
+        stops = oracle._stop_indices(inst.boxes, ints, weight)
         for box, h in zip(inst.boxes, stops):
-            if box.cost < 0:
-                assert h == len(grid)
-            else:
-                index = weitzman_reservation(BoxSpec(box.id, box.cost / weight, box.reward))
-                assert h == next(k for k, y in enumerate(grid) if y >= index)
+            # straight from the definition: the first k with w * E[(X - y_k)^+] <= c
+            excess = [weight * sum(p * max(v - y, 0) for v, p in box.reward.atoms) for y in grid]
+            assert h == next((k for k, e in enumerate(excess) if e <= box.cost), len(grid))
         feasible = {
             sum(1 << i for i in chosen)
             for k in range(inst.n + 1)

@@ -17,7 +17,7 @@ EXPORTS = {
         "constraint_allows", "dump_instance", "feasible_next", "format_rational", "load_instance",
         "parse_rational", "set_feasibility_violation", "validate_instance", "weitzman_reservation",
     ],
-    "line_solver": ["LineSolution", "ThresholdTable", "ValueTable", "line_optimal_value", "solve_line"],
+    "line_solver": ["LineSolution", "line_optimal_value", "solve_line"],
     "tree_solver": ["AnnotatedEntry", "AnnotatedLine", "TreeSolution", "merge", "solve_tree"],
     "strategy": [
         "SimulationSummary", "ThresholdPolicy", "Trajectory", "evaluate_set", "evaluate_threshold_exact",

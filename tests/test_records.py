@@ -5,6 +5,7 @@ a field-wise repr, validation at construction and no attribute assignment."""
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -15,8 +16,9 @@ from pandorabox.core import (BoxSpec, ConstraintGraph, DiscreteDistribution, Exe
                              InvariantError, MatroidSideConstraint, OrderModel, PreOrderIndex, ValidationError,
                              dump_instance, load_instance)
 from pandorabox.learning import EmpiricalModel, LearnReport, LearningConfig
-from pandorabox.line_solver import LineSolution, ThresholdTable, ValueTable
-from pandorabox.oracle import OracleResult
+from pandorabox.line_solver import LineSolution
+from pandorabox.instances import figure1
+from pandorabox.oracle import OracleResult, solve_exact
 from pandorabox.piecewise import PiecewiseLinear
 from pandorabox.strategy import SimulationSummary, ThresholdPolicy, Trajectory
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine, TreeSolution
@@ -34,8 +36,6 @@ FIELDS = {
     OrderModel: ["ids", "index", "parent_masks", "children", "weights", "capacity"],
     PreOrderIndex: ["order", "next_position"],
     IntegerBoxes: ["scale", "dens", "costs", "atoms", "grid", "payoff"],
-    ValueTable: ["grid", "kappas"],
-    ThresholdTable: ["thresholds", "horizons"],
     MacroBoxPartition: ["boundaries"],
     LineSolution: ["boxes", "zs", "kappas"],
     AnnotatedEntry: ["box_id", "threshold"],
@@ -80,6 +80,22 @@ def test_equal_fields_make_equal_records(cls):
     assert not record != cls(**a)
     assert hash(record) == hash(cls(*a.values()))
     assert record != tuple(a.values())
+
+
+def test_hash_goes_field_by_field_and_refuses_an_unhashable_field():
+    """As with a frozen dataclass: equal records hash alike, and a dict field
+    (an ``OrderModel``'s index, an ``Instance``'s side, an ``OracleResult``'s
+    policy) makes ``hash`` raise ``TypeError``."""
+    @dataclass(frozen=True)
+    class Frozen:
+        index: dict
+
+    box = BoxSpec("a", F(1), DiscreteDistribution.point(2))
+    assert hash(box) == hash(BoxSpec("a", F(1), DiscreteDistribution.point(2))) == hash(box._field_values())
+    instance = figure1()
+    for record in (Frozen({}), instance, instance.order_model, solve_exact(instance)):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(record)
 
 
 @CLASSES

@@ -45,12 +45,11 @@ def test_line_levels_match_reference_between_knots():
         boxes = list(rand_tie_instance(rng, ConstraintKind.LINE).boxes)
         sol = solve_line(boxes)
         zs, levels = reference_solve_line(boxes)
-        assert sol.thresholds.thresholds == tuple(zs)
+        assert sol.zs == tuple(zs)
         assert sol.value == levels[0](F(0))
-        table = sol.value_table
-        assert len(table.kappas) == len(levels) == len(boxes) + 1
+        assert len(sol.kappas) == len(levels) == len(boxes) + 1
         for i, ref in enumerate(levels, 1):
-            knots = sorted(set(table.grid) | set(ref.xs))
+            knots = sorted(set(sol.grid) | set(ref.xs))
             probes = knots + [(a + b) / 2 for a, b in zip(knots, knots[1:])] + [knots[-1] + F(7, 3)]
             for x in probes:
-                assert table.at(x, i) == ref(x)
+                assert sol.at(x, i) == ref(x)

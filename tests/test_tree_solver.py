@@ -124,7 +124,7 @@ class TestSolveTree:
             line_sol = solve_line(boxes)
             assert tree_sol.value == line_sol.value
             assert tree_sol.order.ids() == tuple(b.id for b in boxes)
-            for entry, z in zip(tree_sol.order.entries, line_sol.thresholds.thresholds):
+            for entry, z in zip(tree_sol.order.entries, line_sol.zs):
                 assert entry.threshold == z
 
     def test_star_with_free_root_recovers_reservation_ordering(self):
