@@ -7,7 +7,11 @@ backward pass from the deepest level solves each of them once.  A state
 whose best reward is at least every unopened box's Weitzman index (with
 cost c_i / w, ``core.reservation_scan``) stops without a look at its options:
 by Weitzman's rule even the unconstrained problem stops there, and the order
-and side constraints only remove options.  Works for any constraint kind
+and side constraints only remove options.  A box that unlocks nothing, with
+its index strictly below its set's lowest best reward, is not offered there,
+and the sets reached only through such openings are neither built nor solved:
+skipping the box keeps every later option and saves more than it could add
+(Kleinberg, Waggoner & Weyl's amortization).  Works for any constraint kind
 including DAGs and matroid side constraints; deliberately exponential,
 guarded by explicit caps.  The DP runs on ints over one common denominator
 (``core.integer_boxes``, no floats), so every comparison is exact;
@@ -19,7 +23,7 @@ per distinct suffix of the maximal feasible orders.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -48,7 +52,9 @@ class OracleResult(Record):
         """Optimal next box id at this state, or None to stop: None at any
         state at or above its stop index.  A ``ValueError`` for an unknown or
         repeated id or a best reward off the grid, a ``KeyError`` for another
-        state the DP did not solve."""
+        state the DP did not solve: one not reachable from the start, or
+        reachable only through an opening the oracle proves worse (a box that
+        unlocks nothing, below the best reward, see :func:`_opened_sets`)."""
         model, mask = self.model, 0
         for box_id in opened:
             i = model.index.get(box_id)
@@ -64,31 +70,47 @@ class OracleResult(Record):
         if key[1] >= max((h for i, h in enumerate(self._stops) if not mask >> i & 1), default=0):
             return None
         raise KeyError(f"state ({', '.join(opened)}) at best reward {describe_rational(Fraction(best))} "
-                       "is not reachable from the solved start")
+                       "is not reachable from the solved start, or only through an opening the oracle proves worse")
 
 
-def _stop_indices(boxes: Sequence[BoxSpec], ints: IntegerBoxes, weight: Fraction) -> list[int]:
-    """Each box's stop index h_i: the first grid index at or above its Weitzman
-    index z for cost c_i / w (``core.reservation_scan``), ``len(grid)`` (never) for
-    a negative cost.  w * E[(X_i - y)^+] is nonincreasing, and strictly decreasing
-    below max X_i, so w * E[(X_i - y_k)^+] <= c_i exactly when y_k >= z, that is
-    when the int ``grid[k]`` = y_k * L is at least ceil(z * L)."""
-    zs = [None if b.cost < 0 else reservation_scan(b.reward.integer, b.cost / weight, b.id) for b in boxes]
-    return [len(ints.grid) if z is None else bisect_left(ints.grid, -(-z.numerator * ints.scale // z.denominator))
-            for z in zs]
+def _stop_indices(boxes: Sequence[BoxSpec], ints: IntegerBoxes, weight: Fraction) -> tuple[list[int], list[int]]:
+    """Each box's stop index h_i and strict index d_i, both from its Weitzman
+    index z for cost c_i / w (``core.reservation_scan``).  w * E[(X_i - y)^+] is
+    nonincreasing, and strictly decreasing below max X_i, so w * E[(X_i - y_k)^+]
+    <= c_i exactly when y_k >= z, and < c_i exactly when y_k > z and c_i > 0.
+    h_i is the first grid index at or above z (the int ``grid[k]`` = y_k * L at
+    least ceil(z * L)), d_i the first strictly above it (``grid[k]`` above
+    floor(z * L)); both are ``len(grid)`` (never) for a negative cost, and d_i
+    is for a zero cost too."""
+    grid, scale, never = ints.grid, ints.scale, len(ints.grid)
+    stops, strict = [], []
+    for b in boxes:
+        if b.cost < 0:
+            stops.append(never)
+            strict.append(never)
+            continue
+        z = reservation_scan(b.reward.integer, b.cost if weight == 1 else b.cost / weight, b.id)
+        zl, den = z.numerator * scale, z.denominator
+        stops.append(bisect_left(grid, -(-zl // den)))
+        strict.append(bisect_right(grid, zl // den) if b.cost else never)
+    return stops, strict
 
 
-def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int,
-                 stops: Sequence[int]) -> list[list[tuple[int, int, int, int, list[int]]]]:
-    """The opened sets reachable from the empty set (order-closed, within the side),
-    by popcount level: (mask, bitset of the grid indices of its best rewards from
-    grid index ``start``, its stop index H = the largest ``stops[i]`` over its
-    unopened boxes (0 when none is), r = prod of D_i over its unopened boxes, the
-    boxes that can open next in ascending id order).  The best rewards do not depend
-    on the opening order: the largest of the start and the boxes' lowest atoms, and
-    every atom above it.  A set whose lowest best reward is at least H is not
-    expanded (no box can open next): every state of it stops.  ``stops`` of
-    ``[len(grid)] * n`` expands every set."""
+def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Sequence[int],
+                 strict: Sequence[int]) -> list[list[tuple[int, int, int, int, list[int]]]]:
+    """The opened sets reachable from the empty set (order-closed, within the side)
+    through openings that are not provably worse, by popcount level: (mask, bitset
+    of the grid indices of its best rewards from grid index ``start``, its stop
+    index H = the largest ``stops[i]`` over its unopened boxes (0 when none is),
+    r = prod of D_i over its unopened boxes, the boxes that can open next in
+    ascending id order).  The best rewards do not depend on the opening order: the
+    largest of the start and the boxes' lowest atoms, and every atom above it.  A
+    set whose lowest best reward is at least H is not expanded (no box can open
+    next): every state of it stops.  Box i is not offered from a set whose lowest
+    best reward has grid index at least ``strict[i]`` when every child of i can
+    already open there: opening it is then strictly worse than every state's value
+    (see :func:`_engine`).  ``stops`` and ``strict`` of ``[len(grid)] * n`` expand
+    every set and offer every box."""
     n = len(model.ids)
     dens, atoms = ints.dens, ints.atoms
     # Candidate iteration in ascending id order fixes the argmax tie-break.
@@ -117,7 +139,7 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int,
             if low < stop:
                 free = allowed & ~mask
                 for i in by_id:
-                    if free >> i & 1:
+                    if free >> i & 1 and (low < strict[i] or child_bits[i] & ~allowed):
                         child = mask | 1 << i
                         if child not in deeper:
                             after = model.add(load, i)
@@ -144,7 +166,13 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
     most y, no policy of the unconstrained problem beats w * y, and the order
     and side constraints only remove options.  Its row entry is written, and
     its state is left out of ``_values`` and ``_policy``; the start value is
-    read from the root row."""
+    read from the root row.  A box i that :func:`_opened_sets` does not offer
+    (every child already openable, w * E[(X_i - y)^+] < c_i at every best
+    reward y of the set) is strictly worse than the state's value: a policy that
+    opens it first is beaten by one that samples X_i privately instead, opens
+    the same boxes after (i unlocks nothing, and loads only shrink) and saves
+    c_i - w * E[(X_i - y)^+] > 0.  So the first strict argmax never picks it,
+    and every value, action, e_max and e_cost is as with it offered."""
     n = instance.n
     if n > HARD_BOX_CAP:
         raise CapExceededError(f"oracle handles at most {HARD_BOX_CAP} boxes, got {n}")
@@ -158,8 +186,8 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
     ints = integer_boxes(instance.boxes, grid, terminal_weight)
     costs, dens, atoms, payoff = ints.costs, ints.dens, ints.atoms, ints.payoff
     start, r0 = grid.index(initial_best), math.prod(dens)
-    stops = _stop_indices(instance.boxes, ints, terminal_weight)
-    levels = _opened_sets(model, ints, start, stops)
+    stops, strict = _stop_indices(instance.boxes, ints, terminal_weight)
+    levels = _opened_sets(model, ints, start, stops, strict)
 
     values: dict[tuple[int, int], int] = {}
     policy: dict[tuple[int, int], int | None] = {}
@@ -250,8 +278,8 @@ def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
     ids = instance.order_model.ids
     ints = integer_boxes(instance.boxes, instance.support_union())
     costs, dens, atoms = ints.costs, ints.dens, ints.atoms
-    never = [len(ints.grid)] * n  # every maximal set is needed, so no set stops early
-    sets = [entry for level in _opened_sets(instance.order_model, ints, 0, never) for entry in level]
+    never = [len(ints.grid)] * n  # every maximal set is needed, so no set stops early and no box is skipped
+    sets = [entry for level in _opened_sets(instance.order_model, ints, 0, never, never) for entry in level]
     # each reachable set's best rewards, from 0, as grid indices
     reach = {mask: [k for k in range(len(ints.grid)) if ys >> k & 1] for mask, ys, _, _, _ in sets}
     best: tuple[int, int, tuple[str, ...]] | None = None  # value N / (L * r) as (N, r), order

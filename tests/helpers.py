@@ -443,6 +443,43 @@ def reference_engine(instance: Instance, initial_best: Fraction = ZERO, terminal
     return total, e_max, e_cost, policy, values
 
 
+def reference_undominated_states(instance: Instance, initial_best: Fraction = ZERO,
+                                 terminal_weight: Fraction = F(1)) -> set:
+    """The states (opened bitmask, grid index) of every opened set reached from
+    the empty set through undominated openings, at every best reward the set
+    can hold.  Opening box i from set S is dominated when every child of i can
+    already open at S and sum p * max(v - y, 0) < c_i / w over X_i's atoms at
+    S's lowest best reward y: skipping it then keeps every later option and
+    saves more than it could add."""
+    grid = sorted(set(instance.support_union()) | {initial_best})
+    ids = [b.id for b in instance.boxes]
+    children = graph_children(instance.constraint)
+
+    def bests(mask: int) -> set:
+        ys = {initial_best}
+        for i, b in enumerate(instance.boxes):
+            if mask >> i & 1:
+                ys = {max(y, v) for y in ys for v in b.reward.values()}
+        return ys
+
+    seen, todo = {0}, [0]
+    while todo:
+        mask = todo.pop()
+        opened = [box_id for i, box_id in enumerate(ids) if mask >> i & 1]
+        low = min(bests(mask))
+        for box_id in reference_next(instance, opened):
+            box = instance.box_map[box_id]
+            excess = sum(p * max(v - low, 0) for v, p in box.reward.atoms)
+            unlocks = any(not reference_order_ok(instance, opened, c) for c in children.get(box_id, ()))
+            if excess < box.cost / terminal_weight and not unlocks:
+                continue
+            child = mask | 1 << ids.index(box_id)
+            if child not in seen:
+                seen.add(child)
+                todo.append(child)
+    return {(mask, grid.index(y)) for mask in seen for y in bests(mask)}
+
+
 def reference_approx(instance: Instance) -> tuple[dict, dict]:
     """``solve_approx``'s backward sweep on ``Fraction``s: the values and
     actions tables over (position, grid index, side load)."""

@@ -6,11 +6,14 @@ run on Python ints over one common denominator
 ``helpers.reference_approx`` and ``helpers.reference_line_optimal_value``
 are the same recursions on ``Fraction``s, so every value, policy action and
 table entry must agree exactly, ties and stops at indifference included.
-The oracle scans only the states below their set's stop index; the
-reference scans every reachable state, and each one the oracle leaves out
-must be a stop worth w·y there.  The approx table keeps only the cells a
-run can reach (``helpers.reachable_approx_cells``); the reference fills
-them all.
+The oracle scans only the states below their set's stop index, of the sets
+it reaches without an opening it proves worse; the reference scans every
+reachable state.  Each one the oracle leaves out must be a stop worth w·y
+there, or lie outside ``helpers.reference_undominated_states`` (the rule
+written from its definition), and ``OracleResult.action`` must answer the
+reference's action on every state the reference policy reaches.  The
+approx table keeps only the cells a run can reach
+(``helpers.reachable_approx_cells``); the reference fills them all.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from helpers import (
     reference_approx,
     reference_engine,
     reference_line_optimal_value,
+    reference_undominated_states,
 )
 
 F = Fraction
@@ -53,8 +57,9 @@ def test_oracle_matches_fraction_reference(kind):
         value, e_max, e_cost, policy, values = reference_engine(inst, initial_best, weight)
         assert (result.value, result.e_max, result.e_cost) == (value, e_max, e_cost)
         assert result._values.keys() == result._policy.keys() <= values.keys()
+        undominated = reference_undominated_states(inst, initial_best, weight)
+        assert result._values.keys() <= undominated
         ints = integer_boxes(inst.boxes, result.grid, weight)
-        ids = inst.order_model.ids
         for (mask, yk), value in values.items():
             act = policy[mask, yk]
             if (mask, yk) in result._values:
@@ -62,7 +67,10 @@ def test_oracle_matches_fraction_reference(kind):
                 assert F(result._values[mask, yk], ints.scale * unopened) == value
                 assert result._policy[mask, yk] == act
             else:
-                assert act is None and value == weight * result.grid[yk]
+                assert (act is None and value == weight * result.grid[yk]) or (mask, yk) not in undominated
+        ids = inst.order_model.ids
+        for mask, yk in reference_policy_states(inst, policy, result.grid, result.grid.index(initial_best)):
+            act = policy[mask, yk]
             opened = [ids[i] for i in range(inst.n) if mask >> i & 1]
             assert result.action(opened, result.grid[yk]) == (None if act is None else ids[act])
         dropped += len(values) - len(result._values)
@@ -70,6 +78,20 @@ def test_oracle_matches_fraction_reference(kind):
         off_grid += initial_best not in inst.support_union()
         sided += inst.side.kind != MatroidSideConstraint.NONE
     assert half > 20 and off_grid > 20 and sided > 60 and dropped > 500
+
+
+def reference_policy_states(inst, policy, grid, start: int) -> set:
+    """The states the reference policy reaches from the empty set at grid index ``start``."""
+    reached, todo = set(), [(0, start)]
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        act = policy[key]
+        if act is not None:
+            todo.extend((key[0] | 1 << act, max(key[1], grid.index(v))) for v in inst.boxes[act].reward.values())
+    return reached
 
 
 @pytest.mark.parametrize(

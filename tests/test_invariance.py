@@ -140,6 +140,8 @@ def test_renaming_ids_keeps_values():
         assert other_evaluated == evaluated
         exact, other_exact = solve_exact(inst), solve_exact(other)
         assert (other_exact.value, other_exact.e_max, other_exact.e_cost) == (exact.value, exact.e_max, exact.e_cost)
+        # neither the stop indices nor the skipped openings depend on the ids or the tie-break
+        assert other_exact._stops == exact._stops and len(other_exact._policy) == len(exact._policy)
 
 
 def test_free_zero_root_keeps_values_and_thresholds():

@@ -28,6 +28,7 @@ from pandorabox.instances import figure1
 
 from helpers import (
     decision_tree_sup_half,
+    graph_children,
     line_instance_of,
     rand_box,
     rand_case,
@@ -38,15 +39,17 @@ from helpers import (
     reference_best_fixed_order,
     reference_engine,
     reference_next,
+    reference_order_ok,
     reference_set_feasible,
+    reference_undominated_states,
     with_side,
 )
 
 F = Fraction
 
 
-def coin_box(bid="a", cost=1) -> BoxSpec:
-    return BoxSpec(bid, F(cost), DiscreteDistribution.of([(3, "1/2"), (0, "1/2")]))
+def coin_box(bid="a", cost=1, top=3) -> BoxSpec:
+    return BoxSpec(bid, F(cost), DiscreteDistribution.of([(top, "1/2"), (0, "1/2")]))
 
 
 class TestSolveExact:
@@ -116,9 +119,10 @@ def test_opened_sets_match_brute_force(kind):
     """The shared forward pass: every feasible set once, at its popcount level,
     with its stop index, its openable boxes, its scale and the best rewards every
     atom choice gives; with the boxes' stop indices, only the sets reached through
-    sets whose lowest best reward is below their stop index."""
+    sets whose lowest best reward is below their stop index; with their strict
+    indices too, only through openings that are not dominated."""
     rng = random.Random(31)
-    unbuilt = 0
+    unbuilt = skipped = 0
     for _ in range(40):
         inst = rand_case(rng, kind, max_n=7)
         grid = inst.support_union()
@@ -126,20 +130,23 @@ def test_opened_sets_match_brute_force(kind):
         weight = rng.choice((F(1), F(1, 2)))
         ints = integer_boxes(inst.boxes, grid, weight)
         model, ids = inst.order_model, inst.order_model.ids
-        stops = oracle._stop_indices(inst.boxes, ints, weight)
-        for box, h in zip(inst.boxes, stops):
-            # straight from the definition: the first k with w * E[(X - y_k)^+] <= c
+        children = graph_children(inst.constraint)
+        stops, strict = oracle._stop_indices(inst.boxes, ints, weight)
+        for box, h, d in zip(inst.boxes, stops, strict):
+            # straight from the definition: the first k with w * E[(X - y_k)^+] <= c, and < c
             excess = [weight * sum(p * max(v - y, 0) for v, p in box.reward.atoms) for y in grid]
             assert h == next((k for k, e in enumerate(excess) if e <= box.cost), len(grid))
+            assert d == next((k for k, e in enumerate(excess) if e < box.cost), len(grid))
         feasible = {
             sum(1 << i for i in chosen)
             for k in range(inst.n + 1)
             for chosen in itertools.combinations(range(inst.n), k)
             if reference_set_feasible(inst, [ids[i] for i in chosen])
         }
-        for box_stops in ([len(grid)] * inst.n, stops):
-            expanded, seen = set(), set()
-            for size, level in enumerate(oracle._opened_sets(model, ints, start, box_stops)):
+        never = [len(grid)] * inst.n
+        for box_stops, box_strict in ((never, never), (stops, never), (stops, strict)):
+            offered, seen = set(), set()
+            for size, level in enumerate(oracle._opened_sets(model, ints, start, box_stops, box_strict)):
                 for mask, ys, stop, r, openable in level:
                     opened = [b.id for i, b in enumerate(inst.boxes) if mask >> i & 1]
                     assert len(opened) == size and mask not in seen
@@ -149,20 +156,23 @@ def test_opened_sets_match_brute_force(kind):
                     for box_id in opened:
                         bests = {max(y, v) for y in bests for v in inst.box_map[box_id].reward.values()}
                     assert ys == sum(1 << grid.index(y) for y in bests)
+                    low = grid.index(min(bests))
                     nxt = sorted((model.index[b] for b in reference_next(inst, opened)), key=ids.__getitem__)
-                    if grid.index(min(bests)) < stop:
-                        expanded.add(mask)
-                        assert openable == nxt
-                    else:
-                        assert openable == []
+                    # dominated: at or above its strict index, and every child already openable
+                    kept = [i for i in nxt if low < box_strict[i] or any(
+                        not reference_order_ok(inst, opened, c) for c in children.get(ids[i], ()))]
+                    assert openable == (kept if low < stop else [])
+                    skipped += len(openable) < len(nxt) and low < stop
+                    offered |= {mask | 1 << i for i in openable}
                     assert r == math.prod(ints.dens[i] for i in range(inst.n) if not mask >> i & 1)
-            # the empty set, and each feasible set one box beyond an expanded set
-            beyond = {m for m in feasible if any(m & ~(1 << i) in expanded for i in range(inst.n) if m >> i & 1)}
-            assert seen == {0} | beyond
-            if box_stops is not stops:
+            # the empty set, and each set one offered box beyond another
+            assert seen == {0} | offered
+            if box_stops is never:
                 assert seen == feasible
         unbuilt += len(feasible) - len(seen)
     assert unbuilt > 20
+    # on a line only the last box unlocks nothing, and it is the only box left: its set stops instead
+    assert (skipped > 0) == (kind != ConstraintKind.LINE)
 
 
 class TestStopIndex:
@@ -189,6 +199,62 @@ class TestStopIndex:
         assert res.action((), F(4)) is None and res._policy == res._values == {}
 
 
+def leaf_dag() -> Instance:
+    """Two roots with index 8 over a shared leaf c with index 2."""
+    edges = (("a", "c"), ("b", "c"))
+    return Instance(boxes=(coin_box("a", 1, 10), coin_box("b", 1, 10), coin_box("c", 1, 4)),
+                    constraint=ConstraintGraph(ConstraintKind.DAG, edges))
+
+
+class TestDominatedOpen:
+    """A box that unlocks nothing is not offered below the set's lowest best reward."""
+
+    def test_leaf_below_the_best_reward_is_never_scanned(self):
+        inst = leaf_dag()
+        res = solve_exact(inst, initial_best=F(3))
+        value, e_max, e_cost, _, values = reference_engine(inst, F(3))
+        assert (res.value, res.e_max, res.e_cost) == (value, e_max, e_cost)
+        assert any(mask >> 2 & 1 for mask, _ in values)
+        assert res._values and not any(mask >> 2 & 1 for mask, _ in res._values)
+
+    def test_box_that_unlocks_a_valuable_child_is_opened(self):
+        # p's own index is -1, below the start's best reward 1, but it unlocks q (index 18)
+        inst = Instance(boxes=(BoxSpec("p", F(1), DiscreteDistribution.point(0)), coin_box("q", 1, 20)),
+                        constraint=ConstraintGraph(ConstraintKind.TREE, (("p", "q"),)))
+        res = solve_exact(inst, initial_best=F(1))
+        ints = integer_boxes(inst.boxes, res.grid)
+        assert oracle._stop_indices(inst.boxes, ints, F(1))[1][0] <= res.grid.index(F(1))
+        assert res.value == reference_engine(inst, F(1))[0] == F(17, 2)
+        assert res.action((), F(1)) == "p" and res.action(("p",), F(1)) == "q"
+
+    def test_zero_and_negative_cost_boxes_are_never_skipped(self):
+        free = BoxSpec("a", F(0), DiscreteDistribution.point(0))
+        refund = BoxSpec("b", F(-1), DiscreteDistribution.point(0))
+        inst = Instance(boxes=(free, refund, coin_box("c", 1, 10)))
+        res = solve_exact(inst, initial_best=F(5))
+        ints = integer_boxes(inst.boxes, res.grid)
+        assert oracle._stop_indices(inst.boxes, ints, F(1))[1][:2] == [len(res.grid)] * 2
+        value, e_max, e_cost, policy, _ = reference_engine(inst, F(5))
+        assert (res.value, res.e_max, res.e_cost) == (value, e_max, e_cost)
+        # the free box ties the best option and comes first by id, so it opens first
+        assert res.action((), F(5)) == "a" and res.action(("a",), F(5)) == "b"
+        assert policy[0, res.grid.index(F(5))] == 0
+
+    def test_knapsack_sided_trees_match_the_reference(self):
+        rng = random.Random(57)
+        dominated = 0
+        for _ in range(40):
+            inst = rand_tree_instance(rng, rng.randint(3, 7))
+            inst = with_side(inst, rand_knapsack_side(rng, [b.id for b in inst.boxes]))
+            initial_best = rng.choice(inst.support_union())
+            res = solve_exact(inst, initial_best)
+            value, e_max, e_cost, policy, values = reference_engine(inst, initial_best)
+            assert (res.value, res.e_max, res.e_cost) == (value, e_max, e_cost)
+            assert all(policy[key] == act for key, act in res._policy.items())
+            dominated += len(values.keys() - reference_undominated_states(inst, initial_best))
+        assert dominated > 0
+
+
 class TestOracleAction:
     def test_pruned_state_stops(self):
         res = solve_exact(figure1())
@@ -199,6 +265,11 @@ class TestOracleAction:
     def test_unreached_state_is_a_key_error(self):
         with pytest.raises(KeyError, match=r"state \(B\) at best reward 0 is not reachable") as caught:
             solve_exact(figure1()).action(("B",), F(0))
+        assert "\n" not in str(caught.value)
+
+    def test_state_behind_a_skipped_opening_is_a_key_error(self):
+        with pytest.raises(KeyError, match=r"state \(a, c\) at best reward 3 is not reachable .* proves worse") as caught:
+            solve_exact(leaf_dag(), initial_best=F(3)).action(("a", "c"), F(3))
         assert "\n" not in str(caught.value)
 
     def test_off_grid_best_is_a_value_error(self):
