@@ -145,7 +145,7 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
     actions: dict = {}
     for state, yks in reach[n + 1].items():
         for yk in yks:
-            values[(n + 1, yk, state)] = ints.payoff[yk]
+            values[(n + 1, yk, state)] = ints.grid[yk]
             actions[(n + 1, yk, state)] = None
 
     for i in range(n, 0, -1):
@@ -155,7 +155,7 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
         for state, yks in reach[i].items():
             after_open = model.add(state, slots[i - 1])
             for yk in yks:
-                best, act = ints.payoff[yk] * r, None
+                best, act = ints.grid[yk] * r, None
                 if after_open is not None:  # an open that overflows the side is no move
                     open_val = cost
                     for vk, a in atoms:

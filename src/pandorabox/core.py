@@ -218,9 +218,6 @@ class DiscreteDistribution(Record):
     def expectation(self) -> Fraction:
         return sum((v * p for v, p in self.atoms), Fraction(0))
 
-    def max_value(self) -> Fraction:
-        return self.atoms[-1][0]
-
     @cached_property
     def integer(self) -> "IntDistribution":
         """The atoms on ints: values and probabilities each over the lcm of their denominators."""
@@ -695,42 +692,40 @@ def reservation_scan(w: IntDistribution, cost: Fraction, box_id: str) -> Fractio
 class IntegerBoxes(Record):
     """Boxes and a sorted grid y_0 < y_1 < ... as Python ints (in lists: CPython
     keeps tuples built from generators in its free list) for the backward DPs.
-    L = ``scale`` is the lcm of the grid's, weighted grid's and costs' denominators,
-    D_i = ``dens[i]`` that of box i's probabilities.  A value with the boxes R
-    unopened is the int N of N / (L * prod_{i in R} D_i).  At that scale r, stopping
-    at grid index k is ``payoff[k] * r`` (``payoff[k]`` = weight * y_k * L, ``grid[k]``
-    = y_k * L); opening box i is ``-costs[i] * r`` (``costs[i]`` = c_i * L) plus
-    a * N(child) over ``atoms[i]`` (grid index, a = p * D_i), children at r // D_i."""
+    L = ``scale`` is the lcm of the grid's and costs' denominators, D_i =
+    ``dens[i]`` that of box i's probabilities.  A value with the boxes R unopened
+    is the int N of N / (L * prod_{i in R} D_i).  At that scale r, stopping at
+    grid index k is ``grid[k] * r`` (``grid[k]`` = y_k * L); opening box i is
+    ``-costs[i] * r`` (``costs[i]`` = c_i * L) plus a * N(child) over
+    ``atoms[i]`` (grid index, a = p * D_i), children at r // D_i."""
 
-    __slots__ = ("scale", "dens", "costs", "atoms", "grid", "payoff")
+    __slots__ = ("scale", "dens", "costs", "atoms", "grid")
 
     def step(self, i: int, after: list[int], r: int, at: Iterable[int]) -> list[int]:
         """The values in front of box i at scale r, given ``after`` behind it (at
         r // D_i), at the grid indices ``at`` and 0 elsewhere: the larger of stopping
         and opening box i."""
-        cost, atoms, payoff = self.costs[i] * r, self.atoms[i], self.payoff
-        out = [0] * len(payoff)
+        cost, atoms, grid = self.costs[i] * r, self.atoms[i], self.grid
+        out = [0] * len(grid)
         for yk in at:
             val = -cost
             for vk, a in atoms:
                 val += a * after[vk if vk > yk else yk]
-            stop = payoff[yk] * r
+            stop = grid[yk] * r
             out[yk] = val if val > stop else stop
         return out
 
 
-def integer_boxes(boxes: Sequence[BoxSpec], grid: Sequence[Fraction], weight: Fraction = Fraction(1)) -> IntegerBoxes:
-    """:class:`IntegerBoxes` of ``boxes`` on ``grid`` (every support value in it), paying ``weight * y``.
+def integer_boxes(boxes: Sequence[BoxSpec], grid: Sequence[Fraction]) -> IntegerBoxes:
+    """:class:`IntegerBoxes` of ``boxes`` on ``grid`` (every support value in it).
     D_i and the atom numerators are those of the box's cached ``reward.integer``."""
-    payoff = grid if weight == 1 else [weight * y for y in grid]
-    scale = math.lcm(*[q.denominator for q in (*grid, *payoff, *[b.cost for b in boxes])])
+    scale = math.lcm(*[q.denominator for q in (*grid, *[b.cost for b in boxes])])
     index = {(y.numerator, y.denominator): k for k, y in enumerate(grid)}
     rewards = [b.reward.integer for b in boxes]
     atoms = [[(index[v.numerator, v.denominator], a) for (v, _), a in zip(b.reward.atoms, r.probs)]
              for b, r in zip(boxes, rewards)]
-    costs, ys, pays = ([q.numerator * (scale // q.denominator) for q in qs]
-                       for qs in ([b.cost for b in boxes], grid, payoff))
-    return IntegerBoxes(scale, [r.den for r in rewards], costs, atoms, ys, pays)
+    costs, ys = ([q.numerator * (scale // q.denominator) for q in qs] for qs in ([b.cost for b in boxes], grid))
+    return IntegerBoxes(scale, [r.den for r in rewards], costs, atoms, ys)
 
 
 # ---------------------------------------------------------------------------

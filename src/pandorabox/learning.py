@@ -29,14 +29,10 @@ _SEED_MASK = (1 << 63) - 1
 MAX_SAMPLES = (1 << 63) - 1
 
 
-def sample_bound(n: int, epsilon: Fraction, delta: Fraction, mode: str = "tree",
-                 constant: float = 1.0) -> int:
-    """Samples per box sufficient for an additive-epsilon policy with
-    probability 1 - delta (natural logs; the leading constant is a knob).
-
-    general constraints: constant * n^3/eps^3 * log(n/(eps*delta))
-    tree constraints:    constant * n/eps^2 * log^2(1/eps) * log(n/eps)
-                         * log(n/(eps*delta))
+def sample_bound(n: int, epsilon: Fraction, delta: Fraction, constant: float = 1.0) -> int:
+    """Samples per box sufficient for an additive-epsilon policy on a tree
+    with probability 1 - delta (natural logs; the leading constant is a knob):
+    constant * n/eps^2 * log^2(1/eps) * log(n/eps) * log(n/(eps*delta)).
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -45,8 +41,6 @@ def sample_bound(n: int, epsilon: Fraction, delta: Fraction, mode: str = "tree",
         raise ValidationError("epsilon and delta must lie in (0, 1)")
     if not math.isfinite(constant):
         raise ValidationError(f"constant {constant} must be finite")
-    if mode not in ("general", "tree"):
-        raise ValidationError(f"unknown mode {mode!r}")
     eps = float(epsilon)
     dlt = float(delta)
     ratio = n / (eps * dlt) if eps * dlt else math.inf
@@ -56,10 +50,7 @@ def sample_bound(n: int, epsilon: Fraction, delta: Fraction, mode: str = "tree",
         exact = n / (Fraction(epsilon) * Fraction(delta))
         confidence = math.log(exact.numerator) - math.log(exact.denominator)
     try:
-        if mode == "general":
-            raw = constant * n**3 / eps**3 * confidence
-        else:
-            raw = constant * n / eps**2 * math.log(1 / eps) ** 2 * math.log(n / eps) * confidence
+        raw = constant * n / eps**2 * math.log(1 / eps) ** 2 * math.log(n / eps) * confidence
     except (ZeroDivisionError, OverflowError):  # a power of epsilon leaves the float range
         raw = math.inf
     if raw > MAX_SAMPLES:  # an overflowed product is inf and fails here too
@@ -70,7 +61,7 @@ def sample_bound(n: int, epsilon: Fraction, delta: Fraction, mode: str = "tree",
 class LearningConfig(Record):
     epsilon: Fraction
     delta: Fraction
-    samples_per_box: int | None = None  # None: use the tree-mode bound
+    samples_per_box: int | None = None  # None: use the tree bound
     constant: float = 1.0
 
     def __init__(self, *args, **kwargs) -> None:
@@ -87,7 +78,7 @@ class LearningConfig(Record):
             if self.samples_per_box > MAX_SAMPLES:
                 raise CapExceededError(f"sample count {self.samples_per_box} exceeds {MAX_SAMPLES}")
             return self.samples_per_box
-        return sample_bound(n, self.epsilon, self.delta, "tree", self.constant)
+        return sample_bound(n, self.epsilon, self.delta, self.constant)
 
 
 class EmpiricalModel(Record):

@@ -146,7 +146,7 @@ def line_optimal_value(boxes: Sequence[BoxSpec]) -> Fraction:
     for box in boxes:
         grid.update(box.reward.values())
     ints = integer_boxes(boxes, sorted(grid))
-    current, r, every = ints.payoff, 1, range(len(grid))
+    current, r, every = ints.grid, 1, range(len(grid))
     for i in range(len(boxes) - 1, -1, -1):
         r *= ints.dens[i]
         current = ints.step(i, current, r, every)

@@ -4,8 +4,8 @@ Ground truth for the optimality tests: a Bellman DP over bitmask states
 with the best-reward grid {0} plus every support value.  A forward pass,
 one level of opened-set size at a time, finds the reachable states; a
 backward pass from the deepest level solves each of them once.  A state
-whose best reward is at least every unopened box's Weitzman index (with
-cost c_i / w, ``core.reservation_scan``) stops without a look at its options:
+whose best reward is at least every unopened box's Weitzman index
+(``core.reservation_scan``) stops without a look at its options:
 by Weitzman's rule even the unconstrained problem stops there, and the order
 and side constraints only remove options.  A box that unlocks nothing, with
 its index strictly below its set's lowest best reward, is not offered there,
@@ -17,7 +17,9 @@ guarded by explicit caps.  The DP runs on ints over one common denominator
 (``core.integer_boxes``, no floats), so every comparison is exact;
 ``Fraction``s are built only for reported values.  The best fixed order
 walks the same forward pass, one backward DP step (``IntegerBoxes.step``)
-per distinct suffix of the maximal feasible orders.
+per distinct suffix of the maximal feasible orders.  Every DP here pays the
+best reward y on stopping; the half-reward benchmark, which pays y / 2, is
+half the optimum of the same instance with every cost doubled.
 """
 
 from __future__ import annotations
@@ -73,15 +75,14 @@ class OracleResult(Record):
                        "is not reachable from the solved start, or only through an opening the oracle proves worse")
 
 
-def _stop_indices(boxes: Sequence[BoxSpec], ints: IntegerBoxes, weight: Fraction) -> tuple[list[int], list[int]]:
+def _stop_indices(boxes: Sequence[BoxSpec], ints: IntegerBoxes) -> tuple[list[int], list[int]]:
     """Each box's stop index h_i and strict index d_i, both from its Weitzman
-    index z for cost c_i / w (``core.reservation_scan``).  w * E[(X_i - y)^+] is
-    nonincreasing, and strictly decreasing below max X_i, so w * E[(X_i - y_k)^+]
-    <= c_i exactly when y_k >= z, and < c_i exactly when y_k > z and c_i > 0.
-    h_i is the first grid index at or above z (the int ``grid[k]`` = y_k * L at
-    least ceil(z * L)), d_i the first strictly above it (``grid[k]`` above
-    floor(z * L)); both are ``len(grid)`` (never) for a negative cost, and d_i
-    is for a zero cost too."""
+    index z (``core.reservation_scan``).  E[(X_i - y)^+] is nonincreasing, and
+    strictly decreasing below max X_i, so E[(X_i - y_k)^+] <= c_i exactly when
+    y_k >= z, and < c_i exactly when y_k > z and c_i > 0.  h_i is the first grid
+    index at or above z (the int ``grid[k]`` = y_k * L at least ceil(z * L)),
+    d_i the first strictly above it (``grid[k]`` above floor(z * L)); both are
+    ``len(grid)`` (never) for a negative cost, and d_i is for a zero cost too."""
     grid, scale, never = ints.grid, ints.scale, len(ints.grid)
     stops, strict = [], []
     for b in boxes:
@@ -89,7 +90,7 @@ def _stop_indices(boxes: Sequence[BoxSpec], ints: IntegerBoxes, weight: Fraction
             stops.append(never)
             strict.append(never)
             continue
-        z = reservation_scan(b.reward.integer, b.cost if weight == 1 else b.cost / weight, b.id)
+        z = reservation_scan(b.reward.integer, b.cost, b.id)
         zl, den = z.numerator * scale, z.denominator
         stops.append(bisect_left(grid, -(-zl // den)))
         strict.append(bisect_right(grid, zl // den) if b.cost else never)
@@ -153,26 +154,26 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Seque
     return levels
 
 
-def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fraction = Fraction(1)) -> OracleResult:
+def _engine(instance: Instance, initial_best: Fraction) -> OracleResult:
     """Bellman DP over (opened set, best reward); stopping with best reward
-    y pays ``terminal_weight * y``.  A state's value is an int at the scale
-    r = prod of D_i over its unopened boxes.  The backward pass solves the
-    levels of :func:`_opened_sets` from the deepest up, each set's openable
-    boxes in ascending id order, reading the children's values from per-set
-    rows of the level below, dropped once the level is done, so every
-    reachable state is solved once.  A state at or above its set's stop index
-    (:func:`_stop_indices`) is worth ``payoff * r`` and is not scanned: with
-    best reward y and every unopened box's Weitzman index (cost c_i / w) at
-    most y, no policy of the unconstrained problem beats w * y, and the order
-    and side constraints only remove options.  Its row entry is written, and
-    its state is left out of ``_values`` and ``_policy``; the start value is
-    read from the root row.  A box i that :func:`_opened_sets` does not offer
-    (every child already openable, w * E[(X_i - y)^+] < c_i at every best
-    reward y of the set) is strictly worse than the state's value: a policy that
-    opens it first is beaten by one that samples X_i privately instead, opens
-    the same boxes after (i unlocks nothing, and loads only shrink) and saves
-    c_i - w * E[(X_i - y)^+] > 0.  So the first strict argmax never picks it,
-    and every value, action, e_max and e_cost is as with it offered."""
+    y pays y.  A state's value is an int at the scale r = prod of D_i over its
+    unopened boxes.  The backward pass solves the levels of
+    :func:`_opened_sets` from the deepest up, each set's openable boxes in
+    ascending id order, reading the children's values from per-set rows of the
+    level below, dropped once the level is done, so every reachable state is
+    solved once.  A state at or above its set's stop index
+    (:func:`_stop_indices`) is worth ``grid[k] * r`` and is not scanned: with
+    best reward y and every unopened box's Weitzman index at most y, no policy
+    of the unconstrained problem beats y, and the order and side constraints
+    only remove options.  Its row entry is written, and its state is left out
+    of ``_values`` and ``_policy``; the start value is read from the root row.
+    A box i that :func:`_opened_sets` does not offer (every child already
+    openable, E[(X_i - y)^+] < c_i at every best reward y of the set) is
+    strictly worse than the state's value: a policy that opens it first is
+    beaten by one that samples X_i privately instead, opens the same boxes
+    after (i unlocks nothing, and loads only shrink) and saves
+    c_i - E[(X_i - y)^+] > 0.  So the first strict argmax never picks it, and
+    every value, action, e_max and e_cost is as with it offered."""
     n = instance.n
     if n > HARD_BOX_CAP:
         raise CapExceededError(f"oracle handles at most {HARD_BOX_CAP} boxes, got {n}")
@@ -183,10 +184,10 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
             f"state estimate 2^{n} * {len(grid)} = {estimate} exceeds cap {STATE_ESTIMATE_CAP}"
         )
     model = instance.order_model
-    ints = integer_boxes(instance.boxes, grid, terminal_weight)
-    costs, dens, atoms, payoff = ints.costs, ints.dens, ints.atoms, ints.payoff
+    ints = integer_boxes(instance.boxes, grid)
+    costs, dens, atoms, pay = ints.costs, ints.dens, ints.atoms, ints.grid
     start, r0 = grid.index(initial_best), math.prod(dens)
-    stops, strict = _stop_indices(instance.boxes, ints, terminal_weight)
+    stops, strict = _stop_indices(instance.boxes, ints)
     levels = _opened_sets(model, ints, start, stops, strict)
 
     values: dict[tuple[int, int], int] = {}
@@ -202,7 +203,7 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
                 bit = ys & -ys
                 ys ^= bit
                 yk = bit.bit_length() - 1
-                row[yk] = payoff[yk] * r
+                row[yk] = pay[yk] * r
             if not scan:
                 continue
             options = [(i, -costs[i] * r, atoms[i], below[mask | 1 << i]) for i in openable]
@@ -210,7 +211,7 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
                 bit = scan & -scan
                 scan ^= bit
                 yk = bit.bit_length() - 1
-                best_val = payoff[yk] * r
+                best_val = pay[yk] * r
                 best_act: int | None = None
                 for i, val, box_atoms, child in options:
                     for vk, a in box_atoms:
@@ -233,7 +234,7 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
             return reward[key]
         act = policy.get(key)  # None at a stop, scanned or not
         if act is None:
-            rew = ints.grid[yk] * r
+            rew = pay[yk] * r
         else:
             rew, child, sub = 0, mask | (1 << act), r // dens[act]
             for vk, a in atoms[act]:
@@ -245,8 +246,8 @@ def _engine(instance: Instance, initial_best: Fraction, terminal_weight: Fractio
     del split  # free the memo table by refcount, not by a later cyclic GC pass
     den = ints.scale * r0
     value, e_max = Fraction(total, den), Fraction(best, den)
-    # each memo value is w * E[final best] - E[total spend] under the recorded policy
-    return OracleResult(value, e_max, terminal_weight * e_max - value, tuple(grid), model, policy, values, stops)
+    # the value is E[final best] - E[total spend] under the recorded policy
+    return OracleResult(value, e_max, e_max - value, tuple(grid), model, policy, values, stops)
 
 
 def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResult:
@@ -310,7 +311,7 @@ def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
 
     for mask, _, _, _, openable in sets:
         if mask and not openable:  # a maximal set
-            place(mask, [], ints.payoff, 1)
+            place(mask, [], ints.grid, 1)
     if best is None:  # every box overflows the side alone: the empty order
         return (), ZERO
     return best[2], Fraction(best[0], ints.scale * best[1])
@@ -319,8 +320,10 @@ def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
 def best_half_reward_benchmark(instance: Instance) -> Fraction:
     """sup over all adaptive strategies of E[final best]/2 - E[total cost].
 
-    This is itself a finite MDP (terminal payoff y/2, step cost c), so the
-    Bellman recursion attains the sup over every deterministic Markov
-    policy exactly.
+    Over the same policies this is half of sup E[final best] - E[2 * total
+    cost], the optimum of the instance with every cost doubled (sharing the
+    reward objects and their cached ``integer``), which the Bellman recursion
+    attains exactly over every deterministic Markov policy.
     """
-    return _engine(instance, ZERO, terminal_weight=Fraction(1, 2)).value
+    doubled = tuple(BoxSpec(b.id, 2 * b.cost, b.reward) for b in instance.boxes)
+    return _engine(Instance(doubled, instance.constraint, instance.side), ZERO).value / 2

@@ -174,6 +174,12 @@ def with_negative_costs(instance: Instance, rng: random.Random) -> Instance:
     return Instance(boxes=boxes, constraint=instance.constraint, side=instance.side)
 
 
+def with_costs_times(instance: Instance, factor: Fraction) -> Instance:
+    """Copy with every cost multiplied by ``factor``, sharing the reward objects."""
+    boxes = tuple(BoxSpec(b.id, factor * b.cost, b.reward) for b in instance.boxes)
+    return Instance(boxes=boxes, constraint=instance.constraint, side=instance.side)
+
+
 def rand_case(rng: random.Random, kind: str, max_n: int) -> Instance:
     """A tie-heavy instance with, at random, a knapsack or partition side
     and negative costs."""

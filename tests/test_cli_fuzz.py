@@ -1,6 +1,9 @@
 """Generated instance and ``--thresholds`` documents through ``cli.main``,
 in-process: every run ends in exit 0, 2 or 3, and a failing run prints one
-``error:`` line, never a traceback.
+``error:`` line, never a traceback.  ``solve`` and ``evaluate`` run on
+every document; the exhaustive commands ``oracle``, ``fixed-order`` and
+``approx`` (with and without ``--verify``, and with a ``--capacity``
+vector) on their own draws.
 
 Documents start out well-formed (small boxes whose probabilities sum to
 one, edges between their ids, an optional side constraint), then one field
@@ -68,6 +71,8 @@ def instance_documents(draw):
 
 
 THRESHOLDS = st.dictionaries(st.sampled_from(IDS), VALUES | BAD, max_size=4) | JUNK
+# a cardinality bound, a vector of another length, negative entries, an entry over every cap
+CAPACITY = st.lists(st.integers(-2, 4) | st.just(10**30), min_size=1, max_size=3)
 
 
 def run(argv):
@@ -75,6 +80,15 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, err.getvalue()
+
+
+def check_runs(calls):
+    """Each call exits 0, 2 or 3, and a failing one prints one ``error:`` line."""
+    for argv in calls:
+        code, err = run(argv)
+        assert code in (0, 2, 3), (argv, err)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @settings(max_examples=300, deadline=None)
@@ -87,8 +101,20 @@ def test_solve_and_evaluate_exit_cleanly(tmp_path_factory, doc, thresholds):
     if thresholds is not None:
         (tmp / "z.json").write_text(json.dumps(thresholds))
         evaluate += ["--thresholds", str(tmp / "z.json")]
-    for argv in (["solve", "--input", str(instance)], evaluate):
-        code, err = run(argv)
-        assert code in (0, 2, 3), (argv, err)
-        if code:
-            assert err.startswith("error: ") and err.count("\n") == 1, err
+    check_runs([["solve", "--input", str(instance)], evaluate])
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=instance_documents(), capacity=CAPACITY)
+def test_exhaustive_commands_exit_cleanly(tmp_path_factory, doc, capacity):
+    instance = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    instance.write_text(json.dumps(doc))
+    given_input = ["--input", str(instance)]
+    check_runs([
+        ["oracle", *given_input],
+        ["fixed-order", *given_input],
+        ["approx", *given_input],
+        ["approx", *given_input, "--verify"],
+        ["approx", *given_input, "--capacity", *map(str, capacity)],
+    ])
+

@@ -6,11 +6,14 @@ run on Python ints over one common denominator
 ``helpers.reference_approx`` and ``helpers.reference_line_optimal_value``
 are the same recursions on ``Fraction``s, so every value, policy action and
 table entry must agree exactly, ties and stops at indifference included.
-The oracle scans only the states below their set's stop index, of the sets
-it reaches without an opening it proves worse; the reference scans every
-reachable state.  Each one the oracle leaves out must be a stop worth w·y
-there, or lie outside ``helpers.reference_undominated_states`` (the rule
-written from its definition), and ``OracleResult.action`` must answer the
+The reference also pays a weight w·y on stopping; at w = 1/2 the oracle
+runs on the instance with every cost doubled, whose values are 1/w times
+the reference's, with the same policy.  The oracle scans only the states
+below their set's stop index, of the sets it reaches without an opening it
+proves worse; the reference scans every reachable state.  Each one the
+oracle leaves out must be a stop worth w·y there, or lie outside
+``helpers.reference_undominated_states`` (the rule written from its
+definition), and ``OracleResult.action`` must answer the
 reference's action on every state the reference policy reaches.  The
 approx table keeps only the cells a run can reach
 (``helpers.reachable_approx_cells``); the reference fills them all.
@@ -35,6 +38,7 @@ from helpers import (
     reference_engine,
     reference_line_optimal_value,
     reference_undominated_states,
+    with_costs_times,
 )
 
 F = Fraction
@@ -53,18 +57,19 @@ def test_oracle_matches_fraction_reference(kind):
         inst = rand_case(rng, kind, max_n=7)
         initial_best = rng.choice(INITIAL_BESTS)
         weight = F(1, 2) if rng.random() < 0.3 else F(1)
-        result = _engine(inst, initial_best, weight)
+        priced = with_costs_times(inst, 1 / weight)  # the costs doubled at w = 1/2
+        result = _engine(priced, initial_best)
         value, e_max, e_cost, policy, values = reference_engine(inst, initial_best, weight)
-        assert (result.value, result.e_max, result.e_cost) == (value, e_max, e_cost)
+        assert (weight * result.value, result.e_max, weight * result.e_cost) == (value, e_max, e_cost)
         assert result._values.keys() == result._policy.keys() <= values.keys()
         undominated = reference_undominated_states(inst, initial_best, weight)
         assert result._values.keys() <= undominated
-        ints = integer_boxes(inst.boxes, result.grid, weight)
+        ints = integer_boxes(priced.boxes, result.grid)
         for (mask, yk), value in values.items():
             act = policy[mask, yk]
             if (mask, yk) in result._values:
                 unopened = math.prod(d for i, d in enumerate(ints.dens) if not mask >> i & 1)
-                assert F(result._values[mask, yk], ints.scale * unopened) == value
+                assert weight * F(result._values[mask, yk], ints.scale * unopened) == value
                 assert result._policy[mask, yk] == act
             else:
                 assert (act is None and value == weight * result.grid[yk]) or (mask, yk) not in undominated

@@ -54,53 +54,36 @@ class TestSampleBound:
         expected = math.ceil(
             n / eps**2 * math.log(1 / eps) ** 2 * math.log(n / eps) * math.log(n / (eps * dlt))
         )
-        assert sample_bound(4, F(1, 4), F(1, 10), "tree") == expected
-
-    def test_general_formula_value(self):
-        n, eps, dlt = 4, 0.25, 0.1
-        expected = math.ceil(n**3 / eps**3 * math.log(n / (eps * dlt)))
-        assert sample_bound(4, F(1, 4), F(1, 10), "general") == expected
+        assert sample_bound(4, F(1, 4), F(1, 10)) == expected
 
     def test_monotone_in_epsilon(self):
-        for mode in ("tree", "general"):
-            bounds = [
-                sample_bound(5, F(num, 100), F(1, 10), mode) for num in (5, 10, 20, 40)
-            ]
-            assert bounds == sorted(bounds, reverse=True)
-
-    def test_general_dominates_tree_for_large_n(self):
-        for n in (8, 16, 64, 256):
-            assert sample_bound(n, F(1, 10), F(1, 10), "general") >= sample_bound(
-                n, F(1, 10), F(1, 10), "tree"
-            )
+        bounds = [sample_bound(5, F(num, 100), F(1, 10)) for num in (5, 10, 20, 40)]
+        assert bounds == sorted(bounds, reverse=True)
 
     def test_constant_knob(self):
-        base = sample_bound(5, F(1, 10), F(1, 10), "tree", constant=1.0)
-        doubled = sample_bound(5, F(1, 10), F(1, 10), "tree", constant=2.0)
+        base = sample_bound(5, F(1, 10), F(1, 10), constant=1.0)
+        doubled = sample_bound(5, F(1, 10), F(1, 10), constant=2.0)
         assert doubled >= 2 * base - 1
 
     def test_epsilon_below_the_float_range_exceeds_the_cap(self):
         for eps in (F(1, 10**200), F(1, 10**400)):
-            for mode in ("tree", "general"):
-                with pytest.raises(CapExceededError):
-                    sample_bound(3, eps, F(1, 10), mode)
+            with pytest.raises(CapExceededError):
+                sample_bound(3, eps, F(1, 10))
 
     def test_delta_below_the_float_range_is_finite(self):
         # log(n / (eps * delta)) read exactly: 10**-400 adds 400 log 10 to it
         n, eps = 3, 0.1
         confidence = math.log(n / eps) + 400 * math.log(10)
         expected = math.ceil(n / eps**2 * math.log(1 / eps) ** 2 * math.log(n / eps) * confidence)
-        got = sample_bound(n, F(1, 10), F(1, 10**400), "tree")
+        got = sample_bound(n, F(1, 10), F(1, 10**400))
         assert abs(got - expected) <= 1
-        assert got > sample_bound(n, F(1, 10), F(1, 10**300), "tree")
+        assert got > sample_bound(n, F(1, 10), F(1, 10**300))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
             sample_bound(0, F(1, 10), F(1, 10))
         with pytest.raises(ValidationError):
             sample_bound(3, F(2), F(1, 10))
-        with pytest.raises(ValidationError):
-            sample_bound(3, F(1, 10), F(1, 10), mode="magic")
 
 
 class TestLearnModel:
@@ -215,7 +198,7 @@ class TestLearningConfig:
 
     def test_defaults(self):
         config = LearningConfig(F(1, 10), F(1, 10))
-        assert config.sample_count(5) == sample_bound(5, F(1, 10), F(1, 10), "tree")
+        assert config.sample_count(5) == sample_bound(5, F(1, 10), F(1, 10))
 
 
 def loaded_modules(code: str, *args: str) -> set[str]:

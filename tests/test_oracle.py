@@ -42,6 +42,7 @@ from helpers import (
     reference_order_ok,
     reference_set_feasible,
     reference_undominated_states,
+    with_costs_times,
     with_side,
 )
 
@@ -127,13 +128,15 @@ def test_opened_sets_match_brute_force(kind):
         inst = rand_case(rng, kind, max_n=7)
         grid = inst.support_union()
         start = rng.randrange(len(grid))
+        # at w = 1/2 (the half-reward benchmark) the costs are doubled
         weight = rng.choice((F(1), F(1, 2)))
-        ints = integer_boxes(inst.boxes, grid, weight)
+        priced = with_costs_times(inst, 1 / weight)
+        ints = integer_boxes(priced.boxes, grid)
         model, ids = inst.order_model, inst.order_model.ids
         children = graph_children(inst.constraint)
-        stops, strict = oracle._stop_indices(inst.boxes, ints, weight)
+        stops, strict = oracle._stop_indices(priced.boxes, ints)
         for box, h, d in zip(inst.boxes, stops, strict):
-            # straight from the definition: the first k with w * E[(X - y_k)^+] <= c, and < c
+            # straight from the weighted definition: the first k with w * E[(X - y_k)^+] <= c, and < c
             excess = [weight * sum(p * max(v - y, 0) for v, p in box.reward.atoms) for y in grid]
             assert h == next((k for k, e in enumerate(excess) if e <= box.cost), len(grid))
             assert d == next((k for k, e in enumerate(excess) if e < box.cost), len(grid))
@@ -223,7 +226,7 @@ class TestDominatedOpen:
                         constraint=ConstraintGraph(ConstraintKind.TREE, (("p", "q"),)))
         res = solve_exact(inst, initial_best=F(1))
         ints = integer_boxes(inst.boxes, res.grid)
-        assert oracle._stop_indices(inst.boxes, ints, F(1))[1][0] <= res.grid.index(F(1))
+        assert oracle._stop_indices(inst.boxes, ints)[1][0] <= res.grid.index(F(1))
         assert res.value == reference_engine(inst, F(1))[0] == F(17, 2)
         assert res.action((), F(1)) == "p" and res.action(("p",), F(1)) == "q"
 
@@ -233,7 +236,7 @@ class TestDominatedOpen:
         inst = Instance(boxes=(free, refund, coin_box("c", 1, 10)))
         res = solve_exact(inst, initial_best=F(5))
         ints = integer_boxes(inst.boxes, res.grid)
-        assert oracle._stop_indices(inst.boxes, ints, F(1))[1][:2] == [len(res.grid)] * 2
+        assert oracle._stop_indices(inst.boxes, ints)[1][:2] == [len(res.grid)] * 2
         value, e_max, e_cost, policy, _ = reference_engine(inst, F(5))
         assert (res.value, res.e_max, res.e_cost) == (value, e_max, e_cost)
         # the free box ties the best option and comes first by id, so it opens first

@@ -1,9 +1,12 @@
 """The package's exported names resolve lazily to the objects of their home
-modules, and are listed exactly as when ``__init__`` imported them all."""
+modules, and are listed exactly as when ``__init__`` imported them all.
+Every top-level import of a package module is used or marked ``noqa``."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +59,22 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(pandorabox, "nope")
     with pytest.raises(ImportError):
         exec("from pandorabox import nope", {})
+
+
+MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "pandorabox").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_top_level_import_is_used(path):
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}  # bound name -> line of its import
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                if "# noqa" not in lines[alias.lineno - 1] and "# noqa" not in lines[node.lineno - 1]:
+                    imported[(alias.asname or alias.name).partition(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"

@@ -35,7 +35,7 @@ FIELDS = {
     ExecutionState: ["opened", "best", "spent"],
     OrderModel: ["ids", "index", "parent_masks", "children", "weights", "capacity"],
     PreOrderIndex: ["order", "next_position"],
-    IntegerBoxes: ["scale", "dens", "costs", "atoms", "grid", "payoff"],
+    IntegerBoxes: ["scale", "dens", "costs", "atoms", "grid"],
     MacroBoxPartition: ["boundaries"],
     LineSolution: ["boxes", "zs", "kappas"],
     AnnotatedEntry: ["box_id", "threshold"],
