@@ -164,30 +164,15 @@ def _override_capacity(instance: Instance, capacity: list[int]) -> Instance:
     side = instance.side
     if side.kind == MatroidSideConstraint.NONE:
         if len(capacity) != 1:
-            raise ValidationError(
-                "--capacity on an instance without a side constraint takes a "
-                "single value (a cardinality bound)"
-            )
-        side = MatroidSideConstraint.knapsack(
-            {b.id: (1,) for b in instance.boxes}, tuple(capacity)
-        )
-    elif side.kind == MatroidSideConstraint.KNAPSACK:
-        if len(capacity) != len(side.capacity):
-            raise ValidationError(
-                f"--capacity needs {len(side.capacity)} entries to match the "
-                f"instance's knapsack dimension"
-            )
-        side = MatroidSideConstraint.knapsack(side.weights, tuple(capacity))
+            raise ValidationError("--capacity on an instance without a side constraint takes a single value "
+                                  "(a cardinality bound)")
+        side = MatroidSideConstraint.knapsack({b.id: (1,) for b in instance.boxes}, capacity)
+    elif len(capacity) != len(side.capacity):
+        what = "knapsack dimension" if side.kind == MatroidSideConstraint.KNAPSACK else "partition count"
+        raise ValidationError(f"--capacity needs {len(side.capacity)} entries to match the instance's {what}")
     else:
-        if len(capacity) != len(side.part_capacities):
-            raise ValidationError(
-                f"--capacity needs {len(side.part_capacities)} entries to match "
-                f"the instance's partition count"
-            )
-        side = MatroidSideConstraint.partition(side.parts, tuple(capacity))
-    return validate_instance(
-        Instance(boxes=instance.boxes, constraint=instance.constraint, side=side)
-    )
+        side = MatroidSideConstraint(side.kind, side.weights, tuple(capacity))
+    return validate_instance(Instance(instance.boxes, instance.constraint, side))
 
 
 def cmd_approx(args) -> None:
@@ -326,8 +311,16 @@ def cmd_example(args) -> None:
     emit(handler(args), args.json)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (a missing flag, an ill-typed value) raises :class:`ParseError`,
+    so it ends like any other input error: exit 2 and one ``error:`` line."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pandorabox",
         description="Optimal and approximate search strategies for costly "
         "inspection under order constraints.",
@@ -390,22 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (UnsupportedConstraintError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except PandoraError as exc:  # pragma: no cover
+    except PandoraError as exc:  # ParseError, ValidationError and any other: exit 2
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_UNSUPPORTED if isinstance(exc, (UnsupportedConstraintError, CapExceededError)) else EXIT_INVALID
     return EXIT_OK
 
 

@@ -19,8 +19,9 @@ Instance documents are JSON with the following shape::
 
 ``constraint.kind`` is one of ``unconstrained | line | tree | forest | dag``;
 ``side`` is optional and is either a generalized knapsack (integer weight
-vectors plus a capacity vector) or a partition constraint (part index per box
-plus per-part capacities).
+vectors plus a capacity vector) or a partition constraint (``"parts"``, a part
+index per box, plus ``"capacities"``, one per part), held as the knapsack of
+each part's unit vector.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ RESERVED_ID_PREFIX = "__"
 
 # Capacities of side constraints must stay polynomially bounded in n.
 CAPACITY_FACTOR = 10
+# Most weight entries a partition's unit vectors may take (boxes times parts).
+MAX_SIDE_ENTRIES = 10**6
 
 # Largest decimal exponent parse_rational accepts (Python's default limit on
 # the digits of an int parsed from a string), so "1e999999999" cannot make
@@ -296,29 +299,26 @@ class ConstraintGraph(Record):
 
 
 class MatroidSideConstraint(Record):
-    """Optional downwards-closed side constraint on the opened set.
-
-    ``knapsack``: every box has an integer weight vector of fixed dimension
-    ``d`` and the opened set's weight sum must stay within ``capacity``
-    componentwise.  ``partition``: every box belongs to a part and each part
-    has a maximum number of opened boxes.
+    """Optional downwards-closed side constraint on the opened set: every box
+    has an integer weight vector (``weights``, box id to vector) of the
+    dimension d of ``capacity``, and the opened set's weight sum must stay
+    within ``capacity`` componentwise.  ``kind`` names the document form:
+    ``knapsack`` lists the vectors; ``partition`` puts each box in a part and
+    caps the opened boxes per part, stored as the part's unit vector and the
+    per-part capacities.
     """
 
     kind: str
     weights: Mapping[str, tuple[int, ...]]
     capacity: tuple[int, ...]
-    parts: Mapping[str, int]
-    part_capacities: tuple[int, ...]
 
     NONE = "none"
     KNAPSACK = "knapsack"
     PARTITION = "partition"
 
     def __init__(self, kind: str = NONE, weights: Mapping[str, tuple[int, ...]] | None = None,
-                 capacity: tuple[int, ...] = (), parts: Mapping[str, int] | None = None,
-                 part_capacities: tuple[int, ...] = ()) -> None:  # a new empty dict per omitted mapping
-        super().__init__(kind, {} if weights is None else weights, capacity, {} if parts is None else parts,
-                         part_capacities)
+                 capacity: tuple[int, ...] = ()) -> None:  # a new empty dict when omitted
+        super().__init__(kind, {} if weights is None else weights, capacity)
 
     @staticmethod
     def none() -> "MatroidSideConstraint":
@@ -326,31 +326,32 @@ class MatroidSideConstraint(Record):
 
     @staticmethod
     def knapsack(weights: Mapping[str, Sequence[int]], capacity: Sequence[int]) -> "MatroidSideConstraint":
-        return MatroidSideConstraint(
-            kind=MatroidSideConstraint.KNAPSACK,
-            weights={k: tuple(v) for k, v in weights.items()},
-            capacity=tuple(capacity),
-        )
+        return MatroidSideConstraint(MatroidSideConstraint.KNAPSACK, {k: tuple(v) for k, v in weights.items()},
+                                     tuple(capacity))
 
     @staticmethod
     def partition(parts: Mapping[str, int], capacities: Sequence[int]) -> "MatroidSideConstraint":
-        return MatroidSideConstraint(
-            kind=MatroidSideConstraint.PARTITION,
-            parts=dict(parts),
-            part_capacities=tuple(capacities),
-        )
+        """Box id to part index, an index of ``capacities``; the part becomes a unit vector."""
+        k = len(capacities)
+        if len(parts) * k > MAX_SIDE_ENTRIES:
+            raise CapExceededError(f"partition of {len(parts)} boxes into {k} parts takes more than "
+                                   f"{MAX_SIDE_ENTRIES} weight entries")
+        weights = {}
+        for box_id, part in parts.items():
+            if not _is_count(part) or part >= k:
+                raise ValidationError(f"box {box_id!r} has invalid part index {part!r}")
+            weights[box_id] = (0,) * part + (1,) + (0,) * (k - 1 - part)
+        return MatroidSideConstraint(MatroidSideConstraint.PARTITION, weights, tuple(capacities))
 
-    def vectors(self, ids: Sequence[str]) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-        """Weight vectors of ``ids`` and the capacity vector: a partition part
-        is a unit vector, and no side constraint is the empty vector."""
-        if self.kind == self.KNAPSACK:
-            zero = (0,) * len(self.capacity)
-            return [tuple(self.weights.get(i, zero)) for i in ids], tuple(self.capacity)
-        if self.kind == self.PARTITION:
-            k = len(self.part_capacities)
-            return ([tuple(int(j == self.parts.get(i)) for j in range(k)) for i in ids],
-                    tuple(self.part_capacities))
-        return [() for _ in ids], ()
+
+# Per side kind: its constructor, the document keys of the box entries and of
+# the capacity vector, what that vector must hold and the name of one entry.
+_SIDE_FORMS = {
+    MatroidSideConstraint.KNAPSACK: (MatroidSideConstraint.knapsack, "weights", "capacity",
+                                     "a nonempty capacity vector", "capacity entry"),
+    MatroidSideConstraint.PARTITION: (MatroidSideConstraint.partition, "parts", "capacities",
+                                      "at least one part", "part capacity"),
+}
 
 
 class Instance(Record):
@@ -457,48 +458,33 @@ def _is_count(x: object) -> bool:
 
 def _validate_side(instance: Instance) -> None:
     side = instance.side
-    bound = CAPACITY_FACTOR * instance.n
     if side.kind == MatroidSideConstraint.NONE:
+        if side.weights or side.capacity:
+            raise ValidationError("side constraint 'none' takes no weights and no capacity")
         return
-    if side.kind == MatroidSideConstraint.KNAPSACK:
-        d = len(side.capacity)
-        if d < 1:
-            raise ValidationError("knapsack constraint needs a nonempty capacity vector")
-        for cap in side.capacity:
-            if not _is_count(cap):
-                raise ValidationError(f"capacity entry {cap!r} is not a nonnegative integer")
-            if cap > bound:
-                raise ValidationError(f"capacity entry {cap} exceeds the {bound} (= {CAPACITY_FACTOR}n) bound")
-        for box in instance.boxes:
-            w = side.weights.get(box.id)
-            if w is None:
-                raise ValidationError(f"knapsack weights missing for box {box.id!r}")
-            if len(w) != d:
-                raise ValidationError(f"weight vector for box {box.id!r} has dimension {len(w)}, expected {d}")
-            if not all(_is_count(x) for x in w):
-                raise ValidationError(f"weight vector for box {box.id!r} has a negative or non-integer entry")
-        for extra in set(side.weights) - set(instance.box_map):
-            raise ValidationError(f"knapsack weights reference unknown box {extra!r}")
-        return
-    if side.kind == MatroidSideConstraint.PARTITION:
-        k = len(side.part_capacities)
-        if k < 1:
-            raise ValidationError("partition constraint needs at least one part")
-        for cap in side.part_capacities:
-            if not _is_count(cap):
-                raise ValidationError(f"part capacity {cap!r} is not a nonnegative integer")
-            if cap > bound:
-                raise ValidationError(f"part capacity {cap} exceeds the {bound} (= {CAPACITY_FACTOR}n) bound")
-        for box in instance.boxes:
-            part = side.parts.get(box.id)
-            if part is None:
-                raise ValidationError(f"partition part missing for box {box.id!r}")
-            if not _is_count(part) or part >= k:
-                raise ValidationError(f"box {box.id!r} has invalid part index {part!r}")
-        for extra in set(side.parts) - set(instance.box_map):
-            raise ValidationError(f"partition parts reference unknown box {extra!r}")
-        return
-    raise ValidationError(f"unknown side constraint kind {side.kind!r}")
+    if side.kind not in tuple(_SIDE_FORMS):  # a tuple: a hand-built kind may be unhashable
+        raise ValidationError(f"unknown side constraint kind {side.kind!r}")
+    _, entries, _, needs, entry = _SIDE_FORMS[side.kind]
+    d, bound = len(side.capacity), CAPACITY_FACTOR * instance.n
+    if d < 1:
+        raise ValidationError(f"{side.kind} constraint needs {needs}")
+    for cap in side.capacity:
+        if not _is_count(cap):
+            raise ValidationError(f"{entry} {cap!r} is not a nonnegative integer")
+        if cap > bound:
+            raise ValidationError(f"{entry} {cap} exceeds the {bound} (= {CAPACITY_FACTOR}n) bound")
+    for box in instance.boxes:
+        w = side.weights.get(box.id)
+        if w is None:
+            raise ValidationError(f"{side.kind} {entries} missing for box {box.id!r}")
+        if len(w) != d:
+            raise ValidationError(f"weight vector for box {box.id!r} has dimension {len(w)}, expected {d}")
+        if not all(_is_count(x) for x in w):
+            raise ValidationError(f"weight vector for box {box.id!r} has a negative or non-integer entry")
+        if side.kind == MatroidSideConstraint.PARTITION and sum(w) != 1:
+            raise ValidationError(f"weight vector for box {box.id!r} is not a unit vector")
+    for extra in set(side.weights) - set(instance.box_map):
+        raise ValidationError(f"{side.kind} {entries} reference unknown box {extra!r}")
 
 
 def validate_instance(instance: Instance) -> Instance:
@@ -582,23 +568,14 @@ def _instance_from_obj(obj: object) -> Instance:
         side = MatroidSideConstraint.none()
     elif not isinstance(raw_side, dict) or "kind" not in raw_side:
         raise ParseError("'side' must be an object with a 'kind'")
-    elif raw_side["kind"] == MatroidSideConstraint.KNAPSACK:
-        try:
-            side = MatroidSideConstraint.knapsack(
-                {k: tuple(v) for k, v in raw_side["weights"].items()},
-                tuple(raw_side["capacity"]),
-            )
-        except (KeyError, TypeError, AttributeError):
-            raise ParseError("malformed knapsack side constraint") from None
-    elif raw_side["kind"] == MatroidSideConstraint.PARTITION:
-        try:
-            side = MatroidSideConstraint.partition(
-                dict(raw_side["parts"]), tuple(raw_side["capacities"])
-            )
-        except (KeyError, TypeError, AttributeError, ValueError):  # ValueError: parts ["a"]
-            raise ParseError("malformed partition side constraint") from None
     elif raw_side["kind"] == MatroidSideConstraint.NONE:
         side = MatroidSideConstraint.none()
+    elif raw_side["kind"] in tuple(_SIDE_FORMS):  # a tuple: a kind may be unhashable JSON
+        make, entries, capacity = _SIDE_FORMS[raw_side["kind"]][:3]
+        try:
+            side = make(raw_side[entries], tuple(raw_side[capacity]))
+        except (KeyError, TypeError, AttributeError):
+            raise ParseError(f"malformed {raw_side['kind']} side constraint") from None
     else:
         raise ParseError(f"unknown side constraint kind {raw_side['kind']!r}")
 
@@ -640,17 +617,11 @@ def dump_instance(instance: Instance) -> str:
     }
     side = instance.side
     if side.kind == MatroidSideConstraint.KNAPSACK:
-        obj["side"] = {
-            "kind": side.kind,
-            "weights": {k: list(v) for k, v in side.weights.items()},
-            "capacity": list(side.capacity),
-        }
+        obj["side"] = {"kind": side.kind, "weights": {k: list(v) for k, v in side.weights.items()},
+                       "capacity": list(side.capacity)}
     elif side.kind == MatroidSideConstraint.PARTITION:
-        obj["side"] = {
-            "kind": side.kind,
-            "parts": dict(side.parts),
-            "capacities": list(side.part_capacities),
-        }
+        obj["side"] = {"kind": side.kind, "parts": {k: v.index(1) for k, v in side.weights.items()},
+                       "capacities": list(side.capacity)}
     return json.dumps(obj, indent=2)
 
 
@@ -760,9 +731,10 @@ class OrderModel(Record):
         for parent, child in instance.constraint.edges:
             parent_masks[index[child]] |= 1 << index[parent]
             children[index[parent]].append(index[child])
-        weights, capacity = instance.side.vectors(ids)
+        side = instance.side
+        zero = (0,) * len(side.capacity)  # the weight of a box the side leaves out (validation refuses it)
         return OrderModel(ids, index, tuple(parent_masks), tuple(map(tuple, children)),
-                          tuple(weights), capacity)
+                          tuple([tuple(side.weights.get(i, zero)) for i in ids]), tuple(side.capacity))
 
     @property
     def empty_load(self) -> tuple[int, ...]:

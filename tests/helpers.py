@@ -223,8 +223,8 @@ def reference_side_ok(instance: Instance, ids) -> bool:
         )
     if side.kind == MatroidSideConstraint.PARTITION:
         return all(
-            sum(1 for i in ids if side.parts[i] == part) <= cap
-            for part, cap in enumerate(side.part_capacities)
+            sum(1 for i in ids if side.weights[i].index(1) == part) <= cap
+            for part, cap in enumerate(side.capacity)
         )
     return True
 

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from pandorabox import CapExceededError, dump_instance
-from pandorabox.core import MAX_DOCUMENT_BYTES
+from pandorabox.core import MAX_DOCUMENT_BYTES, MAX_SIDE_ENTRIES
 from pandorabox.instances import ADAPTIVITY_GAP_BOX_CAP, adaptivity_gap, figure1_tree_matroid, guard_line
 from pandorabox.strategy import MAX_TRIALS
 
@@ -70,7 +70,7 @@ def test_boolean_side_entries_exit_2(tmp_path, side):
 
 
 def test_partition_parts_that_are_not_pairs_exit_2(tmp_path):
-    # dict(["g1"]) raises ValueError, not TypeError
+    # a list has no .items()
     doc = guard_doc()
     doc["side"] = {"kind": "partition", "parts": ["g1"], "capacities": [2]}
     path = tmp_path / "inst.json"
@@ -463,3 +463,51 @@ def test_document_at_the_cap_parses(documents, flag):
     assert res.returncode == 0, res.stderr
     assert res.stdout == run_cli(*evaluate_args(flag, inst if flag == "--input" else thresholds,
                                                 inst, thresholds)).stdout
+
+
+def test_partition_over_the_side_entry_cap_exits_3_before_building(tmp_path):
+    # 400 boxes in one of 100 000 parts: 4·10^7 unit-vector entries from a 332 KB document
+    ids = [f"b{i:03d}" for i in range(400)]
+    doc = {"boxes": [{"id": i, "cost": "0", "reward": [{"value": "0", "prob": "1"}]} for i in ids],
+           "constraint": {"kind": "forest", "edges": []},
+           "side": {"kind": "partition", "parts": {i: 0 for i in ids}, "capacities": [0] * 100_000}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    res = run_cli("oracle", "--input", str(path))
+    assert time.perf_counter() - start < 2
+    assert_clean_exit_3(res)
+    assert res.stderr == ("error: partition of 400 boxes into 100000 parts takes more than "
+                          f"{MAX_SIDE_ENTRIES} weight entries\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["approx", "--capacity", "x"], "--capacity"),
+        (["approx", "--capacity", "1", "2.5"], "--capacity"),
+        (["simulate", "--trials", "x", "--seed", "1"], "--trials"),
+        (["simulate", "--trials", "3", "--seed", "1/2"], "--seed"),
+        (["learn", "--epsilon", "1/4", "--delta", "1/4", "--seed", "1", "--samples", "many"], "--samples"),
+        (["learn", "--epsilon", "1/4", "--delta", "1/4", "--seed", "1", "--constant", "big"], "--constant"),
+        (["example", "adaptivity-gap", "--n", "ten"], "--n"),
+    ],
+)
+def test_ill_typed_flag_value_exits_2_with_one_line(tmp_path, argv, flag):
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(guard_line()))
+    res = run_cli(*argv, *(["--input", str(path)] if argv[0] != "example" else []))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith(f"error: argument {flag}: invalid ") and len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["solve"], ["bogus"], ["oracle", "--input"], ["solve", "--input", "a", "-x"]])
+def test_usage_errors_exit_2_with_one_line(argv):
+    res = run_cli(*argv)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+
+
+def test_help_still_exits_0():
+    res = run_cli("approx", "--help")
+    assert res.returncode == 0 and "--capacity" in res.stdout

@@ -1,9 +1,11 @@
-"""Generated instance and ``--thresholds`` documents through ``cli.main``,
-in-process: every run ends in exit 0, 2 or 3, and a failing run prints one
-``error:`` line, never a traceback.  ``solve`` and ``evaluate`` run on
-every document; the exhaustive commands ``oracle``, ``fixed-order`` and
-``approx`` (with and without ``--verify``, and with a ``--capacity``
-vector) on their own draws.
+"""Generated instance and ``--thresholds`` documents and flag values through
+``cli.main``, in-process: every run ends in exit 0, 2 or 3, and a failing run
+prints one ``error:`` line, never a traceback.  ``solve`` and ``evaluate``
+run on every document; the exhaustive commands ``oracle``, ``fixed-order``
+and ``approx`` (with and without ``--verify``, and with a ``--capacity``
+vector whose entries may not be ints) on their own draws; ``simulate``,
+``evaluate --set``, ``learn`` and ``example`` with drawn flag values on
+theirs.
 
 Documents start out well-formed (small boxes whose probabilities sum to
 one, edges between their ids, an optional side constraint), then one field
@@ -71,8 +73,13 @@ def instance_documents(draw):
 
 
 THRESHOLDS = st.dictionaries(st.sampled_from(IDS), VALUES | BAD, max_size=4) | JUNK
+# flag values that are not ints
+NOT_INT = st.sampled_from(["x", "", "1.5", "1/2", "1e3", "0x10", "nan"])
 # a cardinality bound, a vector of another length, negative entries, an entry over every cap
-CAPACITY = st.lists(st.integers(-2, 4) | st.just(10**30), min_size=1, max_size=3)
+CAPACITY = st.lists((st.integers(-2, 4) | st.just(10**30)).map(str) | NOT_INT, min_size=1, max_size=3)
+# small counts, negative ones, one over every cap (simulate's MAX_TRIALS, adaptivity-gap's box cap)
+COUNT = st.integers(-2, 4).map(str) | st.just(str(10**30)) | NOT_INT
+RATIONAL = st.sampled_from(["1/4", "1/2", "1/3", "0.1", "0", "1", "2", "-1/2", "1e-400", "1e4300", "x", ""])
 
 
 def run(argv):
@@ -115,6 +122,34 @@ def test_exhaustive_commands_exit_cleanly(tmp_path_factory, doc, capacity):
         ["fixed-order", *given_input],
         ["approx", *given_input],
         ["approx", *given_input, "--verify"],
-        ["approx", *given_input, "--capacity", *map(str, capacity)],
+        ["approx", *given_input, "--capacity", *capacity],
+    ])
+
+
+def optional(flag, values):
+    """The flag with a drawn value, or nothing."""
+    return st.none().map(lambda _: []) | values.map(lambda value: [flag, value])
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=instance_documents(), trials=st.integers(1, 4).map(str) | COUNT,
+       seed=st.integers(-9, 2**70).map(str) | NOT_INT, chosen=st.lists(st.sampled_from([*IDS, "zz", ""]), max_size=4),
+       learn=st.tuples(RATIONAL, RATIONAL, COUNT, optional("--samples", COUNT),
+                       optional("--constant", st.sampled_from(["1", "0", "-1", "1e300", "inf", "nan", "x"]))),
+       example=st.tuples(st.sampled_from(["figure1", "adaptivity-gap", "guard-line", "nope"]),
+                         optional("--epsilon", st.sampled_from(["5/4", "7/4", "2", "x", "1e4300"])),
+                         optional("--p", st.sampled_from(["1/10", "1/2", "9/10", "0", "1", "1e-5", "x"])),
+                         optional("--n", COUNT)))
+def test_flag_values_exit_cleanly(tmp_path_factory, doc, trials, seed, chosen, learn, example):
+    instance = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    instance.write_text(json.dumps(doc))
+    given_input = ["--input", str(instance)]
+    epsilon, delta, learn_seed, samples, constant = learn
+    name, *flags = example
+    check_runs([
+        ["simulate", *given_input, "--trials", trials, "--seed", seed],
+        ["evaluate", *given_input, "--set", ",".join(chosen)],
+        ["learn", *given_input, "--epsilon", epsilon, "--delta", delta, "--seed", learn_seed, *samples, *constant],
+        ["example", name, *[arg for flag in flags for arg in flag]],
     ])
 

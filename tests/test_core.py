@@ -24,7 +24,7 @@ from pandorabox import (
     validate_instance,
     weitzman_reservation,
 )
-from pandorabox.core import MAX_DOCUMENT_BYTES, IntDistribution, max_sweep
+from pandorabox.core import MAX_DOCUMENT_BYTES, MAX_SIDE_ENTRIES, IntDistribution, max_sweep
 from pandorabox.instances import figure1
 from pandorabox.line_solver import NOTHING
 
@@ -153,23 +153,74 @@ class TestLoadInstance:
 
     @pytest.mark.parametrize(
         "side",
-        [
-            MatroidSideConstraint.knapsack({"solo": (True,)}, (1,)),
-            MatroidSideConstraint.knapsack({"solo": (1,)}, (True,)),
-            MatroidSideConstraint.partition({"solo": False}, (1,)),
-            MatroidSideConstraint.partition({"solo": 0}, (True,)),
+        [  # built in the test: a boolean part raises in partition() already
+            (MatroidSideConstraint.knapsack, {"solo": (True,)}, (1,)),
+            (MatroidSideConstraint.knapsack, {"solo": (1,)}, (True,)),
+            (MatroidSideConstraint.partition, {"solo": False}, (1,)),
+            (MatroidSideConstraint.partition, {"solo": 0}, (True,)),
         ],
     )
     def test_boolean_side_entries_rejected(self, side):
+        make, entries, capacity = side
         inst = load_instance(MINIMAL_DOC)
         with pytest.raises(ValidationError):
-            validate_instance(Instance(boxes=inst.boxes, side=side))
+            validate_instance(Instance(boxes=inst.boxes, side=make(entries, capacity)))
 
     def test_capacity_bound_enforced(self):
         inst = load_instance(MINIMAL_DOC)
         side = MatroidSideConstraint.knapsack({"solo": (1,)}, (11,))
         with pytest.raises(ValidationError, match="exceeds"):
             validate_instance(Instance(boxes=inst.boxes, side=side))
+
+
+class TestPartitionSide:
+    """A partition is held as the knapsack of its parts' unit vectors."""
+
+    @pytest.mark.parametrize("part", [False, True, -1, 2, 1.0, "0", None, [0]])
+    def test_bad_part_raises_at_construction(self, part):
+        with pytest.raises(ValidationError, match="invalid part index"):
+            MatroidSideConstraint.partition({"solo": part}, (1, 1))
+
+    def test_too_many_weight_entries_raise_before_building(self):
+        with pytest.raises(CapExceededError, match="weight entries"):
+            MatroidSideConstraint.partition({"a": 0, "b": 0}, (0,) * (MAX_SIDE_ENTRIES // 2 + 1))
+        assert MatroidSideConstraint.partition({"a": 0, "b": 0}, (0,) * (MAX_SIDE_ENTRIES // 2)).weights["b"][0] == 1
+
+    @pytest.mark.parametrize("vector", [(0, 0), (1, 1), (2, 0), (0, -1)])
+    def test_hand_built_partition_needs_unit_vectors(self, vector):
+        inst = load_instance(MINIMAL_DOC)
+        side = MatroidSideConstraint("partition", {"solo": vector}, (1, 1))
+        with pytest.raises(ValidationError, match="weight vector for box 'solo'"):
+            validate_instance(Instance(boxes=inst.boxes, side=side))
+
+    def test_none_side_takes_no_weights(self):
+        inst = load_instance(MINIMAL_DOC)
+        for side in (MatroidSideConstraint("none", {"solo": (1,)}, ()), MatroidSideConstraint("none", {}, (0,))):
+            with pytest.raises(ValidationError, match="'none'"):
+                validate_instance(Instance(boxes=inst.boxes, side=side))
+
+    def test_parts_out_of_box_order_dump_back_identically(self):
+        doc = json.loads(MINIMAL_DOC)
+        doc["boxes"] += [dict(doc["boxes"][0], id=box_id) for box_id in ("b", "a")]
+        doc["side"] = {"kind": "partition", "parts": {"a": 1, "solo": 0, "b": 1}, "capacities": [1, 2]}
+        text = dump_instance(load_instance(json.dumps(doc)))
+        assert json.loads(text)["side"] == doc["side"]
+        assert list(json.loads(text)["side"]["parts"]) == ["a", "solo", "b"]
+        assert dump_instance(load_instance(text)) == text
+
+    def test_partition_compiles_as_the_unit_vector_knapsack(self):
+        rng = random.Random(27)
+        boxes = load_instance(MINIMAL_DOC).boxes
+        boxes = tuple(BoxSpec(f"b{i}", boxes[0].cost, boxes[0].reward) for i in range(6))
+        for _ in range(20):
+            k = rng.randint(1, 4)
+            parts = {b.id: rng.randrange(k) for b in boxes}
+            caps = tuple(rng.randint(0, 3) for _ in range(k))
+            units = {i: tuple(int(j == part) for j in range(k)) for i, part in parts.items()}
+            a, b = (validate_instance(Instance(boxes, side=side)).order_model
+                    for side in (MatroidSideConstraint.partition(parts, caps),
+                                 MatroidSideConstraint.knapsack(units, caps)))
+            assert (a.weights, a.capacity) == (b.weights, b.capacity)
 
 
 class TestParserFuzz:

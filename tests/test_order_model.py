@@ -147,6 +147,9 @@ def test_half_reward_benchmark_on_small_dags(side):
 
 
 def test_side_vectors_encode_partition_as_unit_vectors():
+    boxes = tuple(BoxSpec(i, Fraction(1), DiscreteDistribution.point(2)) for i in "abc")
     side = MatroidSideConstraint.partition({"a": 0, "b": 2, "c": 1}, (1, 0, 2))
-    assert side.vectors(["a", "b", "c"]) == ([(1, 0, 0), (0, 0, 1), (0, 1, 0)], (1, 0, 2))
-    assert MatroidSideConstraint.none().vectors(["a"]) == ([()], ())
+    model = Instance(boxes, side=side).order_model
+    assert (model.weights, model.capacity) == (((1, 0, 0), (0, 0, 1), (0, 1, 0)), (1, 0, 2))
+    model = Instance(boxes[:1]).order_model
+    assert (model.weights, model.capacity) == (((),), ())

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import builtins
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
 
 import pandorabox
+from pandorabox import dump_instance, load_instance
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 CITED = sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", README)))
@@ -37,6 +39,19 @@ def test_quick_tour_executes():
     assert blocks, "README lost its python example"
     for block in blocks:
         exec(compile(block, "<README>", "exec"), {})
+
+
+def test_instance_document_round_trips():
+    """The CLI section's instance document loads and dumps back to an equal
+    instance, as it is and with the partition ``side`` the README gives."""
+    (block,) = re.findall(r"```json\n(.*?)```", README, flags=re.S)
+    doc = json.loads(block)
+    (partition,) = re.findall(r'`(\{"kind": "partition".*?\})`', README)
+    for side in (doc["side"], json.loads(partition)):
+        instance = load_instance(json.dumps(dict(doc, side=side)))
+        text = dump_instance(instance)
+        assert json.loads(text)["side"] == side
+        assert load_instance(text) == instance and dump_instance(load_instance(text)) == text
 
 
 def test_module_names_resolve():

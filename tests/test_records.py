@@ -30,7 +30,7 @@ FIELDS = {
     DiscreteDistribution: ["atoms"],
     BoxSpec: ["id", "cost", "reward"],
     ConstraintGraph: ["kind", "edges", "roots"],
-    MatroidSideConstraint: ["kind", "weights", "capacity", "parts", "part_capacities"],
+    MatroidSideConstraint: ["kind", "weights", "capacity"],
     Instance: ["boxes", "constraint", "side"],
     ExecutionState: ["opened", "best", "spent"],
     OrderModel: ["ids", "index", "parent_masks", "children", "weights", "capacity"],
@@ -149,10 +149,9 @@ def test_defaults():
     assert ConstraintGraph("line") == ConstraintGraph("line", (), ())
     assert ConstraintGraph.unconstrained() == ConstraintGraph(kind="unconstrained", edges=(), roots=())
     side = MatroidSideConstraint()
-    assert side == MatroidSideConstraint("none", {}, (), {}, ()) == MatroidSideConstraint.none()
+    assert side == MatroidSideConstraint("none", {}, ()) == MatroidSideConstraint.none()
     other = MatroidSideConstraint()
-    assert side.weights == {} and side.parts == {}
-    assert side.weights is not other.weights and side.parts is not other.parts
+    assert side.weights == {} and side.weights is not other.weights
     instance = Instance((BoxSpec("a", F(1), DiscreteDistribution.point(2)),))
     assert instance.constraint == ConstraintGraph.unconstrained()
     assert instance.side == MatroidSideConstraint.none()
