@@ -5,6 +5,12 @@ require an explicit --seed.  Output is a flat key=value block, or a JSON
 object with the same keys under --json.  Exit codes: 0 success, 2 input or
 validation error, 3 unsupported constraint or cap exceeded, 4 internal
 invariant violation.  Each command imports only the solver modules it runs.
+
+Every command is a function ``cmd_<name>(args, instance)`` that turns its
+flags and the instance read from ``--input`` (None for ``example``, which
+builds its own and writes it to ``--out``) into a list of (key, value)
+pairs.  Only :func:`main` reads ``--input``, prints the pairs through
+:func:`emit` and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -103,61 +109,39 @@ def _threshold_pairs(solution) -> list[tuple[str, object]]:
             ("value", solution.value)]
 
 
-def cmd_solve(args) -> None:
+def cmd_solve(args, instance: Instance) -> list[tuple[str, object]]:
     from .tree_solver import solve_tree
-    solution = solve_tree(_read_instance(args.input))
-    emit([("order", ",".join(solution.order.ids())), *_threshold_pairs(solution)], args.json)
+    solution = solve_tree(instance)
+    return [("order", ",".join(solution.order.ids())), *_threshold_pairs(solution)]
 
 
-def cmd_evaluate(args) -> None:
+def cmd_evaluate(args, instance: Instance) -> list[tuple[str, object]]:
     from .strategy import evaluate_set, evaluate_threshold_exact
-    instance = _read_instance(args.input)
-    if args.set is not None:
-        ids = [s for s in args.set.split(",") if s]
-        value = evaluate_set(instance, ids)
-        emit([("set", ",".join(sorted(ids))), ("value", value)], args.json)
-        return
-    policy = _read_thresholds(instance, args.thresholds)
-    emit([("value", evaluate_threshold_exact(instance, policy))], args.json)
+    if args.set is None:
+        return [("value", evaluate_threshold_exact(instance, _read_thresholds(instance, args.thresholds)))]
+    if args.thresholds is not None:
+        raise ValidationError("evaluate takes --set or --thresholds, not both")
+    ids = [s for s in args.set.split(",") if s]
+    return [("set", ",".join(sorted(ids))), ("value", evaluate_set(instance, ids))]
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args, instance: Instance) -> list[tuple[str, object]]:
     from .strategy import simulate
-    instance = _read_instance(args.input)
-    policy = _read_thresholds(instance, args.thresholds)
-    summary = simulate(instance, policy, args.trials, args.seed)
-    emit(
-        [
-            ("mean", summary.mean),
-            ("stddev", summary.stddev),
-            ("trials", summary.trials),
-            ("seed", summary.seed),
-        ],
-        args.json,
-    )
+    summary = simulate(instance, _read_thresholds(instance, args.thresholds), args.trials, args.seed)
+    return [("mean", summary.mean), ("stddev", summary.stddev), ("trials", summary.trials), ("seed", summary.seed)]
 
 
-def cmd_oracle(args) -> None:
+def cmd_oracle(args, instance: Instance) -> list[tuple[str, object]]:
     from .oracle import solve_exact
-    instance = _read_instance(args.input)
     result = solve_exact(instance)
-    first = result.action((), Fraction(0))
-    emit(
-        [
-            ("value", result.value),
-            ("e_max", result.e_max),
-            ("e_cost", result.e_cost),
-            ("first_action", first if first is not None else "stop"),
-        ],
-        args.json,
-    )
+    return [("value", result.value), ("e_max", result.e_max), ("e_cost", result.e_cost),
+            ("first_action", result.action((), Fraction(0)) or "stop")]
 
 
-def cmd_fixed_order(args) -> None:
+def cmd_fixed_order(args, instance: Instance) -> list[tuple[str, object]]:
     from .oracle import best_fixed_order
-    instance = _read_instance(args.input)
     order, value = best_fixed_order(instance)
-    emit([("order", ",".join(order)), ("value", value)], args.json)
+    return [("order", ",".join(order)), ("value", value)]
 
 
 def _override_capacity(instance: Instance, capacity: list[int]) -> Instance:
@@ -175,36 +159,28 @@ def _override_capacity(instance: Instance, capacity: list[int]) -> Instance:
     return validate_instance(Instance(instance.boxes, instance.constraint, side))
 
 
-def cmd_approx(args) -> None:
+def cmd_approx(args, instance: Instance) -> list[tuple[str, object]]:
     from .approx import solve_approx, verify_guarantee
-    instance = _read_instance(args.input)
     if args.capacity is not None:
         instance = _override_capacity(instance, args.capacity)
     policy = solve_approx(instance)
-    pairs: list[tuple[str, object]] = [("value", policy.value)]
-    if args.verify:
-        report = verify_guarantee(instance, policy)
-        pairs.extend(
-            [
-                ("executed_value", report.executed_value),
-                ("set_margin", report.set_margin),
-                ("worst_set", ",".join(report.worst_set)),
-                ("feasible_sets", report.feasible_sets),
-            ]
-        )
-        if report.benchmark_margin is not None:
-            pairs.extend(
-                [
-                    ("benchmark_margin", report.benchmark_margin),
-                    ("oracle_value", report.oracle_value),
-                ]
-            )
-    emit(pairs, args.json)
+    if not args.verify:
+        return [("value", policy.value)]
+    report = verify_guarantee(instance, policy)
+    pairs: list[tuple[str, object]] = [
+        ("value", policy.value),
+        ("executed_value", report.executed_value),
+        ("set_margin", report.set_margin),
+        ("worst_set", ",".join(report.worst_set)),
+        ("feasible_sets", report.feasible_sets),
+    ]
+    if report.benchmark_margin is not None:
+        pairs += [("benchmark_margin", report.benchmark_margin), ("oracle_value", report.oracle_value)]
+    return pairs
 
 
-def cmd_learn(args) -> None:
+def cmd_learn(args, instance: Instance) -> list[tuple[str, object]]:
     from .learning import LearningConfig, learn_and_solve
-    instance = _read_instance(args.input)
     config = LearningConfig(
         epsilon=parse_rational(args.epsilon),
         delta=parse_rational(args.delta),
@@ -212,16 +188,8 @@ def cmd_learn(args) -> None:
         constant=args.constant,
     )
     _, report = learn_and_solve(instance, config, args.seed)
-    emit(
-        [
-            ("true_opt", report.true_opt),
-            ("learned_policy_value", report.learned_policy_value),
-            ("gap", report.gap),
-            ("epsilon", report.epsilon),
-            ("N", report.samples_per_box),
-        ],
-        args.json,
-    )
+    return [("true_opt", report.true_opt), ("learned_policy_value", report.learned_policy_value),
+            ("gap", report.gap), ("epsilon", report.epsilon), ("N", report.samples_per_box)]
 
 
 def _write_example(instance: Instance, path: str | None) -> None:
@@ -234,19 +202,22 @@ def _write_example(instance: Instance, path: str | None) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from None
 
 
-def _example_figure1(args) -> list[tuple[str, object]]:
-    from .instances import figure1
+def _epsilon(args) -> Fraction:
+    return parse_rational(args.epsilon) if args.epsilon else Fraction(3, 2)
+
+
+def _p(args) -> Fraction:
+    return parse_rational(args.p) if args.p else Fraction(1, 10)
+
+
+def _figure1_pairs(args, instance: Instance) -> list[tuple[str, object]]:
     from .oracle import best_fixed_order, solve_exact
-    epsilon = parse_rational(args.epsilon) if args.epsilon else Fraction(3, 2)
-    instance = figure1(epsilon)
-    _write_example(instance, args.out)
     result = solve_exact(instance)
     _, fixed_value = best_fixed_order(instance)
     high = result.action(("A",), Fraction(5, 2))
     low = result.action(("A",), Fraction(0))
     return [
-        ("name", "figure1"),
-        ("epsilon", epsilon),
+        ("epsilon", _epsilon(args)),
         ("oracle_value", result.value),
         ("fixed_order_value", fixed_value),
         ("gap", result.value - fixed_value),
@@ -257,13 +228,9 @@ def _example_figure1(args) -> list[tuple[str, object]]:
     ]
 
 
-def _example_adaptivity_gap(args) -> list[tuple[str, object]]:
-    from .instances import adaptivity_gap
+def _adaptivity_gap_pairs(args, instance: Instance) -> list[tuple[str, object]]:
     from .line_solver import line_optimal_value
-    p = parse_rational(args.p) if args.p else Fraction(1, 10)
-    instance = adaptivity_gap(p, args.n)
-    _write_example(instance, args.out)
-    n = instance.n
+    p, n = _p(args), instance.n
     adaptive = line_optimal_value(instance.boxes)
     jackpot = 1 / (p * p)
     hit = p * p
@@ -279,7 +246,6 @@ def _example_adaptivity_gap(args) -> list[tuple[str, object]]:
             best_k = k
     ratio = adaptive / best_value
     return [
-        ("name", "adaptivity-gap"),
         ("p", p),
         ("n", n),
         ("adaptive_value", float(adaptive)),
@@ -289,26 +255,26 @@ def _example_adaptivity_gap(args) -> list[tuple[str, object]]:
     ]
 
 
-def _example_guard_line(args) -> list[tuple[str, object]]:
-    from .instances import guard_line
+def _guard_line_pairs(args, instance: Instance) -> list[tuple[str, object]]:
     from .tree_solver import solve_tree
-    instance = guard_line()
-    _write_example(instance, args.out)
-    return [("name", "guard-line"), *_threshold_pairs(solve_tree(instance))]
+    return _threshold_pairs(solve_tree(instance))
 
 
-def cmd_example(args) -> None:
-    handlers = {
-        "figure1": _example_figure1,
-        "adaptivity-gap": _example_adaptivity_gap,
-        "guard-line": _example_guard_line,
+def cmd_example(args, _: None) -> list[tuple[str, object]]:
+    """Build the named instance, write it to ``--out``, then run its check:
+    a write that fails is reported before any solving."""
+    from . import instances
+    examples = {
+        "figure1": (lambda: instances.figure1(_epsilon(args)), _figure1_pairs),
+        "adaptivity-gap": (lambda: instances.adaptivity_gap(_p(args), args.n), _adaptivity_gap_pairs),
+        "guard-line": (instances.guard_line, _guard_line_pairs),
     }
-    handler = handlers.get(args.name)
-    if handler is None:
-        raise ValidationError(
-            f"unknown example {args.name!r}; choose from {sorted(handlers)}"
-        )
-    emit(handler(args), args.json)
+    if args.name not in examples:
+        raise ValidationError(f"unknown example {args.name!r}; choose from {sorted(examples)}")
+    build, check = examples[args.name]
+    instance = build()
+    _write_example(instance, args.out)
+    return [("name", args.name), *check(args, instance)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -327,34 +293,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, **kwargs):
+    def add(name: str, func, takes_input: bool = True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit a JSON object")
+        if takes_input:
+            p.add_argument("--input", required=True)
         return p
 
-    p = add("solve", cmd_solve, help="optimal thresholds for line/tree/forest without a side constraint")
-    p.add_argument("--input", required=True)
+    add("solve", cmd_solve, help="optimal thresholds for line/tree/forest without a side constraint")
 
     p = add("evaluate", cmd_evaluate, help="exact value of thresholds or of a fixed set")
-    p.add_argument("--input", required=True)
     p.add_argument("--set", help="comma-separated box ids (non-adaptive value)")
     p.add_argument("--thresholds", help="JSON file of per-box thresholds")
 
     p = add("simulate", cmd_simulate, help="Monte-Carlo estimate of a threshold policy")
-    p.add_argument("--input", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--thresholds", help="JSON file of per-box thresholds")
 
-    p = add("oracle", cmd_oracle, help="exact optimal value by exhaustive search")
-    p.add_argument("--input", required=True)
-
-    p = add("fixed-order", cmd_fixed_order, help="best fixed exploration order")
-    p.add_argument("--input", required=True)
+    add("oracle", cmd_oracle, help="exact optimal value by exhaustive search")
+    add("fixed-order", cmd_fixed_order, help="best fixed exploration order")
 
     p = add("approx", cmd_approx, help="tree + side-constraint adaptive strategy")
-    p.add_argument("--input", required=True)
     p.add_argument("--verify", action="store_true", help="check the guarantees exhaustively")
     p.add_argument(
         "--capacity",
@@ -365,14 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("learn", cmd_learn, help="learn rewards from samples, solve, report the gap")
-    p.add_argument("--input", required=True)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--samples", type=int, help="override the sample-count formula")
     p.add_argument("--constant", type=float, default=1.0)
 
-    p = add("example", cmd_example, help="generate a built-in instance and run its check")
+    p = add("example", cmd_example, takes_input=False, help="generate a built-in instance and run its check")
     p.add_argument("name", help="figure1 | adaptivity-gap | guard-line")
     p.add_argument("--epsilon", help="figure1 toll parameter (default 3/2)")
     p.add_argument("--p", help="adaptivity-gap success scale (default 1/10)")
@@ -385,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.func(args)
+        instance = _read_instance(args.input) if "input" in args else None
+        emit(args.func(args, instance), args.json)
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

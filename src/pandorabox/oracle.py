@@ -111,8 +111,14 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Seque
     best reward has grid index at least ``strict[i]`` when every child of i can
     already open there: opening it is then strictly worse than every state's value
     (see :func:`_engine`).  ``stops`` and ``strict`` of ``[len(grid)] * n`` expand
-    every set and offer every box."""
-    n = len(model.ids)
+    every set and offer every box.  Each opening adds a weight vector of the
+    side's dimension d, so 2^n * d over ``STATE_ESTIMATE_CAP`` is refused
+    before any set is built."""
+    n, d = len(model.ids), len(model.capacity)
+    if (1 << n) * d > STATE_ESTIMATE_CAP:
+        raise CapExceededError(
+            f"load estimate 2^{n} * {d} (side dimension) = {(1 << n) * d} exceeds cap {STATE_ESTIMATE_CAP}"
+        )
     dens, atoms = ints.dens, ints.atoms
     # Candidate iteration in ascending id order fixes the argmax tie-break.
     by_id = sorted(range(n), key=lambda i: model.ids[i])

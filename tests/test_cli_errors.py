@@ -4,6 +4,8 @@ size cap in exit 3, each with a one-line message, never a traceback."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
@@ -119,6 +121,18 @@ def test_evaluate_set_with_a_repeated_id_exits_2(tmp_path, json_flag):
     res = run_cli("evaluate", "--input", str(inst), "--set", "g1,g1", *json_flag)
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == "error: set lists boxes ['g1'] more than once\n"
+
+
+@pytest.mark.parametrize("exists", [True, False])
+def test_evaluate_refuses_set_with_thresholds(tmp_path, exists):
+    inst = tmp_path / "inst.json"
+    inst.write_text(dump_instance(guard_line()))
+    thresholds = tmp_path / "z.json"
+    if exists:
+        thresholds.write_text('{"g1": "1", "g2": "2"}')
+    res = run_cli("evaluate", "--input", str(inst), "--set", "g1", "--thresholds", str(thresholds))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: evaluate takes --set or --thresholds, not both\n"
 
 
 def test_instance_with_integer_over_the_digit_limit_exits_2(tmp_path):
@@ -329,6 +343,24 @@ def test_exhaustive_commands_over_their_caps_exit_3(tmp_path, argv, n, message):
     assert res.stderr == f"error: {message}\n"
 
 
+def test_oracle_refuses_a_side_dimension_over_the_cap_before_building(tmp_path):
+    # 12 free coins and 20 000 zero-weight dimensions: every one of the 4 096 sets is expanded, and
+    # every opening adds a 20 000-entry load (seconds of work if it ran)
+    d = 20_000
+    boxes = [{"id": f"b{k:02d}", "cost": "0", "reward": [{"value": str(k + 1), "prob": "1/2"},
+                                                         {"value": "0", "prob": "1/2"}]}
+             for k in range(12)]
+    doc = {"boxes": boxes,
+           "side": {"kind": "knapsack", "weights": {b["id"]: [0] * d for b in boxes}, "capacity": [1] * d}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    res = run_cli("oracle", "--input", str(path))
+    assert time.perf_counter() - start < 2
+    assert_clean_exit_3(res)
+    assert res.stderr == f"error: load estimate 2^12 * {d} (side dimension) = {4096 * d} exceeds cap 5000000\n"
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_simulate_variance_past_the_float_range_exits_3(tmp_path, json_flag):
     doc = {"boxes": [
@@ -511,3 +543,50 @@ def test_usage_errors_exit_2_with_one_line(argv):
 def test_help_still_exits_0():
     res = run_cli("approx", "--help")
     assert res.returncode == 0 and "--capacity" in res.stdout
+
+
+READING_COMMANDS = {
+    "solve": [],
+    "evaluate": [],
+    "simulate": ["--trials", "3", "--seed", "1"],
+    "oracle": [],
+    "fixed-order": [],
+    "approx": [],
+    "learn": ["--epsilon", "1/4", "--delta", "1/4", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(READING_COMMANDS))
+def test_unreadable_input_exits_2_the_same_way(tmp_path, command):
+    path = tmp_path / "missing.json"
+    res = run_cli(command, "--input", str(path), *READING_COMMANDS[command])
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith(f"error: cannot read {path}: ") and len(res.stderr.splitlines()) == 1
+
+
+USAGE = {
+    "solve": "usage: pandorabox solve [-h] [--json] --input INPUT",
+    "evaluate": "usage: pandorabox evaluate [-h] [--json] --input INPUT [--set SET]\n"
+                "                           [--thresholds THRESHOLDS]",
+    "simulate": "usage: pandorabox simulate [-h] [--json] --input INPUT --trials TRIALS --seed\n"
+                "                           SEED [--thresholds THRESHOLDS]",
+    "oracle": "usage: pandorabox oracle [-h] [--json] --input INPUT",
+    "fixed-order": "usage: pandorabox fixed-order [-h] [--json] --input INPUT",
+    "approx": "usage: pandorabox approx [-h] [--json] --input INPUT [--verify]\n"
+              "                         [--capacity CAPACITY [CAPACITY ...]]",
+    "learn": "usage: pandorabox learn [-h] [--json] --input INPUT --epsilon EPSILON --delta\n"
+             "                        DELTA --seed SEED [--samples SAMPLES]\n"
+             "                        [--constant CONSTANT]",
+    "example": "usage: pandorabox example [-h] [--json] [--epsilon EPSILON] [--p P] [--n N]\n"
+               "                          [--out OUT]\n"
+               "                          name",
+}
+
+
+@pytest.mark.parametrize("command", sorted(USAGE))
+def test_help_prints_each_commands_usage(command):
+    # argparse wraps the usage at the terminal width, read from COLUMNS
+    res = subprocess.run([sys.executable, "-m", "pandorabox.cli", command, "--help"],
+                         capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"})
+    assert res.returncode == 0
+    assert res.stdout.split("\n\n")[0] == USAGE[command]

@@ -97,6 +97,16 @@ class TestSolveExact:
         with pytest.raises(CapExceededError):
             solve_exact(Instance(boxes=boxes))
 
+    def test_side_dimension_cap_covers_every_engine(self):
+        # 2^10 opened sets times a 5 000-dimensional load is over STATE_ESTIMATE_CAP
+        boxes = tuple(coin_box(f"b{i:02d}") for i in range(10))
+        d = 5_000
+        side = MatroidSideConstraint.knapsack({b.id: (0,) * d for b in boxes}, (1,) * d)
+        inst = Instance(boxes=boxes, side=side)
+        for engine in (solve_exact, best_half_reward_benchmark, best_fixed_order):
+            with pytest.raises(CapExceededError, match=r"^load estimate 2\^10 \* 5000 \(side dimension\)"):
+                engine(inst)
+
     def test_diamond_flip_across_parameter_range(self):
         # the flip and the fixed-order gap hold on a grid spanning the
         # builtin's whole validity range, not just the three headline points
