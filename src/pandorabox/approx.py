@@ -29,7 +29,10 @@ those ints, and a cell becomes a ``Fraction`` only when it is read.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -38,15 +41,12 @@ from .core import (
     CapExceededError,
     ExecutionState,
     Instance,
-    IntDistribution,
     PreOrderIndex,
     Record,
     ValidationError,
     build_preorder,
     integer_boxes,
-    max_sweep,
 )
-from .line_solver import NOTHING
 from .oracle import solve_exact
 from .strategy import RewardSampler, Trajectory
 
@@ -258,37 +258,72 @@ class GuaranteeReport(Record):
 def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fraction, tuple[str, ...], int]:
     """Minimum of (policy value - set value) over every feasible set:
     tree-closed (include a box only under an included parent) and
-    side-feasible, walked over the pre-order with include/skip branching.
-    The best reward of the chosen prefix is carried on ints, from the point
-    mass at 0, by one ``max_sweep`` with each included box's cached
-    ``reward.integer``."""
+    side-feasible, walked over the pre-order with include/skip branching
+    (skip first), on ints of ``integer_boxes`` on the policy grid y_0 = 0 < ...
+    < y_K.  At position p the chosen prefix's best reward has the CDF F_k at
+    y_k over prod_{j < p} D_j: including box p multiplies F_k by C_p[k], its
+    CDF numerator, and skipping the subtree at p multiplies every F_k by the
+    product of D_j over p .. next(p)-1.  So every set's F is over D = prod D_i,
+    and its value over D * L is the int sum_k (y_{k+1} - y_k)(D - F_k) - cost * D.
+
+    A branch is cut at position p when its bound, with G_p[k] = prod_{j >= p} C_j[k],
+
+        sum_k (y_{k+1} - y_k)(D - F_k * G_p[k]) - (cost + negative costs at p..n) * D,
+
+    is at most the best value found so far.  A set below p opens a subset of
+    the boxes at p..n, so its best reward is at most the max over all of them
+    and its cost at least the cost so far plus the negative ones ahead: no set
+    below a cut beats the best value strictly, and the worst set stays the
+    first strict maximum of the value in walk order.  The feasible sets are
+    counted apart, by a forward pass of load -> number of ways over the
+    positions with :func:`solve_approx`'s skip and open moves."""
     preorder = policy.preorder
-    n = preorder.n
+    n, nxt = preorder.n, preorder.next_position
     boxes = [instance.box_map[b] for b in preorder.order]
     model = instance.order_model
-    psi_start = policy.value
+    slots = [model.index[b.id] for b in boxes]
+    ints = integer_boxes(boxes, policy.grid)
+    den = math.prod(ints.dens)
+    steps = [b - a for a, b in zip(ints.grid, ints.grid[1:])]
+    cdfs = []  # C_i[k] for k < K; C_i[K] = D_i is in no sum
+    for atoms in ints.atoms:
+        pmf = [0] * len(ints.grid)
+        for vk, a in atoms:
+            pmf[vk] = a
+        cdfs.append(list(itertools.accumulate(pmf[:-1])))
+    # weights[p][k] = (y_{k+1} - y_k) * G_p[k]; spans[p] = D_p * ... * D_{next(p)-1}
+    weights, ahead = [steps] * (n + 2), [0] * (n + 2)
+    for p in range(n, 0, -1):
+        weights[p] = list(map(operator.mul, weights[p + 1], cdfs[p - 1]))
+        ahead[p] = ahead[p + 1] + min(ints.costs[p - 1], 0)
+    spans = [0] + [math.prod(ints.dens[p - 1:nxt[p - 1] - 1]) for p in range(1, n + 1)]
+    top = ints.grid[-1]
+    best, worst = [0], [()]  # the empty set, the first set the walk reaches
 
-    best_margin: list = [None]
-    worst: list = [()]
-    count = [0]
-
-    def walk(pos: int, state, best: IntDistribution, cost: Fraction, chosen: tuple[str, ...]) -> None:
-        if pos == n + 1:
-            count[0] += 1
-            margin = psi_start - (best.expectation() - cost)
-            if best_margin[0] is None or margin < best_margin[0]:
-                best_margin[0] = margin
-                worst[0] = chosen
+    def walk(p: int, load, cdf: list[int], cost: int, chosen: tuple[str, ...]) -> None:
+        bound = den * (top - cost - ahead[p]) - sum(map(operator.mul, cdf, weights[p]))
+        if bound <= best[0]:
             return
-        walk(preorder.next_position[pos - 1], state, best, cost, chosen)  # skip the whole subtree
-        box = boxes[pos - 1]
-        after = model.add(state, model.index[box.id])
+        if p == n + 1:
+            best[0], worst[0] = bound, chosen
+            return
+        span = spans[p]
+        walk(nxt[p - 1], load, [f * span for f in cdf], cost, chosen)  # skip the whole subtree
+        after = model.add(load, slots[p - 1])
         if after is not None:
-            walk(pos + 1, after, max_sweep([best, box.reward.integer]), cost + box.cost, chosen + (box.id,))
+            walk(p + 1, after, list(map(operator.mul, cdf, cdfs[p - 1])), cost + ints.costs[p - 1],
+                 chosen + (preorder.order[p - 1],))
 
-    walk(1, policy.start_state, NOTHING, ZERO, ())
-    assert best_margin[0] is not None
-    return best_margin[0], worst[0], count[0]
+    walk(1, policy.start_state, [1] * len(steps), 0, ())
+    reach = [Counter() for _ in range(n + 2)]
+    reach[1][policy.start_state] = 1
+    for p in range(1, n + 1):
+        for load, ways in reach[p].items():
+            reach[nxt[p - 1]][load] += ways
+            after = model.add(load, slots[p - 1])
+            if after is not None:
+                reach[p + 1][after] += ways
+    return policy.value - Fraction(best[0], den * ints.scale), worst[0], sum(reach[n + 1].values())
 
 
 def verify_guarantee(instance: Instance, policy: ApproxPolicy | None = None) -> GuaranteeReport:

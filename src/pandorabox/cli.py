@@ -257,16 +257,20 @@ def _guard_line_pairs(args, instance: Instance) -> list[tuple[str, object]]:
 
 def cmd_example(args, _: None) -> list[tuple[str, object]]:
     """Build the named instance, write it to ``--out``, then run its check:
-    a write that fails is reported before any solving."""
+    a write that fails is reported before any solving, and a parameter flag
+    of another example is refused before anything is built."""
     from . import instances
     examples = {
-        "figure1": (lambda: instances.figure1(_epsilon(args)), _figure1_pairs),
-        "adaptivity-gap": (lambda: instances.adaptivity_gap(_p(args), args.n), _adaptivity_gap_pairs),
-        "guard-line": (instances.guard_line, _guard_line_pairs),
+        "figure1": (lambda: instances.figure1(_epsilon(args)), _figure1_pairs, ("epsilon",)),
+        "adaptivity-gap": (lambda: instances.adaptivity_gap(_p(args), args.n), _adaptivity_gap_pairs, ("p", "n")),
+        "guard-line": (instances.guard_line, _guard_line_pairs, ()),
     }
     if args.name not in examples:
         raise ValidationError(f"unknown example {args.name!r}; choose from {sorted(examples)}")
-    build, check = examples[args.name]
+    build, check, takes = examples[args.name]
+    foreign = [f"--{flag}" for flag in ("epsilon", "p", "n") if flag not in takes and getattr(args, flag) is not None]
+    if foreign:
+        raise ValidationError(f"example {args.name} does not take {', '.join(foreign)}")
     instance = build()
     _write_example(instance, args.out)
     return [("name", args.name), *check(args, instance)]

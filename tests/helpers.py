@@ -32,7 +32,7 @@ from pandorabox import (
 )
 from pandorabox import oracle
 from pandorabox.core import Record, max_sweep
-from pandorabox.line_solver import solve_line
+from pandorabox.line_solver import NOTHING, solve_line
 from pandorabox.piecewise import PiecewiseLinear
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine
 
@@ -550,6 +550,43 @@ def reachable_approx_cells(instance: Instance) -> set:
             y = grid[yk]
             stack.extend((i + 1, y_index[v if v > y else y], after) for v, _ in box.reward.atoms)
     return seen
+
+
+def reference_set_margin(instance: Instance, policy) -> tuple[Fraction, tuple[str, ...], int]:
+    """Minimum of (policy value - set value) over every feasible set:
+    tree-closed (include a box only under an included parent) and
+    side-feasible, walked over the pre-order with include/skip branching.
+    The best reward of the chosen prefix is carried on ints, from the point
+    mass at 0, by one ``max_sweep`` with each included box's cached
+    ``reward.integer``.  Every feasible set is visited and valued, so this
+    checks the pruning and the separate count of ``approx._enumerate_set_margin``."""
+    preorder = policy.preorder
+    n = preorder.n
+    boxes = [instance.box_map[b] for b in preorder.order]
+    model = instance.order_model
+    psi_start = policy.value
+
+    best_margin: list = [None]
+    worst: list = [()]
+    count = [0]
+
+    def walk(pos: int, state, best, cost: Fraction, chosen: tuple[str, ...]) -> None:
+        if pos == n + 1:
+            count[0] += 1
+            margin = psi_start - (best.expectation() - cost)
+            if best_margin[0] is None or margin < best_margin[0]:
+                best_margin[0] = margin
+                worst[0] = chosen
+            return
+        walk(preorder.next_position[pos - 1], state, best, cost, chosen)  # skip the whole subtree
+        box = boxes[pos - 1]
+        after = model.add(state, model.index[box.id])
+        if after is not None:
+            walk(pos + 1, after, max_sweep([best, box.reward.integer]), cost + box.cost, chosen + (box.id,))
+
+    walk(1, policy.start_state, NOTHING, ZERO, ())
+    assert best_margin[0] is not None
+    return best_margin[0], worst[0], count[0]
 
 
 def reference_line_optimal_value(boxes) -> Fraction:

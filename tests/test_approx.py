@@ -29,6 +29,7 @@ from pandorabox import (
     verify_guarantee,
 )
 from pandorabox import cli
+from pandorabox.approx import _enumerate_set_margin
 from pandorabox.instances import figure1, figure1_tree_matroid, guard_line
 
 from helpers import (
@@ -40,7 +41,9 @@ from helpers import (
     rand_partition_side,
     rand_tree_instance,
     reference_set_feasible,
+    reference_set_margin,
     reference_side_ok,
+    with_negative_costs,
     with_side,
 )
 
@@ -379,6 +382,46 @@ class TestVerifyGuarantee:
             assert report.set_margin == policy.value - best
             assert report.feasible_sets == len(values)
             assert brute(report.worst_set) == best
+
+    def test_set_margin_with_negative_costs_is_the_minimum_over_every_feasible_set(self):
+        """The brute force above on instances with costs below 0, which the
+        pruned walk's bound must count ahead of the current position."""
+        rng = random.Random(109)
+        for k in range(60):
+            inst = rand_tree_instance(rng, rng.randint(1, 7))
+            ids = [b.id for b in inst.boxes]
+            inst = with_side(inst, (rand_knapsack_side if k % 2 else rand_partition_side)(rng, ids))
+            inst = with_negative_costs(inst, rng)
+
+            def brute(subset) -> Fraction:
+                if not subset:
+                    return F(0)
+                dist = brute_max_distribution([inst.box_map[b].reward for b in subset])
+                return sum(v * p for v, p in dist) - sum(inst.box_map[b].cost for b in subset)
+
+            values = [brute(subset) for r in range(len(ids) + 1) for subset in itertools.combinations(ids, r)
+                      if reference_set_feasible(inst, subset)]
+            policy = solve_approx(inst)
+            report = verify_guarantee(inst, policy)
+            best = max(values)
+            assert report.set_margin == policy.value - best
+            assert report.feasible_sets == len(values)
+            assert brute(report.worst_set) == best
+
+    def test_set_margin_matches_the_reference_walk(self):
+        """The pruned int walk and the forward count against the unpruned walk
+        that values every feasible set: the same margin, the same worst set
+        (the first strict minimum in walk order) and the same count."""
+        rng = random.Random(113)
+        cases = [cardinality(guard_line(), 2), cardinality(Instance(boxes=(coin_box(),)), 0)]
+        for k in range(400):
+            inst = rand_tree_instance(rng, rng.randint(1, 8))
+            ids = [b.id for b in inst.boxes]
+            inst = with_side(inst, (rand_knapsack_side if k % 2 else rand_partition_side)(rng, ids))
+            cases.append(with_negative_costs(inst, rng))
+        for inst in cases:
+            policy = solve_approx(inst)
+            assert _enumerate_set_margin(inst, policy) == reference_set_margin(inst, policy)
 
     def test_half_benchmark_margin_nonneg_on_random_instances(self):
         rng = random.Random(103)

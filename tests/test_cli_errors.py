@@ -267,6 +267,24 @@ def test_example_out_path_that_cannot_be_written_exits_2(tmp_path, name):
 
 
 @pytest.mark.parametrize(
+    "argv, foreign",
+    [
+        (["guard-line", "--epsilon", "3", "--p", "7", "--n", "4"], "--epsilon, --p, --n"),
+        (["figure1", "--p", "0"], "--p"),
+        (["figure1", "--epsilon", "3/2", "--n", "4"], "--n"),
+        (["adaptivity-gap", "--epsilon", "3/2", "--p", "1/4"], "--epsilon"),
+    ],
+)
+def test_example_refuses_a_flag_of_another_example(tmp_path, argv, foreign):
+    out = tmp_path / "inst.json"
+    res = run_cli("example", *argv, "--out", str(out))
+    assert_clean_exit_2(res)
+    assert res.stderr == f"error: example {argv[0]} does not take {foreign}\n"
+    assert res.stdout == ""
+    assert not out.exists()  # refused before the instance is built or written
+
+
+@pytest.mark.parametrize(
     "flags, got",
     [
         (["--p", "1/1000"], "5000000"),  # default n = ceil(5/p^2)
