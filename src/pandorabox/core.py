@@ -755,8 +755,8 @@ class OrderModel(Record):
         """The load after opening box ``i``, or None when it overflows."""
         if not self.capacity:
             return load
-        out = tuple(a + w for a, w in zip(load, self.weights[i]))
-        return out if all(o <= c for o, c in zip(out, self.capacity)) else None
+        out = tuple(map(operator.add, load, self.weights[i]))
+        return out if all(map(operator.le, out, self.capacity)) else None
 
     def mask_of(self, ids: Iterable[str]) -> int:
         mask = 0

@@ -5,11 +5,20 @@ Rewards and costs must lie in [0, 1].  Sampled rewards are rounded down to a
 grid of step epsilon (the accuracy target), tallied into exact empirical
 distributions (counts over the sample size), and the empirical instance is
 solved like any other.  Costs are not rounded.
+
+The tally of N samples of a box is one multinomial draw over its atoms, taken
+as conditional binomials on the package's one random stream
+(``strategy.u64``), keyed by the seed and the box id.  Each binomial is
+Devroye's geometric method below a mean of 10 and Hörmann's BTRS
+transformed rejection above it.  Its probability is an exact ratio, made a
+float only inside the draw, and the counts are exact ints.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .core import (
@@ -21,11 +30,12 @@ from .core import (
     ValidationError,
     describe_rational,
 )
-from .strategy import ThresholdPolicy, evaluate_threshold_exact
+from .strategy import ThresholdPolicy, evaluate_threshold_exact, u64
 from .tree_solver import solve_tree
 
-_SEED_MASK = (1 << 63) - 1
-# numpy's multinomial draw takes its sample count as an int64.
+# Largest sample count per box.  The draw takes O(1) uniforms at any count; the
+# cap bounds N, the denominator of every learned probability count / N that the
+# exact tree DP carries.
 MAX_SAMPLES = (1 << 63) - 1
 
 
@@ -113,31 +123,101 @@ def round_down_to_grid(value: Fraction, step: Fraction) -> Fraction:
     return value // step * step
 
 
+def _uniforms(head: bytes) -> Iterator[float]:
+    """Uniforms on [0, 1) with 53 random bits: the k-th is u64(head, "|k")."""
+    for k in itertools.count():
+        yield (u64(head, b"|%d" % k) >> 11) * 2.0**-53
+
+
+def _stirling_tail(k: int) -> float:
+    """log k! minus its Stirling form (k + 1/2) log(k + 1) - (k + 1) + log sqrt(2 pi)."""
+    if k < 10:
+        return math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + k + 1 - 0.5 * math.log(2 * math.pi)
+    x = 1 / (k + 1)
+    return (1 / 12 - (1 / 360 - x * x / 1260) * x * x) * x
+
+
+def _log_pmf_ratio(n: int, q: float, k: int, m: int) -> float:
+    """log f(k)/f(m), f the Binomial(n, q) pmf: Stirling's series for the four
+    factorials, written on the int offset k - m with log1p so that it holds its
+    precision at n near 2^63, where each log k! alone loses it."""
+    d = k - m
+    return ((n - m + 0.5) * math.log1p(d / (n - k + 1)) - (m + 0.5) * math.log1p(d / (m + 1))
+            + d * math.log(q * (n - k + 1) / ((1 - q) * (k + 1)))
+            + _stirling_tail(m) + _stirling_tail(n - m) - _stirling_tail(k) - _stirling_tail(n - k))
+
+
+def _binomial(n: int, p: Fraction, uniforms: Iterator[float]) -> int:
+    """A Binomial(n, p) draw.  p above 1/2 draws n minus a Binomial(n, 1 - p);
+    below a mean n·p of 10, geometric skips count the successes (Devroye);
+    above it, BTRS transformed rejection (Hörmann 1993) around the mode m."""
+    if p > Fraction(1, 2):
+        return n - _binomial(n, 1 - p, uniforms)
+    q = float(p)
+    if n == 0 or q == 0:
+        return 0
+    if n * q < 10:
+        log_q, count, left = math.log1p(-q), 0, n
+        while True:
+            skip = math.log(1 - next(uniforms)) / log_q  # failures before the next success
+            if skip >= left:
+                return count
+            count, left = count + 1, left - math.floor(skip) - 1
+    spq = math.sqrt(n * q * (1 - q))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * q
+    c = n * q + 0.5
+    v_r = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    m = math.floor((n + 1) * q)
+    while True:
+        u = next(uniforms) - 0.5
+        v = 1 - next(uniforms)  # in (0, 1], for its log below
+        us = 0.5 - abs(u)
+        if us == 0:  # the hat's pole: no k
+            continue
+        k = math.floor((2 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        if us >= 0.07 and v <= v_r:
+            return k
+        if math.log(v * alpha / (a / (us * us) + b)) <= _log_pmf_ratio(n, q, k, m):
+            return k
+
+
+def _multinomial(n: int, probs: tuple[Fraction, ...], uniforms: Iterator[float]) -> list[int]:
+    """Counts of n draws over outcomes of the given probabilities (summing to
+    1): each count is a Binomial(n left, p / mass left) with the ratio formed
+    exactly, and the last outcome takes the rest, so the counts sum to n."""
+    counts, left, mass = [], n, Fraction(1)
+    for p in probs[:-1]:
+        count = _binomial(left, p / mass, uniforms)
+        counts.append(count)
+        left, mass = left - count, mass - p
+    return counts + [left]
+
+
 def learn_model(instance: Instance, config: LearningConfig, rng_seed: int) -> EmpiricalModel:
     """Draw N i.i.d. samples per box, round down to the grid, tally.
 
-    Per-box counts come from a multinomial draw over the true atoms (the
-    tally of N independent samples has exactly that law); streams are
-    derived from (seed, box index) so results do not depend on box order of
-    evaluation or batching.  numpy is imported here, so only callers that
-    learn pay for its import.
+    Per-box counts come from one multinomial draw over the true atoms (the
+    tally of N independent samples has exactly that law), on the stream
+    ``u64("{seed}|learn|{box id}", "|k")``, so a box's counts depend only on
+    the seed, its id and its reward law: not on the other boxes or their
+    order.  ``simulate``'s streams have an int second field, so they never
+    meet these.
     """
-    import numpy as np
-
     _check_learning_regime(instance)
     n_samples = config.sample_count(instance.n)
     counts: dict[str, tuple[tuple[Fraction, int], ...]] = {}
-    for index, box in enumerate(instance.boxes):
-        seq = np.random.SeedSequence([rng_seed & _SEED_MASK, index])
-        rng = np.random.Generator(np.random.PCG64(seq))
-        probs = [float(p) for p in box.reward.probs()]
-        drawn = rng.multinomial(n_samples, probs)
+    for box in instance.boxes:
+        drawn = _multinomial(n_samples, box.reward.probs(), _uniforms(f"{rng_seed}|learn|{box.id}".encode()))
         tally: dict[Fraction, int] = {}
         for (value, _), count in zip(box.reward.atoms, drawn):
             if count == 0:
                 continue
             rounded = round_down_to_grid(value, config.epsilon)
-            tally[rounded] = tally.get(rounded, 0) + int(count)
+            tally[rounded] = tally.get(rounded, 0) + count
         counts[box.id] = tuple(sorted(tally.items()))
     return EmpiricalModel(counts=counts, samples_per_box=n_samples)
 

@@ -16,7 +16,9 @@ built as a head "seed|trial" and a tail "|step|box", with SHA-256 to a
 reproducible bit-for-bit across platforms.  The inversion is integer-only:
 u draws the first atom whose cut point ceil(P(X <= v_k)·2^64) exceeds u
 (``bisect_right`` over ``DiscreteDistribution.cut_points``), which is the
-first atom with u/2^64 < P(X <= v_k).
+first atom with u/2^64 < P(X <= v_k).  ``u64`` is the package's one
+sampler: ``learning`` reads it too, on the text "seed|learn|box|k", whose
+second field is never an int, so the two streams never meet.
 
 ``simulate`` walks the same stream on integer ranks, step by step over
 blocks of ``TRIAL_BLOCK`` trials, each head and tail encoded once.  Rewards

@@ -1,11 +1,14 @@
 """The package's exported names resolve lazily to the objects of their home
 modules, and are listed exactly as when ``__init__`` imported them all.
-Every top-level import of a package module is used or marked ``noqa``."""
+Every top-level import of a package module is used or marked ``noqa``, and
+every import, top-level or inside a function, is relative or of the standard
+library."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,17 @@ def test_every_top_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_import_is_relative_or_stdlib(path):
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        outside += [(name, node.lineno) for name in names if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"{path.name}: imports outside the standard library {outside}"
