@@ -39,7 +39,6 @@ from fractions import Fraction
 from .core import (
     CAPACITY_FACTOR,
     CapExceededError,
-    ExecutionState,
     Instance,
     PreOrderIndex,
     Record,
@@ -48,9 +47,6 @@ from .core import (
     integer_boxes,
 )
 from .oracle import solve_exact
-from .strategy import RewardSampler, Trajectory
-
-ZERO = Fraction(0)
 
 MAX_ORACLE_DIMENSION = 4
 TABLE_CELL_CAP = 2_000_000
@@ -173,38 +169,6 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
         grid=grid,
         values=_ValueTable(values, ints.scale, scale),
         actions=actions,
-    )
-
-
-def run_approx(instance: Instance, policy: ApproxPolicy, rng_seed: int, trial: int = 0) -> Trajectory:
-    """Execute the policy with lazily sampled rewards."""
-    sampler = RewardSampler(rng_seed, trial)
-    model = instance.order_model
-    y_index = {y: k for k, y in enumerate(policy.grid)}
-    pos = 1
-    y = ZERO
-    state = policy.start_state
-    spent = ZERO
-    steps: list[tuple[str, Fraction]] = []
-    opened: list[str] = []
-    while True:
-        act = policy.actions[(pos, y_index[y], state)]
-        if act is None:
-            break
-        box = instance.box_map[policy.preorder.order[act - 1]]
-        reward = sampler.draw(box.reward, len(steps), box.id)
-        spent += box.cost
-        steps.append((box.id, reward))
-        opened.append(box.id)
-        if reward > y:
-            y = reward
-        state = model.add(state, model.index[box.id])
-        if state is None:
-            raise ValidationError(f"policy opened {box.id!r} into an infeasible state")
-        pos = act + 1
-    return Trajectory(
-        steps=tuple(steps),
-        final=ExecutionState(opened=frozenset(opened), best=y, spent=spent),
     )
 
 

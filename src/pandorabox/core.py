@@ -258,10 +258,6 @@ class IntDistribution:
     def expectation(self) -> Fraction:
         return Fraction(sum(map(operator.mul, self.keys, self.probs)), self.den * self.scale)
 
-    def distribution(self) -> DiscreteDistribution:
-        return DiscreteDistribution(tuple(zip([Fraction(k, self.scale) for k in self.keys],
-                                              [Fraction(p, self.den) for p in self.probs])))
-
 
 class BoxSpec(Record):
     """One box: an opening cost and a reward distribution."""
@@ -379,14 +375,6 @@ class Instance(Record):
         for b in self.boxes:
             values.update(b.reward.values())
         return tuple(sorted(values))
-
-
-class ExecutionState(Record):
-    """State of a search run: opened boxes, best reward seen, total spend."""
-
-    opened: frozenset[str]
-    best: Fraction
-    spent: Fraction
 
 
 def _validate_constraint(instance: Instance) -> None:

@@ -11,7 +11,10 @@ as conditional binomials on the package's one random stream
 (``strategy.u64``), keyed by the seed and the box id.  Each binomial is
 Devroye's geometric method below a mean of 10 and Hörmann's BTRS
 transformed rejection above it.  Its probability is an exact ratio, made a
-float only inside the draw, and the counts are exact ints.
+float only inside the draw, and the counts are exact ints.  The draw calls
+``math.log``, ``math.log1p`` and ``math.lgamma``, which come from the
+platform's C library, so the counts are reproducible bit-for-bit on one libm
+only, unlike ``simulate``'s integer-only draws.
 """
 
 from __future__ import annotations

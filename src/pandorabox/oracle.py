@@ -110,7 +110,7 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Seque
     next): every state of it stops.  Box i is not offered from a set whose lowest
     best reward has grid index at least ``strict[i]`` when every child of i can
     already open there: opening it is then strictly worse than every state's value
-    (see :func:`_engine`).  ``stops`` and ``strict`` of ``[len(grid)] * n`` expand
+    (see :func:`solve_exact`).  ``stops`` and ``strict`` of ``[len(grid)] * n`` expand
     every set and offer every box.  Each opening adds a weight vector of the
     side's dimension d, so 2^n * d over ``STATE_ESTIMATE_CAP`` is refused
     before any set is built."""
@@ -160,8 +160,13 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Seque
     return levels
 
 
-def _engine(instance: Instance, initial_best: Fraction) -> OracleResult:
-    """Bellman DP over (opened set, best reward); stopping with best reward
+def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResult:
+    """Optimal adaptive value by exhaustive dynamic programming.
+
+    The policy opens a box only when strictly better than stopping, so at
+    indifference it stops; argmax ties go to the smallest box id.
+
+    Bellman DP over (opened set, best reward); stopping with best reward
     y pays y.  A state's value is an int at the scale r = prod of D_i over its
     unopened boxes.  The backward pass solves the levels of
     :func:`_opened_sets` from the deepest up, each set's openable boxes in
@@ -256,15 +261,6 @@ def _engine(instance: Instance, initial_best: Fraction) -> OracleResult:
     return OracleResult(value, e_max, e_max - value, tuple(grid), model, policy, values, stops)
 
 
-def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResult:
-    """Optimal adaptive value by exhaustive dynamic programming.
-
-    The policy opens a box only when strictly better than stopping, so at
-    indifference it stops; argmax ties go to the smallest box id.
-    """
-    return _engine(instance, initial_best)
-
-
 def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
     """Best strategy whose exploration order is fixed upfront.
 
@@ -332,4 +328,4 @@ def best_half_reward_benchmark(instance: Instance) -> Fraction:
     attains exactly over every deterministic Markov policy.
     """
     doubled = tuple(BoxSpec(b.id, 2 * b.cost, b.reward) for b in instance.boxes)
-    return _engine(Instance(doubled, instance.constraint, instance.side), ZERO).value / 2
+    return solve_exact(Instance(doubled, instance.constraint, instance.side)).value / 2

@@ -45,7 +45,6 @@ from fractions import Fraction
 from .core import (
     CapExceededError,
     DiscreteDistribution,
-    ExecutionState,
     Instance,
     IntDistribution,
     ParseError,
@@ -108,12 +107,10 @@ class ThresholdPolicy(Record):
 
 
 class Trajectory(Record):
-    steps: tuple[tuple[str, Fraction], ...]
-    final: ExecutionState
+    """One trial: the (box id, reward) of each opening in order, and best reward minus spend."""
 
-    @property
-    def net_revenue(self) -> Fraction:
-        return self.final.best - self.final.spent
+    steps: tuple[tuple[str, Fraction], ...]
+    net_revenue: Fraction
 
 
 class RewardSampler:
@@ -187,10 +184,7 @@ def run_threshold(instance: Instance, policy: ThresholdPolicy, rng_seed: int,
         if reward > best:
             best = reward
         steps.append((box_id, reward))
-    return Trajectory(
-        steps=tuple(steps),
-        final=ExecutionState(opened=frozenset(b for b, _ in steps), best=best, spent=spent),
-    )
+    return Trajectory(tuple(steps), best - spent)
 
 
 def evaluate_threshold_exact(instance: Instance, policy: ThresholdPolicy) -> Fraction:

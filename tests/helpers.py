@@ -301,9 +301,15 @@ def expected_excess(dist: DiscreteDistribution, z: Fraction) -> Fraction:
     return total
 
 
+def int_distribution(ints) -> DiscreteDistribution:
+    """The ``DiscreteDistribution`` of a ``core.IntDistribution``: keys over scale, numerators over den."""
+    return DiscreteDistribution(tuple(zip([Fraction(k, ints.scale) for k in ints.keys],
+                                          [Fraction(p, ints.den) for p in ints.probs])))
+
+
 def max_distribution(dists) -> DiscreteDistribution:
     """Exact distribution of max(X_1, ..., X_k) for independent X_i (``core.max_sweep``)."""
-    return max_sweep([d.integer for d in dists]).distribution()
+    return int_distribution(max_sweep([d.integer for d in dists]))
 
 
 def quadratic_max_distribution(dists) -> list[tuple[Fraction, Fraction]]:

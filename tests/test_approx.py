@@ -22,7 +22,6 @@ from pandorabox import (
     evaluate_set,
     exact_policy_value,
     format_rational,
-    run_approx,
     solve_approx,
     solve_exact,
     solve_tree,
@@ -288,35 +287,50 @@ class TestSolveApprox:
             assert total == exact_policy_value(inst, policy) == policy.value
 
 
+def action_runs(instance: Instance, policy):
+    """The opened boxes, in order, of every run of the recorded actions from
+    the start, over every reward outcome."""
+    model = instance.order_model
+    y_index = {y: k for k, y in enumerate(policy.grid)}
+    stack = [((1, 0, policy.start_state), ())]
+    while stack:
+        key, opened = stack.pop()
+        act = policy.actions[key]
+        if act is None:
+            yield opened
+            continue
+        box = instance.box_map[policy.preorder.order[act - 1]]
+        after = model.add(key[2], model.index[box.id])
+        y = policy.grid[key[1]]
+        for v, _ in box.reward.atoms:
+            stack.append(((act + 1, y_index[v] if v > y else key[1], after), opened + (box.id,)))
+
+
 class TestRunApprox:
+    """Runs of the recorded actions from the start, over every reward outcome."""
+
     def test_never_violates_side_constraint(self):
         rng = random.Random(89)
         for _ in range(20):
             inst = rand_tree_instance(rng, rng.randint(1, 6))
             inst = with_side(inst, rand_knapsack_side(rng, [b.id for b in inst.boxes]))
-            policy = solve_approx(inst)
-            for seed in range(10):
-                traj = run_approx(inst, policy, rng_seed=seed)
-                assert reference_side_ok(inst, traj.final.opened)
-                parents = graph_parents(inst.constraint)
-                seen: set[str] = set()
-                for box_id, _ in traj.steps:
-                    for p in parents.get(box_id, ()):
-                        assert p in seen
-                    seen.add(box_id)
+            parents = graph_parents(inst.constraint)
+            for opened in action_runs(inst, solve_approx(inst)):
+                assert reference_side_ok(inst, opened)
+                for k, box_id in enumerate(opened):
+                    assert set(parents.get(box_id, ())) <= set(opened[:k])
 
     def test_deterministic_instance_trajectory(self):
         inst = cardinality(guard_line(), 2)
         policy = solve_approx(inst)
-        traj = run_approx(inst, policy, rng_seed=11)
-        assert [s[0] for s in traj.steps] == ["g1", "g2"]
-        assert traj.net_revenue == 1
+        assert list(action_runs(inst, policy)) == [("g1", "g2")]
+        assert exact_policy_value(inst, policy) == 1
 
     def test_zero_capacity_terminates_immediately(self):
         inst = cardinality(Instance(boxes=(coin_box(),)), 0)
         policy = solve_approx(inst)
-        traj = run_approx(inst, policy, rng_seed=0)
-        assert traj.steps == ()
+        assert policy.actions[(1, 0, policy.start_state)] is None
+        assert list(action_runs(inst, policy)) == [()]
 
 
 class TestVerifyGuarantee:

@@ -361,6 +361,28 @@ def test_exhaustive_commands_over_their_caps_exit_3(tmp_path, argv, n, message):
     assert res.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "dimension, capacity, message",
+    [
+        (5, 1, "oracle dimension 5 exceeds 4"),
+        # (20 + 1) positions * 5 grid values * 201^4 loads
+        (4, 200, "table would need 171385284105 cells, cap is 2000000"),
+    ],
+    ids=["dimension", "cells"],
+)
+def test_approx_over_its_table_caps_exits_3(tmp_path, dimension, capacity, message):
+    ids = [f"b{k:02d}" for k in range(20)]
+    doc = {"boxes": [{"id": box_id, "cost": "1", "reward": [{"value": str(k % 4 + 1), "prob": "1"}]}
+                     for k, box_id in enumerate(ids)],
+           "side": {"kind": "knapsack", "weights": {box_id: [1] * dimension for box_id in ids},
+                    "capacity": [capacity] * dimension}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("approx", "--input", str(path))
+    assert_clean_exit_3(res)
+    assert res.stderr == f"error: {message}\n"
+
+
 def test_oracle_refuses_a_side_dimension_over_the_cap_before_building(tmp_path):
     # 12 free coins and 20 000 zero-weight dimensions: every one of the 4 096 sets is expanded, and
     # every opening adds a 20 000-entry load (seconds of work if it ran)

@@ -31,6 +31,7 @@ from pandorabox.line_solver import NOTHING
 from helpers import (
     brute_max_distribution,
     expected_excess,
+    int_distribution,
     max_distribution,
     quadratic_max_distribution,
     quadratic_reservation,
@@ -381,7 +382,7 @@ class TestMaxDistribution:
             merged = max_sweep([x, y])
             for other in (max_sweep([x, y, NOTHING]), max_sweep([y, x])):
                 assert ints(merged) == ints(other), name
-            assert list(merged.distribution().atoms) == quadratic_max_distribution([a, b]), name
+            assert list(int_distribution(merged).atoms) == quadratic_max_distribution([a, b]), name
             assert [(d.keys, d.scale, d.probs, d.den) for d in (x, y)] == before, name
         rng = random.Random(89)
         for _ in range(60):
@@ -396,7 +397,7 @@ class TestMaxDistribution:
             d = rand_dist(rng, max_support=6, max_value=20)
             w = max_sweep([d.integer])
             assert w is d.integer
-            assert list(w.distribution().atoms) == quadratic_max_distribution([d])
+            assert list(int_distribution(w).atoms) == quadratic_max_distribution([d])
 
 
 class TestDistributionValidation:
@@ -412,7 +413,7 @@ class TestDistributionValidation:
         d = DiscreteDistribution.of([(F(5, 2), "1/6"), (0, "1/2"), (F(4, 3), "1/3")])
         ints = d.integer
         assert (ints.keys, ints.scale, ints.probs, ints.den) == ([0, 8, 15], 6, [3, 2, 1], 6)
-        assert ints.distribution() == d and ints.expectation() == d.expectation()
+        assert int_distribution(ints) == d and ints.expectation() == d.expectation()
         assert d.integer is ints  # cached, like cut_points
 
     @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """The integer-numerator DPs against their ``Fraction`` references.
 
-``oracle._engine``, the ``solve_approx`` sweep and ``line_optimal_value``
+``oracle.solve_exact``, the ``solve_approx`` sweep and ``line_optimal_value``
 run on Python ints over one common denominator
 (``core.integer_boxes``).  ``helpers.reference_engine``,
 ``helpers.reference_approx`` and ``helpers.reference_line_optimal_value``
@@ -27,9 +27,8 @@ from fractions import Fraction
 
 import pytest
 
-from pandorabox import ConstraintKind, MatroidSideConstraint, line_optimal_value, solve_approx
+from pandorabox import ConstraintKind, MatroidSideConstraint, line_optimal_value, solve_approx, solve_exact
 from pandorabox.core import integer_boxes
-from pandorabox.oracle import _engine
 
 from helpers import (
     rand_case,
@@ -58,7 +57,7 @@ def test_oracle_matches_fraction_reference(kind):
         initial_best = rng.choice(INITIAL_BESTS)
         weight = F(1, 2) if rng.random() < 0.3 else F(1)
         priced = with_costs_times(inst, 1 / weight)  # the costs doubled at w = 1/2
-        result = _engine(priced, initial_best)
+        result = solve_exact(priced, initial_best)
         value, e_max, e_cost, policy, values = reference_engine(inst, initial_best, weight)
         assert (weight * result.value, result.e_max, weight * result.e_cost) == (value, e_max, e_cost)
         assert result._values.keys() == result._policy.keys() <= values.keys()

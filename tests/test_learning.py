@@ -386,6 +386,13 @@ def test_cli_oracle_leaves_the_tree_solver_out(tmp_path):
         assert not loaded & skipped, command
 
 
+def test_cli_approx_leaves_the_threshold_sampler_out(tmp_path):
+    # the approx policy is valued exactly, so neither the sampler nor the greedy heap loads
+    loaded = cli_modules(tmp_path, "approx", "--verify")
+    assert "pandorabox.approx" in loaded
+    assert not loaded & {"pandorabox.strategy", "hashlib", "heapq"}
+
+
 def test_bare_package_import_loads_no_submodule():
     loaded = loaded_modules("import sys, pandorabox")
     assert "pandorabox" in loaded

@@ -24,6 +24,7 @@ from helpers import (
     check_line_submartingale,
     enumerate_realizations,
     expected_excess,
+    int_distribution,
     line_instance_of,
     macro_partition,
     quadratic_max_distribution,
@@ -189,7 +190,7 @@ class TestCappedStep:
             z, kappa = capped_step(box, [d.integer for d in after])
             w, ref_z, ref_atoms = reference_capped_step(box, after)
             assert type(z) is Fraction and z == ref_z
-            assert list(kappa.distribution().atoms) == ref_atoms
+            assert list(int_distribution(kappa).atoms) == ref_atoms
             # the ints are as small as the reduced Fractions: scale and den
             # are the lcm of the value and probability denominators
             assert kappa.scale == math.lcm(*[v.denominator for v, _ in ref_atoms])
@@ -208,7 +209,7 @@ class TestCappedStep:
             box = BoxSpec(f"b{i}", F(rng.randint(0, 4), rng.randint(1, 7)), big_dist(rng, 64))
             z, step = capped_step(box, [kappa.integer])
             _, ref_z, ref_atoms = reference_capped_step(box, [kappa])
-            assert z == ref_z and list(step.distribution().atoms) == ref_atoms
+            assert z == ref_z and list(int_distribution(step).atoms) == ref_atoms
             assert step.den == math.lcm(*[p.denominator for _, p in ref_atoms])
             kappa = DiscreteDistribution(tuple(ref_atoms))
 

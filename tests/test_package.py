@@ -18,7 +18,7 @@ import pandorabox
 EXPORTS = {
     "core": [
         "BoxSpec", "CapExceededError", "ConstraintGraph", "ConstraintKind", "DiscreteDistribution",
-        "ExecutionState", "Instance", "InvariantError", "MatroidSideConstraint", "OrderModel", "PandoraError",
+        "Instance", "InvariantError", "MatroidSideConstraint", "OrderModel", "PandoraError",
         "ParseError", "PreOrderIndex", "UnsupportedConstraintError", "ValidationError", "build_preorder",
         "constraint_allows", "dump_instance", "feasible_next", "format_rational", "load_instance",
         "parse_rational", "set_feasibility_violation", "validate_instance", "weitzman_reservation",
@@ -30,8 +30,7 @@ EXPORTS = {
         "fixed_opening_order", "run_threshold", "simulate",
     ],
     "oracle": ["OracleResult", "best_fixed_order", "best_half_reward_benchmark", "solve_exact"],
-    "approx": ["ApproxPolicy", "GuaranteeReport", "exact_policy_value", "run_approx", "solve_approx",
-               "verify_guarantee"],
+    "approx": ["ApproxPolicy", "GuaranteeReport", "exact_policy_value", "solve_approx", "verify_guarantee"],
     "learning": ["EmpiricalModel", "LearnReport", "LearningConfig", "learn_and_solve", "learn_model",
                  "sample_bound"],
     "instances": ["adaptivity_gap", "figure1", "figure1_tree_matroid", "guard_line"],

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from pandorabox.approx import ApproxPolicy, GuaranteeReport
-from pandorabox.core import (BoxSpec, ConstraintGraph, DiscreteDistribution, ExecutionState, Instance, IntegerBoxes,
+from pandorabox.core import (BoxSpec, ConstraintGraph, DiscreteDistribution, Instance, IntegerBoxes,
                              InvariantError, MatroidSideConstraint, OrderModel, PreOrderIndex, ValidationError,
                              dump_instance, load_instance)
 from pandorabox.learning import EmpiricalModel, LearnReport, LearningConfig
@@ -32,7 +32,6 @@ FIELDS = {
     ConstraintGraph: ["kind", "edges", "roots"],
     MatroidSideConstraint: ["kind", "weights", "capacity"],
     Instance: ["boxes", "constraint", "side"],
-    ExecutionState: ["opened", "best", "spent"],
     OrderModel: ["ids", "index", "parent_masks", "children", "weights", "capacity"],
     PreOrderIndex: ["order", "next_position"],
     IntegerBoxes: ["scale", "dens", "costs", "atoms", "grid"],
@@ -42,7 +41,7 @@ FIELDS = {
     AnnotatedLine: ["entries"],
     TreeSolution: ["thresholds", "order", "value"],
     ThresholdPolicy: ["thresholds", "tiebreak"],
-    Trajectory: ["steps", "final"],
+    Trajectory: ["steps", "net_revenue"],
     SimulationSummary: ["mean", "stddev", "trials", "seed"],
     OracleResult: ["value", "e_max", "e_cost", "grid", "model", "_policy", "_values", "_stops"],
     ApproxPolicy: ["instance", "preorder", "grid", "values", "actions"],
