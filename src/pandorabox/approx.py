@@ -23,8 +23,9 @@ best, oracle state).
 The resulting strategy is at least as good as opening any fixed feasible
 set, and earns at least half the expected best reward of any adaptive
 strategy minus its full expected cost.  The sweep runs on ints over one
-common denominator (``core.integer_boxes``, no floats); the table keeps
-those ints, and a cell becomes a ``Fraction`` only when it is read.
+common denominator (``core.integer_boxes``, no floats), in one value row and
+one action row over the grid per reached (position, load); opening is
+``IntegerBoxes.step``, and a cell becomes a ``Fraction`` only when it is read.
 """
 
 from __future__ import annotations
@@ -54,29 +55,36 @@ SET_ENUMERATION_CAP = 12
 ORACLE_COMPARISON_CAP = 10
 
 
-class _ValueTable(Mapping):
-    """Read-only view of the int table: cell (i, y, state) holds the
-    numerator N of the value N / (L * scale[i])."""
+class _Cells(Mapping):
+    """Read-only view of the sweep's rows: cell (i, y_index, state) is entry y_index of
+    field 1 (values, N read as N / (L * scale[i]), L = ``ints.scale``) or 2 (actions) of
+    ``rows[i, state]``, when y_index is in its field 0, the grid indices reached there."""
 
-    def __init__(self, cells: dict, den: int, scale: list[int]):
-        self._cells, self._den, self._scale = cells, den, scale
+    def __init__(self, rows: dict, field: int, ints, scale: list[int]):
+        self._rows, self._field, self.ints, self._scale = rows, field, ints, scale
 
-    def __getitem__(self, key) -> Fraction:
-        return Fraction(self._cells[key], self._den * self._scale[key[0]])
+    def __getitem__(self, key):
+        i, yk, state = key
+        row = self._rows[i, state]
+        if yk not in row[0]:
+            raise KeyError(key)
+        entry = row[self._field][yk]
+        return Fraction(entry, self.ints.scale * self._scale[i]) if self._field == 1 else entry
 
     def __iter__(self):
-        return iter(self._cells)
+        return ((i, yk, state) for (i, state), (yks, _, _) in self._rows.items() for yk in yks)
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return sum(len(row[0]) for row in self._rows.values())
 
 
 class ApproxPolicy(Record):
     """The DP table and the resolved action map.
 
     ``values[(i, y_index, state)]`` is the best sweep value from position i
-    (a read-only mapping that builds the ``Fraction`` on each read);
-    ``actions[...]`` is None to terminate or the position to open next.  The
+    and ``actions[...]`` is None to terminate or the position to open next:
+    read-only mappings over the sweep's rows, ``values`` building the
+    ``Fraction`` on each read (its ``ints`` is the sweep's int layout).  The
     oracle state is the side load of ``instance.order_model``.  Only cells a
     run can reach from position 1 with the empty load (at any best reward)
     are kept; reading any other key raises ``KeyError``.  The action
@@ -89,7 +97,7 @@ class ApproxPolicy(Record):
     preorder: PreOrderIndex
     grid: tuple[Fraction, ...]
     values: Mapping
-    actions: dict
+    actions: Mapping
 
     @property
     def start_state(self) -> tuple[int, ...]:
@@ -137,38 +145,31 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
                 reach[i + 1].setdefault(after_open, set()).update(
                     vk if vk > yk else yk for yk in yks for vk, _ in atoms)
 
-    values: dict = {}
-    actions: dict = {}
-    for state, yks in reach[n + 1].items():
-        for yk in yks:
-            values[(n + 1, yk, state)] = ints.grid[yk]
-            actions[(n + 1, yk, state)] = None
-
+    # rows[i, load] = (the grid indices reached there, values, actions), over the grid
+    rows = {(n + 1, state): (yks, ints.grid, [None] * len(grid)) for state, yks in reach[n + 1].items()}
     for i in range(n, 0, -1):
         nxt = preorder.next_position[i - 1]
         r, lift = scale[i], scale[i] // scale[nxt]
-        cost, atoms = -ints.costs[i - 1] * r, ints.atoms[i - 1]
+        stops = [y * r for y in ints.grid]
         for state, yks in reach[i].items():
             after_open = model.add(state, slots[i - 1])
+            # an open that overflows the side is no move
+            row = stops[:] if after_open is None else ints.step(i - 1, rows[i + 1, after_open][1], r, yks)
+            acts = [None] * len(grid)
+            _, skip_row, skip_acts = rows[nxt, state]
             for yk in yks:
-                best, act = ints.grid[yk] * r, None
-                if after_open is not None:  # an open that overflows the side is no move
-                    open_val = cost
-                    for vk, a in atoms:
-                        open_val += a * values[(i + 1, vk if vk > yk else yk, after_open)]
-                    if open_val > best:
-                        best, act = open_val, i
-                skip_val = values[(nxt, yk, state)] * lift
-                if skip_val > best:
-                    best, act = skip_val, actions[(nxt, yk, state)]
-                values[(i, yk, state)] = best
-                actions[(i, yk, state)] = act
+                if row[yk] != stops[yk]:  # step opens only when strictly above stopping
+                    acts[yk] = i
+                skip_val = skip_row[yk] * lift
+                if skip_val > row[yk]:
+                    row[yk], acts[yk] = skip_val, skip_acts[yk]
+            rows[i, state] = (yks, row, acts)
     return ApproxPolicy(
         instance=instance,
         preorder=preorder,
         grid=grid,
-        values=_ValueTable(values, ints.scale, scale),
-        actions=actions,
+        values=_Cells(rows, 1, ints, scale),
+        actions=_Cells(rows, 2, ints, scale),
     )
 
 
@@ -215,8 +216,6 @@ class GuaranteeReport(Record):
     feasible_sets: int
     benchmark_margin: Fraction | None
     oracle_value: Fraction | None
-    oracle_e_max: Fraction | None
-    oracle_e_cost: Fraction | None
 
 
 def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fraction, tuple[str, ...], int]:
@@ -246,7 +245,7 @@ def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fra
     boxes = [instance.box_map[b] for b in preorder.order]
     model = instance.order_model
     slots = [model.index[b.id] for b in boxes]
-    ints = integer_boxes(boxes, policy.grid)
+    ints = policy.values.ints  # solve_approx's layout of these boxes on the policy grid
     den = math.prod(ints.dens)
     steps = [b - a for a, b in zip(ints.grid, ints.grid[1:])]
     cdfs = []  # C_i[k] for k < K; C_i[K] = D_i is in no sum
@@ -307,16 +306,11 @@ def verify_guarantee(instance: Instance, policy: ApproxPolicy | None = None) -> 
     set_margin, worst_set, n_sets = _enumerate_set_margin(instance, policy)
     executed = exact_policy_value(instance, policy)
 
-    benchmark_margin = None
-    oracle_value = None
-    e_max = None
-    e_cost = None
+    benchmark_margin = oracle_value = None
     if instance.n <= ORACLE_COMPARISON_CAP:
         result = solve_exact(instance)
         oracle_value = result.value
-        e_max = result.e_max
-        e_cost = result.e_cost
-        benchmark_margin = executed - (e_max / 2 - e_cost)
+        benchmark_margin = executed - (result.e_max / 2 - result.e_cost)
     return GuaranteeReport(
         policy_value=policy.value,
         executed_value=executed,
@@ -325,6 +319,4 @@ def verify_guarantee(instance: Instance, policy: ApproxPolicy | None = None) -> 
         feasible_sets=n_sets,
         benchmark_margin=benchmark_margin,
         oracle_value=oracle_value,
-        oracle_e_max=e_max,
-        oracle_e_cost=e_cost,
     )

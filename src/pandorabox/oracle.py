@@ -36,6 +36,7 @@ ZERO = Fraction(0)
 
 HARD_BOX_CAP = 20
 STATE_ESTIMATE_CAP = 5_000_000
+SCANNED_STATE_CAP = 400_000
 FIXED_ORDER_BOX_CAP = 10
 FIXED_ORDER_SEQUENCE_CAP = 250_000
 
@@ -113,7 +114,9 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Seque
     (see :func:`solve_exact`).  ``stops`` and ``strict`` of ``[len(grid)] * n`` expand
     every set and offer every box.  Each opening adds a weight vector of the
     side's dimension d, so 2^n * d over ``STATE_ESTIMATE_CAP`` is refused
-    before any set is built."""
+    before any set is built.  The states below each set's stop index (those
+    :func:`solve_exact` scans) are counted as the sets are built, and the
+    count passing ``SCANNED_STATE_CAP`` is refused before the levels grow."""
     n, d = len(model.ids), len(model.capacity)
     if (1 << n) * d > STATE_ESTIMATE_CAP:
         raise CapExceededError(
@@ -132,7 +135,7 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Seque
     child_bits = [sum(1 << c for c in model.children[i]) for i in range(n)]
     roots = sum(1 << i for i, parents in enumerate(model.parent_masks) if not parents)
     level = {0: (start, 0, math.prod(dens), model.empty_load, roots)}
-    levels = []
+    levels, scanned = [], 0
     while level:
         deeper: dict[int, tuple | None] = {}  # None: the set overflows the side
         states = []
@@ -142,6 +145,10 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Seque
                 if not mask >> i & 1:
                     stop = h
                     break
+            ys = 1 << low | bits >> low + 1 << low + 1
+            scanned += (ys & (1 << stop) - 1).bit_count()
+            if scanned > SCANNED_STATE_CAP:
+                raise CapExceededError(f"more than {SCANNED_STATE_CAP} states to scan; instance too loose")
             openable = []
             if low < stop:
                 free = allowed & ~mask
@@ -154,7 +161,7 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Seque
                                 max(low, lowest[i]), bits | atom_bits[i], r // dens[i], after, allowed | child_bits[i])
                         if deeper[child] is not None:
                             openable.append(i)
-            states.append((mask, 1 << low | bits >> low + 1 << low + 1, stop, r, openable))
+            states.append((mask, ys, stop, r, openable))
         levels.append(states)
         level = {mask: state for mask, state in deeper.items() if state is not None}
     return levels

@@ -39,6 +39,7 @@ from helpers import (
     rand_knapsack_side,
     rand_partition_side,
     rand_tree_instance,
+    reachable_approx_cells,
     reference_set_feasible,
     reference_set_margin,
     reference_side_ok,
@@ -241,6 +242,28 @@ class TestSolveApprox:
         policy = solve_approx(inst)
         assert len(policy.actions) <= 1000
         assert exact_policy_value(inst, policy) == policy.value
+
+    def test_views_read_only_the_reached_cells(self):
+        # the rows hold every grid index of a reached (position, load); the other indices are no cells
+        rng = random.Random(91)
+        stale = 0
+        for _ in range(60):
+            inst = rand_case(rng, ConstraintKind.TREE, max_n=8)
+            policy = solve_approx(inst)
+            cells = reachable_approx_cells(inst)
+            assert len(policy.values) == len(policy.actions) == len(cells)
+            unreached = [(i, yk, state) for i, state in {(i, state) for i, _, state in cells}
+                         for yk in range(len(policy.grid)) if (i, yk, state) not in cells]
+            stale += len(unreached)
+            over = tuple(c + 1 for c in inst.order_model.capacity) + (0,)  # a load no run holds
+            unreached += [(i, 0, over) for i in range(1, inst.n + 2)]
+            unreached += [(i, 0, policy.start_state) for i in (-1, 0, inst.n + 2)]
+            for view in (policy.values, policy.actions):
+                for key in unreached:
+                    assert key not in view
+                    with pytest.raises(KeyError):
+                        view[key]
+        assert stale > 100
 
     def test_matches_tree_solver_when_capacity_never_binds(self):
         rng = random.Random(79)

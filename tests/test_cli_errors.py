@@ -15,6 +15,7 @@ import pytest
 from pandorabox import CapExceededError, dump_instance
 from pandorabox.core import MAX_DOCUMENT_BYTES, MAX_SIDE_ENTRIES
 from pandorabox.instances import ADAPTIVITY_GAP_BOX_CAP, adaptivity_gap, figure1_tree_matroid, guard_line
+from pandorabox.oracle import SCANNED_STATE_CAP
 from pandorabox.strategy import MAX_TRIALS
 
 from test_cli import run_cli
@@ -399,6 +400,20 @@ def test_oracle_refuses_a_side_dimension_over_the_cap_before_building(tmp_path):
     assert time.perf_counter() - start < 2
     assert_clean_exit_3(res)
     assert res.stderr == f"error: load estimate 2^12 * {d} (side dimension) = {4096 * d} exceeds cap 5000000\n"
+
+
+def test_oracle_refuses_more_scanned_states_than_its_cap(tmp_path):
+    # 19 free boxes of cost 10^-6 on one 9-point grid pass the 2^19 * 9 estimate, but every state below
+    # a best reward of 8 is scanned: millions of them, tens of seconds and hundreds of MB if it ran
+    doc = {"boxes": [{"id": f"b{k:02d}", "cost": "1/1000000",
+                      "reward": [{"value": str(v), "prob": "1/8"} for v in range(1, 9)]} for k in range(19)]}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    res = run_cli("oracle", "--input", str(path))
+    assert time.perf_counter() - start < 5
+    assert_clean_exit_3(res)
+    assert res.stderr == f"error: more than {SCANNED_STATE_CAP} states to scan; instance too loose\n"
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])

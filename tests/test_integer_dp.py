@@ -103,7 +103,7 @@ def reference_policy_states(inst, policy, grid, start: int) -> set:
 )
 def test_approx_matches_fraction_reference(kind):
     rng = random.Random(f"int-approx-{kind}")
-    sided = negative = 0
+    sided = negative = overflows = 0
     for _ in range(75):
         inst = rand_case(rng, kind, max_n=9)
         policy = solve_approx(inst)
@@ -115,7 +115,11 @@ def test_approx_matches_fraction_reference(kind):
         assert all(type(v) is Fraction for v in policy.values.values())
         sided += inst.side.kind != MatroidSideConstraint.NONE
         negative += any(b.cost < 0 for b in inst.boxes)
-    assert sided > 30 and negative > 8
+        # cells whose open overflows the side: their row starts from the stop values
+        model, order = inst.order_model, policy.preorder.order
+        overflows += sum(i <= inst.n and model.add(state, model.index[order[i - 1]]) is None
+                         for i, _, state in policy.values)
+    assert sided > 30 and negative > 8 and overflows > 0
 
 
 def test_line_value_matches_fraction_reference():

@@ -107,6 +107,22 @@ class TestSolveExact:
             with pytest.raises(CapExceededError, match=r"^load estimate 2\^10 \* 5000 \(side dimension\)"):
                 engine(inst)
 
+    def test_scanned_state_cap_counts_the_scanned_states(self, monkeypatch):
+        # a call that scans exactly the cap's count of states passes, and one state more is refused
+        rng = random.Random(53)
+        instances = [rand_graph_instance(rng, 8, ConstraintKind.DAG) for _ in range(10)]
+        for inst, result in [(inst, solve_exact(inst)) for inst in instances]:
+            scanned = len(result._values)
+            monkeypatch.setattr(oracle, "SCANNED_STATE_CAP", scanned)
+            assert solve_exact(inst) == result
+            monkeypatch.setattr(oracle, "SCANNED_STATE_CAP", scanned - 1)
+            with pytest.raises(CapExceededError, match=f"^more than {scanned - 1} states to scan; instance too loose$"):
+                solve_exact(inst)
+        monkeypatch.setattr(oracle, "SCANNED_STATE_CAP", 0)
+        for engine in (best_half_reward_benchmark, best_fixed_order):
+            with pytest.raises(CapExceededError, match="^more than 0 states to scan"):
+                engine(figure1())
+
     def test_diamond_flip_across_parameter_range(self):
         # the flip and the fixed-order gap hold on a grid spanning the
         # builtin's whole validity range, not just the three headline points

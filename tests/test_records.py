@@ -46,7 +46,7 @@ FIELDS = {
     OracleResult: ["value", "e_max", "e_cost", "grid", "model", "_policy", "_values", "_stops"],
     ApproxPolicy: ["instance", "preorder", "grid", "values", "actions"],
     GuaranteeReport: ["policy_value", "executed_value", "set_margin", "worst_set", "feasible_sets",
-                      "benchmark_margin", "oracle_value", "oracle_e_max", "oracle_e_cost"],
+                      "benchmark_margin", "oracle_value"],
     LearningConfig: ["epsilon", "delta", "samples_per_box", "constant"],
     EmpiricalModel: ["counts", "samples_per_box"],
     LearnReport: ["true_opt", "learned_policy_value", "gap", "epsilon", "samples_per_box"],
