@@ -25,9 +25,15 @@ blocks of ``TRIAL_BLOCK`` trials, each head and tail encoded once.  Rewards
 become ranks in the sorted support of the opened boxes (0 included), and
 each step's threshold the smallest rank that stops there.  A block's live
 trials are grouped by best rank: at each step a group at or above the
-stopping rank is counted under (step, best rank), and the others draw and
-are regrouped.  The exact mean and variance are formed from the counts
-after the loop; blocks bound the memory and do not change the counts.
+stopping rank is counted under (step, best rank), and the others open the
+box.  A group whose atoms all lift to one rank (a single atom, or none above
+the group's best) moves to that rank whole, with no hash: any point would
+draw it there, and the stream is counter-based, so a hash not taken shifts
+no other draw.  Every other group draws and is regrouped.  So ``simulate``
+hashes only the draws that can change a trial, and its counts are those of
+``run_threshold``, which takes every hash.  The exact mean and variance are
+formed from the counts after the loop; blocks bound the memory and do not
+change the counts.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from .core import (
 )
 
 ZERO = Fraction(0)
-# Largest simulate trial count: 10^5 trials on small solved trees took 0.03-0.48 s on a 2-vCPU VM.
+# Largest simulate trial count: 10^5 trials on small solved trees (4-10 boxes) took 0.02-0.24 s on a 2-vCPU VM.
 MAX_TRIALS = 1_000_000
 # Trials walked together by simulate: their heads are the only per-trial state held.
 TRIAL_BLOCK = 4096
@@ -256,7 +262,9 @@ def simulate(instance: Instance, policy: ThresholdPolicy, trials: int, rng_seed:
     """Monte-Carlo estimate of the strategy's net revenue.
 
     Trial t draws from the (seed, t) stream, so results are reproducible and
-    independent of any batching.  The mean is exact over the sampled
+    independent of any batching.  An opening that every atom would leave at
+    one best reward takes no hash; the summary is still that of drawing every
+    opening, as ``run_threshold`` does.  The mean is exact over the sampled
     trajectories (a rational); the sample stddev is reported as a float.
     More than ``MAX_TRIALS`` raise :class:`CapExceededError` before any work.
     """
@@ -286,6 +294,9 @@ def simulate(instance: Instance, policy: ThresholdPolicy, trials: int, rng_seed:
                     tally[step, best] = tally.get((step, best), 0) + len(heads)
                     continue
                 lifted = [r if r > best else best for r in ranks]
+                if lifted[0] == lifted[-1]:  # every atom lifts to one rank: no draw can matter
+                    regrouped.setdefault(lifted[0], []).extend(heads)
+                    continue
                 drawn = [lifted[bisect_right(cuts, u64(head, tail))] for head in heads]
                 for head, r in zip(heads, drawn):
                     regrouped.setdefault(r, []).append(head)

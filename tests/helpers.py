@@ -90,11 +90,30 @@ def rand_tie_box(rng: random.Random, index: int) -> BoxSpec:
     return rand_box(rng, index)
 
 
-def rand_tie_instance(rng: random.Random, kind: str, max_n: int = 9) -> Instance:
+FIXED_DRAW_DISTS = (
+    DiscreteDistribution.point(0),
+    DiscreteDistribution.point(3),
+    DiscreteDistribution.point(6),
+    DiscreteDistribution.of([(0, "1/3"), (1, "1/3"), (2, "1/3")]),
+    DiscreteDistribution.of([(1, "1/4"), (3, "1/2"), (7, "1/4")]),
+    DiscreteDistribution.of([(5, "1/2"), (8, "1/2")]),
+)
+
+
+def rand_fixed_draw_box(rng: random.Random, index: int) -> BoxSpec:
+    """Most boxes are point masses or supports that a best of 2, 3, 6 or 8
+    lifts to one rank, so many openings need no draw; at a best of 3 the
+    atoms 1 and 3 of ``{1, 3, 7}`` lift to one rank and 7 does not."""
+    if rng.random() < 0.8:
+        return BoxSpec(f"b{index:02d}", rng.choice(TIE_COSTS), rng.choice(FIXED_DRAW_DISTS))
+    return rand_box(rng, index)
+
+
+def rand_tie_instance(rng: random.Random, kind: str, max_n: int = 9, box=rand_tie_box) -> Instance:
     """Random validated line, tree, forest, DAG or unconstrained set of
-    tie-heavy boxes, with boxes and edges listed in shuffled order."""
+    tie-heavy boxes (made by ``box``), with boxes and edges listed in shuffled order."""
     n = rng.randint(1, max_n)
-    boxes = [rand_tie_box(rng, i) for i in range(n)]
+    boxes = [box(rng, i) for i in range(n)]
     rng.shuffle(boxes)
     if kind == ConstraintKind.LINE:
         edges = [(boxes[i].id, boxes[i + 1].id) for i in range(n - 1)]

@@ -4,6 +4,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from pandorabox import (
     Instance,
     OrderModel,
     ParseError,
+    SimulationSummary,
     ThresholdPolicy,
     ValidationError,
     evaluate_set,
@@ -38,6 +40,7 @@ from helpers import (
     literal_u64,
     max_distribution,
     rand_dist,
+    rand_fixed_draw_box,
     rand_knapsack_side,
     rand_line_boxes,
     rand_partition_side,
@@ -610,3 +613,119 @@ class TestTrialBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+
+def live_openings(inst, policy, trials, seed) -> Counter:
+    """Every live (trial, step) pair of the ``run_threshold`` trajectories, by
+    what the opened box's atoms do to the trial's best reward: ``point`` (one
+    atom), ``below`` (several, none above the best), ``partial`` (the two
+    smallest at or below the best, the top above it) or ``spread`` (the rest)."""
+    kinds = Counter()
+    for t in range(trials):
+        best = F(0)
+        for box_id, reward in run_threshold(inst, policy, seed, t).steps:
+            values = inst.box_map[box_id].reward.values()
+            if len(values) == 1:
+                kinds["point"] += 1
+            elif values[-1] <= best:
+                kinds["below"] += 1
+            else:
+                kinds["partial" if values[1] <= best else "spread"] += 1
+            best = max(best, reward)
+    return kinds
+
+
+def counted_simulate(inst, policy, trials, seed) -> tuple[SimulationSummary, int]:
+    """``simulate`` with ``strategy.u64`` wrapped to count its calls."""
+    calls = 0
+
+    def counting(head, tail):
+        nonlocal calls
+        calls += 1
+        return u64(head, tail)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(strategy, "u64", counting)
+        summary = simulate(inst, policy, trials, seed)
+    return summary, calls
+
+
+def fixed_draw_cases(rng, count, max_n=9):
+    """(case, instance, policy) on instances made of ``rand_fixed_draw_box``,
+    every second with zero costs.  Solved thresholds on every third case;
+    else thresholds at support values (stop at equality), 0, -1 (stop at
+    step 0) and above the top atom."""
+    for k in range(count):
+        inst = rand_tie_instance(rng, KINDS[k % 4], max_n=max_n, box=rand_fixed_draw_box)
+        if k % 2:
+            inst = with_zero_costs(inst)
+        if k % 3 == 0:
+            yield k, inst, solved_policy(inst)
+            continue
+        support = sorted({v for b in inst.boxes for v in b.reward.values()})
+        choices = support + [F(0), F(-1), support[-1] + 1]
+        yield k, inst, ThresholdPolicy.for_instance(inst, {b.id: rng.choice(choices) for b in inst.boxes})
+
+
+class TestFixedDrawsMatchReference:
+    """A group whose atoms all lift to one rank moves without a hash; the
+    reference takes every hash.  On instances built to hit that branch, whole
+    summaries must be equal."""
+
+    def test_point_masses_and_supports_below_the_best(self):
+        rng = random.Random(103)
+        kinds = Counter()
+        for k, inst, policy in fixed_draw_cases(rng, 240):
+            trials = (1, 2, rng.randint(3, 40))[k % 3]
+            seed = rng.randrange(1000)
+            assert simulate(inst, policy, trials, seed) == reference_simulate(inst, policy, trials, seed)
+            kinds += live_openings(inst, policy, trials, seed)
+        assert min(kinds["point"], kinds["below"], kinds["partial"], kinds["spread"]) > 50
+
+    @pytest.mark.parametrize("block", (1, 2, 3))
+    def test_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(strategy, "TRIAL_BLOCK", block)
+        rng = random.Random(f"fixed-draw-blocks-{block}")
+        for k, inst, policy in fixed_draw_cases(rng, 90):
+            trials = rng.randint(1, 12)
+            assert simulate(inst, policy, trials, k) == reference_simulate(inst, policy, trials, k)
+
+    def test_block_edges_at_the_real_block_size(self):
+        for k, inst, policy in fixed_draw_cases(random.Random(107), 3, max_n=5):
+            for trials in (TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1):
+                assert simulate(inst, policy, trials, k) == reference_simulate(inst, policy, trials, k)
+
+
+class TestHashCount:
+    """``simulate`` hashes exactly the live openings of a box with two or more
+    atoms and a top atom above the trial's best: the others cannot change a trial."""
+
+    def test_point_mass_line_takes_no_hash(self):
+        values = (0, 3, 1, 6, 6, 2)
+        inst = line_instance_of([BoxSpec(f"p{k}", F(k, 7), DiscreteDistribution.point(v))
+                                 for k, v in enumerate(values)])
+        policy = policy_of(inst, [7] * inst.n)  # every trial opens every box
+        summary, calls = counted_simulate(inst, policy, 10**4, 1)
+        assert calls == 0
+        assert summary.mean == 6 - F(sum(range(len(values))), 7) and summary.stddev == 0.0
+
+    def test_count_is_the_live_openings_that_can_change_a_trial(self):
+        rng = random.Random(109)
+        cases = [(k, rand_tie_instance(rng, KINDS[k % 4])) for k in range(80)]
+        cases = [(k, inst, solved_policy(inst)) for k, inst in cases] + list(fixed_draw_cases(rng, 80))
+        for k, inst, policy in cases:
+            trials = rng.randint(1, 30)
+            summary, calls = counted_simulate(inst, policy, trials, k)
+            kinds = live_openings(inst, policy, trials, k)
+            assert calls == kinds["partial"] + kinds["spread"]
+            assert summary == reference_simulate(inst, policy, trials, k)
+
+    def test_seed_one_simulate_pool(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        import gen
+
+        total = 0
+        for item in gen.simulate_pool(1):
+            inst = load_instance(item["text"])
+            total += counted_simulate(inst, solved_policy(inst), item["trials"], item["rng_seed"])[1]
+        assert total <= 38_723  # every draw took a hash before: 90 503
