@@ -110,7 +110,9 @@ class ApproxPolicy(Record):
 
 
 def solve_approx(instance: Instance) -> ApproxPolicy:
-    """Backward sweep over the reachable (position, best-reward grid, oracle state) cells."""
+    """Backward sweep over the reachable (position, best-reward grid, oracle state) cells.  The
+    forward pass counts each (position, load) it reaches, a row of len(grid) cells, as it is
+    made, and raises ``CapExceededError`` once the cells pass ``TABLE_CELL_CAP``."""
     preorder = build_preorder(instance)
     model = instance.order_model
     if len(model.capacity) > MAX_ORACLE_DIMENSION:
@@ -123,9 +125,6 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
             raise CapExceededError(f"capacity entry {cap} exceeds the {bound} bound")
     grid = instance.support_union()
     n = preorder.n
-    cells = (n + 1) * len(grid) * math.prod(cap + 1 for cap in model.capacity)
-    if cells > TABLE_CELL_CAP:
-        raise CapExceededError(f"table would need {cells} cells, cap is {TABLE_CELL_CAP}")
 
     boxes = [instance.box_map[b] for b in preorder.order]
     slots = [model.index[b.id] for b in boxes]
@@ -136,14 +135,20 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
     # grid indices of the best reward it can hold there with that load
     reach: list[dict] = [{} for _ in range(n + 2)]
     reach[1][model.empty_load] = set(range(len(grid)))
+    cells = len(grid)
     for i in range(1, n + 1):
         nxt, atoms = preorder.next_position[i - 1], ints.atoms[i - 1]
         for state, yks in reach[i].items():
-            reach[nxt].setdefault(state, set()).update(yks)
-            after_open = model.add(state, slots[i - 1])
-            if after_open is not None:
-                reach[i + 1].setdefault(after_open, set()).update(
-                    vk if vk > yk else yk for yk in yks for vk, _ in atoms)
+            after_open = model.add(state, slots[i - 1])  # an open that overflows the side is no move
+            moves = [(nxt, state, yks)] if after_open is None else [
+                (nxt, state, yks), (i + 1, after_open, {vk if vk > yk else yk for yk in yks for vk, _ in atoms})]
+            for pos, load, lifted in moves:
+                if load not in reach[pos]:
+                    cells += len(grid)
+                    if cells > TABLE_CELL_CAP:
+                        raise CapExceededError(f"more than {TABLE_CELL_CAP} table cells to build; instance too large")
+                    reach[pos][load] = set()
+                reach[pos][load].update(lifted)
 
     # rows[i, load] = (the grid indices reached there, values, actions), over the grid
     rows = {(n + 1, state): (yks, ints.grid, [None] * len(grid)) for state, yks in reach[n + 1].items()}

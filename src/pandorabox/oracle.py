@@ -35,7 +35,7 @@ from .core import (BoxSpec, CapExceededError, Instance, IntegerBoxes, OrderModel
 ZERO = Fraction(0)
 
 HARD_BOX_CAP = 20
-STATE_ESTIMATE_CAP = 5_000_000
+BUILT_CELL_CAP = 5_000_000  # cells of the opened sets built: max(len(grid), side dimension) per set
 SCANNED_STATE_CAP = 400_000
 FIXED_ORDER_BOX_CAP = 10
 FIXED_ORDER_SEQUENCE_CAP = 250_000
@@ -112,16 +112,12 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Seque
     best reward has grid index at least ``strict[i]`` when every child of i can
     already open there: opening it is then strictly worse than every state's value
     (see :func:`solve_exact`).  ``stops`` and ``strict`` of ``[len(grid)] * n`` expand
-    every set and offer every box.  Each opening adds a weight vector of the
-    side's dimension d, so 2^n * d over ``STATE_ESTIMATE_CAP`` is refused
-    before any set is built.  The states below each set's stop index (those
-    :func:`solve_exact` scans) are counted as the sets are built, and the
-    count passing ``SCANNED_STATE_CAP`` is refused before the levels grow."""
-    n, d = len(model.ids), len(model.capacity)
-    if (1 << n) * d > STATE_ESTIMATE_CAP:
-        raise CapExceededError(
-            f"load estimate 2^{n} * {d} (side dimension) = {(1 << n) * d} exceeds cap {STATE_ESTIMATE_CAP}"
-        )
+    every set and offer every box.  Each set built (the root and every child tried,
+    overflowing ones too) costs max(len(grid), d) cells, its backward row or its load
+    of the side's dimension d; the count passing ``BUILT_CELL_CAP`` is refused before
+    the next load is built, and so is the count of the states below each set's stop
+    index (those :func:`solve_exact` scans) passing ``SCANNED_STATE_CAP``."""
+    n, per_set = len(model.ids), max(len(ints.grid), len(model.capacity))
     dens, atoms = ints.dens, ints.atoms
     # Candidate iteration in ascending id order fixes the argmax tie-break.
     by_id = sorted(range(n), key=lambda i: model.ids[i])
@@ -135,7 +131,7 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Seque
     child_bits = [sum(1 << c for c in model.children[i]) for i in range(n)]
     roots = sum(1 << i for i, parents in enumerate(model.parent_masks) if not parents)
     level = {0: (start, 0, math.prod(dens), model.empty_load, roots)}
-    levels, scanned = [], 0
+    levels, scanned, built = [], 0, per_set
     while level:
         deeper: dict[int, tuple | None] = {}  # None: the set overflows the side
         states = []
@@ -156,6 +152,9 @@ def _opened_sets(model: OrderModel, ints: IntegerBoxes, start: int, stops: Seque
                     if free >> i & 1 and (low < strict[i] or child_bits[i] & ~allowed):
                         child = mask | 1 << i
                         if child not in deeper:
+                            built += per_set
+                            if built > BUILT_CELL_CAP:
+                                raise CapExceededError(f"more than {BUILT_CELL_CAP} cells to build; instance too large")
                             after = model.add(load, i)
                             deeper[child] = None if after is None else (
                                 max(low, lowest[i]), bits | atom_bits[i], r // dens[i], after, allowed | child_bits[i])
@@ -191,16 +190,12 @@ def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResu
     beaten by one that samples X_i privately instead, opens the same boxes
     after (i unlocks nothing, and loads only shrink) and saves
     c_i - E[(X_i - y)^+] > 0.  So the first strict argmax never picks it, and
-    every value, action, e_max and e_cost is as with it offered."""
+    every value, action, e_max and e_cost is as with it offered.  It raises
+    ``CapExceededError`` over ``HARD_BOX_CAP`` boxes or past a cap of :func:`_opened_sets`."""
     n = instance.n
     if n > HARD_BOX_CAP:
         raise CapExceededError(f"oracle handles at most {HARD_BOX_CAP} boxes, got {n}")
     grid = sorted(set(instance.support_union()) | {initial_best})
-    estimate = (1 << n) * len(grid)
-    if estimate > STATE_ESTIMATE_CAP:
-        raise CapExceededError(
-            f"state estimate 2^{n} * {len(grid)} = {estimate} exceeds cap {STATE_ESTIMATE_CAP}"
-        )
     model = instance.order_model
     ints = integer_boxes(instance.boxes, grid)
     costs, dens, atoms, pay = ints.costs, ints.dens, ints.atoms, ints.grid

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -27,7 +28,7 @@ from pandorabox import (
     solve_tree,
     verify_guarantee,
 )
-from pandorabox import cli
+from pandorabox import approx, cli
 from pandorabox.approx import _enumerate_set_margin
 from pandorabox.instances import figure1, figure1_tree_matroid, guard_line
 
@@ -35,6 +36,7 @@ from helpers import (
     brute_max_distribution,
     graph_children,
     graph_parents,
+    rand_box,
     rand_case,
     rand_knapsack_side,
     rand_partition_side,
@@ -223,25 +225,54 @@ class TestSolveApprox:
                 assert vb - b <= va - a  # gain shrinks with the best reward
 
     def test_table_cell_cap(self):
+        # 18 free boxes with random weights in [0, 10]^4 under a capacity of 180 reach hundreds of
+        # thousands of distinct loads: past 2 * 10^6 cells at |grid| per (position, load)
         rng = random.Random(77)
-        inst = rand_tree_instance(rng, 12)
+        inst = Instance(boxes=tuple(rand_box(rng, i) for i in range(18)))
         side = MatroidSideConstraint.knapsack(
-            {b.id: (1, 1, 1, 1) for b in inst.boxes}, (14, 14, 14, 14)
+            {b.id: tuple(rng.randint(0, 10) for _ in range(4)) for b in inst.boxes}, (180, 180, 180, 180)
         )
-        with pytest.raises(CapExceededError, match="cells"):
+        with pytest.raises(CapExceededError, match=r"^more than 2000000 table cells to build; instance too large$"):
             solve_approx(with_side(inst, side))
 
+    def test_table_cell_cap_counts_the_reached_loads(self, monkeypatch):
+        # a cap of exactly |grid| cells per reached (position, load) passes, and one cell less is refused
+        rng, cap = random.Random(79), approx.TABLE_CELL_CAP
+        for _ in range(20):
+            inst = rand_case(rng, ConstraintKind.TREE, max_n=8)
+            monkeypatch.setattr(approx, "TABLE_CELL_CAP", cap)
+            policy = solve_approx(inst)
+            cells = len(policy.values._rows) * len(policy.grid)
+            monkeypatch.setattr(approx, "TABLE_CELL_CAP", cells)
+            again = solve_approx(inst)
+            assert again.value == policy.value and dict(again.actions) == dict(policy.actions)
+            monkeypatch.setattr(approx, "TABLE_CELL_CAP", cells - 1)
+            with pytest.raises(CapExceededError, match=f"^more than {cells - 1} table cells to build"):
+                solve_approx(inst)
+
+    def test_table_cell_cap_never_refuses_a_call_inside_the_old_estimate(self, monkeypatch):
+        # (n + 1) * |grid| * prod(cap + 1) bounds the reached (position, load) rows of |grid| cells
+        cap = 2_000
+        monkeypatch.setattr(approx, "TABLE_CELL_CAP", cap)
+        rng = random.Random(83)
+        checked = 0
+        while checked < 40:
+            inst = rand_case(rng, ConstraintKind.TREE, max_n=8)
+            full = (inst.n + 1) * len(inst.support_union()) * math.prod(c + 1 for c in inst.order_model.capacity)
+            if full <= cap:
+                checked += 1
+                solve_approx(inst)
+
     def test_table_keeps_only_reachable_cells(self):
-        # a full table here is 13 positions x 9 grid values x 9^4 loads
-        # (767 637 cells); unit weights leave few reachable loads
-        inst = rand_tree_instance(random.Random(77), 12)
-        side = MatroidSideConstraint.knapsack(
-            {b.id: (1, 1, 1, 1) for b in inst.boxes}, (8, 8, 8, 8)
-        )
-        inst = with_side(inst, side)
-        policy = solve_approx(inst)
-        assert len(policy.actions) <= 1000
-        assert exact_policy_value(inst, policy) == policy.value
+        # a full table is (n + 1) positions x |grid| x (capacity + 1)^4 loads: 767 637 cells at
+        # n = 12, about 3.8 * 10^11 at n = 20; unit weights leave at most n + 1 loads
+        for n, capacity in ((12, 8), (20, 200)):
+            inst = rand_tree_instance(random.Random(77), n)
+            side = MatroidSideConstraint.knapsack({b.id: (1, 1, 1, 1) for b in inst.boxes}, (capacity,) * 4)
+            inst = with_side(inst, side)
+            policy = solve_approx(inst)
+            assert len(policy.actions) <= 1000
+            assert exact_policy_value(inst, policy) == policy.value
 
     def test_views_read_only_the_reached_cells(self):
         # the rows hold every grid index of a reached (position, load); the other indices are no cells

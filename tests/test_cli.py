@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from pandorabox import dump_instance, load_instance, parse_rational
+from pandorabox import ConstraintKind, dump_instance, load_instance, parse_rational, solve_exact
 from pandorabox.instances import figure1, guard_line
+
+from helpers import rand_graph_instance
 
 F = Fraction
 
@@ -135,6 +138,14 @@ class TestOtherCommands:
         assert parse_rational(out["value"]) == F(251, 64)
         assert out["first_action"] == "A"
         assert parse_rational(out["e_max"]) - parse_rational(out["e_cost"]) == F(251, 64)
+
+    def test_oracle_on_a_twenty_box_dag(self, tmp_path):
+        inst = rand_graph_instance(random.Random(1), 20, ConstraintKind.DAG)
+        path = tmp_path / "dag.json"
+        path.write_text(dump_instance(inst))
+        res = run_cli("oracle", "--input", str(path))
+        assert res.returncode == 0 and res.stderr == ""
+        assert parse_rational(kv(res.stdout)["value"]) == solve_exact(inst).value
 
     def test_fixed_order(self, diamond_file):
         res = run_cli("fixed-order", "--input", diamond_file)

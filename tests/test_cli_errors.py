@@ -15,7 +15,7 @@ import pytest
 from pandorabox import CapExceededError, dump_instance
 from pandorabox.core import MAX_DOCUMENT_BYTES, MAX_SIDE_ENTRIES
 from pandorabox.instances import ADAPTIVITY_GAP_BOX_CAP, adaptivity_gap, figure1_tree_matroid, guard_line
-from pandorabox.oracle import SCANNED_STATE_CAP
+from pandorabox.oracle import BUILT_CELL_CAP, SCANNED_STATE_CAP
 from pandorabox.strategy import MAX_TRIALS
 
 from test_cli import run_cli
@@ -345,8 +345,7 @@ def test_simulate_over_the_trials_cap_exits_3(tmp_path, trials, got):
 @pytest.mark.parametrize(
     "argv, n, message",
     [
-        # rewards 1..4 and 0 make a grid of 5 values
-        (["oracle"], 20, "state estimate 2^20 * 5 = 5242880 exceeds cap 5000000"),
+        (["oracle"], 21, "oracle handles at most 20 boxes, got 21"),
         (["fixed-order"], 11, "fixed-order enumeration handles at most 10 boxes, got 11"),
         (["approx", "--verify"], 13, "set enumeration handles at most 12 boxes, got 13"),
     ],
@@ -363,30 +362,35 @@ def test_exhaustive_commands_over_their_caps_exit_3(tmp_path, argv, n, message):
 
 
 @pytest.mark.parametrize(
-    "dimension, capacity, message",
+    "weights, message",
     [
-        (5, 1, "oracle dimension 5 exceeds 4"),
-        # (20 + 1) positions * 5 grid values * 201^4 loads
-        (4, 200, "table would need 171385284105 cells, cap is 2000000"),
+        (lambda k: [1] * 5, "oracle dimension 5 exceeds 4"),
+        # about 250 000 distinct loads reachable: over 2 * 10^6 cells at 21 grid values per load
+        (lambda k: [k + 1, k * k % 17 + 1, (3 * k + 5) % 19 + 1, (7 * k + 2) % 13 + 1],
+         "more than 2000000 table cells to build; instance too large"),
     ],
     ids=["dimension", "cells"],
 )
-def test_approx_over_its_table_caps_exits_3(tmp_path, dimension, capacity, message):
+def test_approx_over_its_table_caps_exits_3(tmp_path, weights, message):
+    # 20 free boxes of sure rewards 1..20 (a grid of 21 values) under a knapsack side of capacity 200
     ids = [f"b{k:02d}" for k in range(20)]
-    doc = {"boxes": [{"id": box_id, "cost": "1", "reward": [{"value": str(k % 4 + 1), "prob": "1"}]}
+    doc = {"boxes": [{"id": box_id, "cost": "1", "reward": [{"value": str(k + 1), "prob": "1"}]}
                      for k, box_id in enumerate(ids)],
-           "side": {"kind": "knapsack", "weights": {box_id: [1] * dimension for box_id in ids},
-                    "capacity": [capacity] * dimension}}
+           "side": {"kind": "knapsack", "weights": {box_id: weights(k) for k, box_id in enumerate(ids)},
+                    "capacity": [200] * len(weights(0))}}
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(doc))
+    start = time.perf_counter()
     res = run_cli("approx", "--input", str(path))
+    assert time.perf_counter() - start < 5
     assert_clean_exit_3(res)
     assert res.stderr == f"error: {message}\n"
 
 
 def test_oracle_refuses_a_side_dimension_over_the_cap_before_building(tmp_path):
     # 12 free coins and 20 000 zero-weight dimensions: every one of the 4 096 sets is expanded, and
-    # every opening adds a 20 000-entry load (seconds of work if it ran)
+    # every opening adds a 20 000-entry load, so the count passes the cap at the 251st set built,
+    # before the rest of them (seconds of work if it ran)
     d = 20_000
     boxes = [{"id": f"b{k:02d}", "cost": "0", "reward": [{"value": str(k + 1), "prob": "1/2"},
                                                          {"value": "0", "prob": "1/2"}]}
@@ -399,12 +403,30 @@ def test_oracle_refuses_a_side_dimension_over_the_cap_before_building(tmp_path):
     res = run_cli("oracle", "--input", str(path))
     assert time.perf_counter() - start < 2
     assert_clean_exit_3(res)
-    assert res.stderr == f"error: load estimate 2^12 * {d} (side dimension) = {4096 * d} exceeds cap 5000000\n"
+    assert res.stderr == f"error: more than {BUILT_CELL_CAP} cells to build; instance too large\n"
+
+
+def test_oracle_refuses_more_row_cells_than_its_cap(tmp_path):
+    # a sure 600 and 16 boxes of 0 w.p. 1/2 and 60 values above 1 000, each priced to index 500: only the
+    # 2^16 states at best reward 0 are scanned, under SCANNED_STATE_CAP, but every set built holds a row
+    # over the 962-value grid (above a GB of rows and tens of seconds if it ran)
+    boxes = [{"id": "a00", "cost": "100", "reward": [{"value": "600", "prob": "1"}]}]
+    for k in range(1, 17):
+        values = [1001 + 60 * k + j for j in range(60)]
+        boxes.append({"id": f"b{k:02d}", "cost": str(sum(F(v - 500, 120) for v in values)),
+                      "reward": [{"value": "0", "prob": "1/2"}] + [{"value": str(v), "prob": "1/120"} for v in values]})
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"boxes": boxes}))
+    start = time.perf_counter()
+    res = run_cli("oracle", "--input", str(path))
+    assert time.perf_counter() - start < 2
+    assert_clean_exit_3(res)
+    assert res.stderr == f"error: more than {BUILT_CELL_CAP} cells to build; instance too large\n"
 
 
 def test_oracle_refuses_more_scanned_states_than_its_cap(tmp_path):
-    # 19 free boxes of cost 10^-6 on one 9-point grid pass the 2^19 * 9 estimate, but every state below
-    # a best reward of 8 is scanned: millions of them, tens of seconds and hundreds of MB if it ran
+    # 19 free boxes of cost 10^-6 on one 9-point grid build 2^19 * 9 cells, under the cap, but every
+    # state below a best reward of 8 is scanned: millions of them, tens of seconds and hundreds of MB
     doc = {"boxes": [{"id": f"b{k:02d}", "cost": "1/1000000",
                       "reward": [{"value": str(v), "prob": "1/8"} for v in range(1, 9)]} for k in range(19)]}
     path = tmp_path / "inst.json"

@@ -8,7 +8,11 @@ probabilities (the factor 3/7 also brings a new denominator into the common
 denominator of the integer DPs, and keeps every fixed-order tie);
 renaming the boxes leaves every value unchanged; adding a free zero box as a
 separate root changes no value and no other threshold.  The oracle's
-reward/cost split (e_max, e_cost) is checked under all three.
+reward/cost split (e_max, e_cost) is checked under all three, and on DAGs
+under scaling and a renaming that keeps the ids' order (a tie goes to the
+smallest id, and a tie between optimal actions can change the split, not
+the value).  The approx sweep visits siblings in ascending id, and its
+value can depend on that pre-order, so it too is renamed keeping the order.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from pandorabox import (
     ConstraintKind,
     DiscreteDistribution,
     Instance,
+    MatroidSideConstraint,
     ThresholdPolicy,
     best_fixed_order,
     best_half_reward_benchmark,
@@ -37,6 +42,7 @@ from pandorabox import (
 from helpers import (
     line_instance_of,
     rand_forest_of_paths,
+    rand_graph_instance,
     rand_knapsack_side,
     rand_line_boxes,
     rand_partition_side,
@@ -81,14 +87,20 @@ def scaled(instance: Instance, lam: Fraction) -> Instance:
     return Instance(boxes=boxes, constraint=instance.constraint, side=instance.side)
 
 
-def renamed(instance: Instance, rng: random.Random) -> Instance:
+def renamed(instance: Instance, rng: random.Random | None) -> Instance:
+    """New ids in a random order, or in the old ids' order when ``rng`` is None; the side is renamed too."""
     ids = [b.id for b in instance.boxes]
     new_ids = [f"r{k:02d}" for k in range(len(ids))]
-    rng.shuffle(new_ids)
+    if rng is None:
+        ids = sorted(ids)
+    else:
+        rng.shuffle(new_ids)
     name = dict(zip(ids, new_ids))
     boxes = tuple(BoxSpec(name[b.id], b.cost, b.reward) for b in instance.boxes)
     edges = tuple((name[p], name[c]) for p, c in instance.constraint.edges)
-    return validate_instance(Instance(boxes=boxes, constraint=ConstraintGraph(instance.constraint.kind, edges)))
+    side = instance.side
+    side = MatroidSideConstraint(side.kind, {name[k]: w for k, w in side.weights.items()}, side.capacity)
+    return validate_instance(Instance(boxes, ConstraintGraph(instance.constraint.kind, edges), side))
 
 
 def with_free_root(instance: Instance) -> Instance:
@@ -142,6 +154,28 @@ def test_renaming_ids_keeps_values():
         assert (other_exact.value, other_exact.e_max, other_exact.e_cost) == (exact.value, exact.e_max, exact.e_cost)
         # neither the stop indices nor the skipped openings depend on the ids or the tie-break
         assert other_exact._stops == exact._stops and len(other_exact._policy) == len(exact._policy)
+        assert best_fixed_order(other)[1] == best_fixed_order(inst)[1]
+        ids = [b.id for b in inst.boxes]
+        sided = with_side(inst, rand_knapsack_side(rng, ids) if rng.random() < 0.5 else rand_partition_side(rng, ids))
+        assert solve_approx(renamed(sided, None)).value == solve_approx(sided).value
+
+
+def test_dag_oracle_under_scaling_and_renaming():
+    rng = random.Random(109)
+    for _ in range(40):
+        inst = rand_graph_instance(rng, rng.randint(1, 7), ConstraintKind.DAG)
+        exact = solve_exact(inst)
+        _, fixed_value = best_fixed_order(inst)
+        # argmax ties go to the smallest id, so the split is kept only where the ids keep their order
+        for other, factor, same_ties in ((scaled(inst, LAMBDA), LAMBDA, True), (renamed(inst, None), 1, True),
+                                         (renamed(inst, rng), 1, False)):
+            other_exact = solve_exact(other)
+            assert other_exact.value == factor * exact.value
+            if same_ties:
+                assert (other_exact.e_max, other_exact.e_cost) == (factor * exact.e_max, factor * exact.e_cost)
+            # the stop indices scale with the grid and ignore the ids, so the same states are scanned
+            assert other_exact._stops == exact._stops and len(other_exact._policy) == len(exact._policy)
+            assert best_fixed_order(other)[1] == factor * fixed_value
 
 
 def test_free_zero_root_keeps_values_and_thresholds():

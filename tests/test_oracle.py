@@ -20,10 +20,11 @@ from pandorabox import (
     best_half_reward_benchmark,
     solve_exact,
     solve_line,
+    solve_tree,
     weitzman_reservation,
 )
 from pandorabox import oracle
-from pandorabox.core import integer_boxes
+from pandorabox.core import OrderModel, integer_boxes
 from pandorabox.instances import figure1
 
 from helpers import (
@@ -98,14 +99,67 @@ class TestSolveExact:
             solve_exact(Instance(boxes=boxes))
 
     def test_side_dimension_cap_covers_every_engine(self):
-        # 2^10 opened sets times a 5 000-dimensional load is over STATE_ESTIMATE_CAP
-        boxes = tuple(coin_box(f"b{i:02d}") for i in range(10))
+        # all 2^10 opened sets are reachable, each with a 5 000-entry load: 5.12 * 10^6 cells, past
+        # BUILT_CELL_CAP (a top reward of 6 keeps every box worth opening at doubled cost too)
+        boxes = tuple(coin_box(f"b{i:02d}", top=6) for i in range(10))
         d = 5_000
         side = MatroidSideConstraint.knapsack({b.id: (0,) * d for b in boxes}, (1,) * d)
         inst = Instance(boxes=boxes, side=side)
         for engine in (solve_exact, best_half_reward_benchmark, best_fixed_order):
-            with pytest.raises(CapExceededError, match=r"^load estimate 2\^10 \* 5000 \(side dimension\)"):
+            with pytest.raises(CapExceededError, match=r"^more than 5000000 cells to build; instance too large$"):
                 engine(inst)
+
+    def test_built_cell_cap_counts_the_sets_built(self, monkeypatch):
+        # each set built, the root and every child tried (one OrderModel.add each, overflowing or not),
+        # costs max(|grid|, d) cells: a cap of exactly the call's count passes, and one cell less is refused
+        tried = []
+        add = OrderModel.add
+        monkeypatch.setattr(OrderModel, "add", lambda model, load, i: tried.append(i) or add(model, load, i))
+        rng = random.Random(59)
+        refused, cap = 0, oracle.BUILT_CELL_CAP
+        for _ in range(12):
+            inst = rand_case(rng, ConstraintKind.DAG, max_n=7)
+            per_set = max(len(inst.support_union()), len(inst.order_model.capacity))
+            for engine in (solve_exact, best_fixed_order, best_half_reward_benchmark):
+                monkeypatch.setattr(oracle, "BUILT_CELL_CAP", cap)
+                tried.clear()
+                result = engine(inst)
+                built = per_set * (1 + len(tried))
+                monkeypatch.setattr(oracle, "BUILT_CELL_CAP", built)
+                assert engine(inst) == result
+                if not tried:  # the root alone is charged but not checked: it is no larger than the input
+                    continue
+                monkeypatch.setattr(oracle, "BUILT_CELL_CAP", built - 1)
+                with pytest.raises(CapExceededError, match=f"^more than {built - 1} cells to build; instance too large$"):
+                    engine(inst)
+                refused += 1
+        assert refused >= 30
+
+    def test_built_cell_cap_never_refuses_a_call_inside_the_old_estimates(self, monkeypatch):
+        # every call with 2^n * |grid| and 2^n * d both within the cap builds at most 2^n sets of
+        # max(|grid|, d) cells each, so the count never refuses it
+        cap = 3_000
+        monkeypatch.setattr(oracle, "BUILT_CELL_CAP", cap)
+        rng = random.Random(61)
+        checked = 0
+        while checked < 40:
+            inst = rand_case(rng, rng.choice((ConstraintKind.TREE, ConstraintKind.DAG)), max_n=8)
+            if (1 << inst.n) * max(len(inst.support_union()), len(inst.order_model.capacity)) > cap:
+                continue
+            checked += 1
+            for engine in (solve_exact, best_fixed_order, best_half_reward_benchmark):
+                engine(inst)
+
+    def test_twenty_box_trees_match_the_tree_solver(self):
+        # 2^20 * |grid| is far over BUILT_CELL_CAP, but the sets these instances build are not
+        for seed in range(0, 40, 2):
+            inst = rand_tree_instance(random.Random(seed), 20)
+            assert solve_exact(inst).value == solve_tree(inst).value
+
+    def test_twenty_box_dags_solve(self):
+        for seed in range(1, 40, 2):
+            res = solve_exact(rand_graph_instance(random.Random(seed), 20, ConstraintKind.DAG))
+            assert res.value == res.e_max - res.e_cost >= 0
 
     def test_scanned_state_cap_counts_the_scanned_states(self, monkeypatch):
         # a call that scans exactly the cap's count of states passes, and one state more is refused
