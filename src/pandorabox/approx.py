@@ -26,6 +26,7 @@ strategy minus its full expected cost.  The sweep runs on ints over one
 common denominator (``core.integer_boxes``, no floats), in one value row and
 one action row over the grid per reached (position, load); opening is
 ``IntegerBoxes.step``, and a cell becomes a ``Fraction`` only when it is read.
+The rows built bound the sweep at any side dimension; the guarantee check caps it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .core import (
-    CAPACITY_FACTOR,
     CapExceededError,
     Instance,
     PreOrderIndex,
@@ -110,19 +110,11 @@ class ApproxPolicy(Record):
 
 
 def solve_approx(instance: Instance) -> ApproxPolicy:
-    """Backward sweep over the reachable (position, best-reward grid, oracle state) cells.  The
-    forward pass counts each (position, load) it reaches, a row of len(grid) cells, as it is
-    made, and raises ``CapExceededError`` once the cells pass ``TABLE_CELL_CAP``."""
+    """Backward sweep over the reachable (position, best-reward grid, oracle state) cells.  The forward
+    pass charges each (position, load) it reaches max(len(grid), d) cells, its grid row or the d-entry
+    loads of its two ``OrderModel.add`` calls, and raises ``CapExceededError`` past ``TABLE_CELL_CAP``."""
     preorder = build_preorder(instance)
     model = instance.order_model
-    if len(model.capacity) > MAX_ORACLE_DIMENSION:
-        raise CapExceededError(
-            f"oracle dimension {len(model.capacity)} exceeds {MAX_ORACLE_DIMENSION}"
-        )
-    bound = CAPACITY_FACTOR * instance.n
-    for cap in model.capacity:
-        if cap > bound:
-            raise CapExceededError(f"capacity entry {cap} exceeds the {bound} bound")
     grid = instance.support_union()
     n = preorder.n
 
@@ -135,7 +127,7 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
     # grid indices of the best reward it can hold there with that load
     reach: list[dict] = [{} for _ in range(n + 2)]
     reach[1][model.empty_load] = set(range(len(grid)))
-    cells = len(grid)
+    cells = per_row = max(len(grid), len(model.capacity))
     for i in range(1, n + 1):
         nxt, atoms = preorder.next_position[i - 1], ints.atoms[i - 1]
         for state, yks in reach[i].items():
@@ -144,7 +136,7 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
                 (nxt, state, yks), (i + 1, after_open, {vk if vk > yk else yk for yk in yks for vk, _ in atoms})]
             for pos, load, lifted in moves:
                 if load not in reach[pos]:
-                    cells += len(grid)
+                    cells += per_row
                     if cells > TABLE_CELL_CAP:
                         raise CapExceededError(f"more than {TABLE_CELL_CAP} table cells to build; instance too large")
                     reach[pos][load] = set()
@@ -301,13 +293,18 @@ def verify_guarantee(instance: Instance, policy: ApproxPolicy | None = None) -> 
         (exhaustive enumeration), and
     (b) the executed policy earns at least half the optimal strategy's
         expected best reward minus its full expected cost.
+
+    The set walk and the executed value pay the side's dimension d per step, with no
+    count, so more than ``MAX_ORACLE_DIMENSION`` dimensions or ``SET_ENUMERATION_CAP``
+    boxes are refused before any sweep (that of a missing ``policy`` included).
     """
+    build_preorder(instance)  # a constraint the sweep cannot take is refused first, as the sweep does
+    if len(instance.side.capacity) > MAX_ORACLE_DIMENSION:
+        raise CapExceededError(f"oracle dimension {len(instance.side.capacity)} exceeds {MAX_ORACLE_DIMENSION}")
+    if instance.n > SET_ENUMERATION_CAP:
+        raise CapExceededError(f"set enumeration handles at most {SET_ENUMERATION_CAP} boxes, got {instance.n}")
     if policy is None:
         policy = solve_approx(instance)
-    if instance.n > SET_ENUMERATION_CAP:
-        raise CapExceededError(
-            f"set enumeration handles at most {SET_ENUMERATION_CAP} boxes, got {instance.n}"
-        )
     set_margin, worst_set, n_sets = _enumerate_set_margin(instance, policy)
     executed = exact_policy_value(instance, policy)
 

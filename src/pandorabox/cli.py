@@ -163,14 +163,14 @@ def cmd_approx(args, instance: Instance) -> list[tuple[str, object]]:
     from .approx import solve_approx, verify_guarantee
     if args.capacity is not None:
         instance = _override_capacity(instance, args.capacity)
-    policy = solve_approx(instance)
-    pairs: list[tuple[str, object]] = [("value", policy.value)]
-    if args.verify:
-        report = verify_guarantee(instance, policy)
-        pairs += [("executed_value", report.executed_value), ("set_margin", report.set_margin),
-                  ("worst_set", ",".join(report.worst_set)), ("feasible_sets", report.feasible_sets)]
-        if report.benchmark_margin is not None:
-            pairs += [("benchmark_margin", report.benchmark_margin), ("oracle_value", report.oracle_value)]
+    if not args.verify:
+        return [("value", solve_approx(instance).value)]
+    report = verify_guarantee(instance)  # refuses over its caps before it sweeps
+    pairs: list[tuple[str, object]] = [
+        ("value", report.policy_value), ("executed_value", report.executed_value), ("set_margin", report.set_margin),
+        ("worst_set", ",".join(report.worst_set)), ("feasible_sets", report.feasible_sets)]
+    if report.benchmark_margin is not None:
+        pairs += [("benchmark_margin", report.benchmark_margin), ("oracle_value", report.oracle_value)]
     return pairs
 
 

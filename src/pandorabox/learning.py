@@ -83,6 +83,8 @@ class LearningConfig(Record):
             raise ValidationError("epsilon and delta must lie in (0, 1)")
         if (1 / self.epsilon).denominator != 1:  # epsilon is the grid step
             raise ValidationError(f"grid step {describe_rational(self.epsilon)} must divide 1 exactly")
+        if not (math.isfinite(self.constant) and self.constant > 0):
+            raise ValidationError(f"constant {self.constant} must be finite and positive")
 
     def sample_count(self, n: int) -> int:
         if self.samples_per_box is not None:

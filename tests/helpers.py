@@ -169,15 +169,15 @@ def rand_forest_of_paths(rng: random.Random, max_paths: int = 3, max_total: int 
     return Instance(boxes=tuple(boxes), constraint=ConstraintGraph(kind, tuple(edges)))
 
 
-def rand_knapsack_side(rng: random.Random, ids, max_dim: int = 2) -> MatroidSideConstraint:
-    d = rng.randint(1, max_dim)
+def rand_knapsack_side(rng: random.Random, ids, max_dim: int = 2, min_dim: int = 1) -> MatroidSideConstraint:
+    d = rng.randint(min_dim, max_dim)
     weights = {i: tuple(rng.randint(0, 3) for _ in range(d)) for i in ids}
     capacity = tuple(rng.randint(1, 2 * len(list(ids)) + 2) for _ in range(d))
     return MatroidSideConstraint.knapsack(weights, capacity)
 
 
-def rand_partition_side(rng: random.Random, ids, max_parts: int = 3) -> MatroidSideConstraint:
-    k = rng.randint(1, max_parts)
+def rand_partition_side(rng: random.Random, ids, max_parts: int = 3, min_parts: int = 1) -> MatroidSideConstraint:
+    k = rng.randint(min_parts, max_parts)
     return MatroidSideConstraint.partition(
         {i: rng.randrange(k) for i in ids}, tuple(rng.randint(0, 3) for _ in range(k))
     )

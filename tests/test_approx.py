@@ -18,6 +18,7 @@ from pandorabox import (
     MatroidSideConstraint,
     UnsupportedConstraintError,
     ValidationError,
+    best_half_reward_benchmark,
     build_preorder,
     dump_instance,
     evaluate_set,
@@ -159,14 +160,31 @@ class TestKnapsackOracle:
         assert model.load_of(0) == (0,)
 
     def test_capacity_bound(self):
-        side = MatroidSideConstraint.knapsack({"a": (1,), "b": (1,)}, (100,))
-        with pytest.raises(CapExceededError):
-            solve_approx(with_side(Instance(boxes=(coin_box("a"), coin_box("b"))), side))
+        # a capacity above every reachable load (and above 10n, which only documents refuse)
+        # solves like a tight one: the sweep is bounded by the loads it reaches
+        boxes = (coin_box("a"), coin_box("b"))
+        loose, tight = (solve_approx(with_side(Instance(boxes=boxes), MatroidSideConstraint.knapsack(
+            {"a": (1,), "b": (1,)}, (cap,)))) for cap in (100, 2))
+        assert loose.value == tight.value == F(3, 4)
+        assert dict(loose.actions) == dict(tight.actions)
 
-    def test_dimension_bound(self):
+    def test_dimension_bound(self, monkeypatch):
+        # the sweep takes a side of any dimension; the guarantee check refuses more than 4
+        # dimensions, and more than 12 boxes, before it sweeps
         side = MatroidSideConstraint.knapsack({"a": (1,) * 5}, (1,) * 5)
-        with pytest.raises(CapExceededError):
-            solve_approx(with_side(Instance(boxes=(coin_box("a"),)), side))
+        inst = with_side(Instance(boxes=(coin_box("a"),)), side)
+        policy = solve_approx(inst)
+        assert policy.value == F(1, 2) and exact_policy_value(inst, policy) == policy.value
+        swept = []
+        monkeypatch.setattr(approx, "solve_approx", lambda instance: swept.append(instance))
+        with pytest.raises(CapExceededError, match=r"^oracle dimension 5 exceeds 4$"):
+            verify_guarantee(inst)
+        with pytest.raises(CapExceededError, match=r"^oracle dimension 5 exceeds 4$"):
+            verify_guarantee(inst, policy)
+        wide = cardinality(Instance(boxes=tuple(coin_box(f"b{k:02d}") for k in range(13))), 2)
+        with pytest.raises(CapExceededError, match=r"^set enumeration handles at most 12 boxes, got 13$"):
+            verify_guarantee(wide)
+        assert swept == []
 
 
 class TestSolveApprox:
@@ -236,19 +254,45 @@ class TestSolveApprox:
             solve_approx(with_side(inst, side))
 
     def test_table_cell_cap_counts_the_reached_loads(self, monkeypatch):
-        # a cap of exactly |grid| cells per reached (position, load) passes, and one cell less is refused
+        # a cap of exactly max(|grid|, d) cells per reached (position, load) passes, and one cell less
+        # is refused
         rng, cap = random.Random(79), approx.TABLE_CELL_CAP
         for _ in range(20):
             inst = rand_case(rng, ConstraintKind.TREE, max_n=8)
             monkeypatch.setattr(approx, "TABLE_CELL_CAP", cap)
             policy = solve_approx(inst)
-            cells = len(policy.values._rows) * len(policy.grid)
+            cells = len(policy.values._rows) * max(len(policy.grid), len(inst.order_model.capacity))
             monkeypatch.setattr(approx, "TABLE_CELL_CAP", cells)
             again = solve_approx(inst)
             assert again.value == policy.value and dict(again.actions) == dict(policy.actions)
             monkeypatch.setattr(approx, "TABLE_CELL_CAP", cells - 1)
             with pytest.raises(CapExceededError, match=f"^more than {cells - 1} table cells to build"):
                 solve_approx(inst)
+
+    def test_wide_sides_solve_between_the_oracle_bounds(self, monkeypatch):
+        # 5- to 12-dimensional knapsacks and 5- to 9-part partitions, past the guarantee check's
+        # dimension cap: the sweep's value is achieved, at most the optimum and at least the half-reward
+        # benchmark, and its cell count charges d per row where d exceeds the grid
+        rng, cap = random.Random(89), approx.TABLE_CELL_CAP
+        over_grid = 0
+        for k in range(48):
+            inst = rand_tree_instance(rng, rng.randint(1, 7))
+            ids = [b.id for b in inst.boxes]
+            inst = with_side(inst, rand_knapsack_side(rng, ids, max_dim=12, min_dim=5) if k % 2
+                             else rand_partition_side(rng, ids, max_parts=9, min_parts=5))
+            monkeypatch.setattr(approx, "TABLE_CELL_CAP", cap)
+            policy = solve_approx(inst)
+            assert best_half_reward_benchmark(inst) <= policy.value <= solve_exact(inst).value
+            assert exact_policy_value(inst, policy) == policy.value
+            d = len(inst.order_model.capacity)
+            over_grid += d > len(policy.grid)
+            cells = len(policy.values._rows) * max(len(policy.grid), d)
+            monkeypatch.setattr(approx, "TABLE_CELL_CAP", cells)
+            assert solve_approx(inst).value == policy.value
+            monkeypatch.setattr(approx, "TABLE_CELL_CAP", cells - 1)
+            with pytest.raises(CapExceededError, match=f"^more than {cells - 1} table cells to build"):
+                solve_approx(inst)
+        assert over_grid >= 10
 
     def test_table_cell_cap_never_refuses_a_call_inside_the_old_estimate(self, monkeypatch):
         # (n + 1) * |grid| * prod(cap + 1) bounds the reached (position, load) rows of |grid| cells

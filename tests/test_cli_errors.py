@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pandorabox import CapExceededError, dump_instance
+from pandorabox import CapExceededError, dump_instance, format_rational, load_instance, solve_approx, solve_exact
 from pandorabox.core import MAX_DOCUMENT_BYTES, MAX_SIDE_ENTRIES
 from pandorabox.instances import ADAPTIVITY_GAP_BOX_CAP, adaptivity_gap, figure1_tree_matroid, guard_line
 from pandorabox.oracle import BUILT_CELL_CAP, SCANNED_STATE_CAP
@@ -195,6 +195,9 @@ LEARNABLE = {
     [
         ("--constant", "nan", 2),
         ("--constant", "inf", 2),
+        ("--constant", "0", 2),
+        ("--constant", "-1", 2),
+        ("--samples 5 --constant", "nan", 2),  # refused even where no sample bound is taken
         ("--constant", "1e300", 3),  # a finite bound far above an int64 count
         ("--samples", "100000000000000000000", 3),
     ],
@@ -203,10 +206,11 @@ def test_learn_sample_count_out_of_range_exits_cleanly(tmp_path, flag, value, co
     path = tmp_path / "learnable.json"
     path.write_text(json.dumps(LEARNABLE))
     res = run_cli("learn", "--input", str(path), "--epsilon", "1/10", "--delta", "1/10",
-                  "--seed", "7", flag, value)
+                  "--seed", "7", *flag.split(), value)
     assert res.returncode == code
-    assert res.stderr.startswith("error: ")
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
     assert "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -362,16 +366,17 @@ def test_exhaustive_commands_over_their_caps_exit_3(tmp_path, argv, n, message):
 
 
 @pytest.mark.parametrize(
-    "weights, message",
+    "flags, weights, message",
     [
-        (lambda k: [1] * 5, "oracle dimension 5 exceeds 4"),
+        # the sweep takes 5 dimensions; the guarantee check refuses them before it sweeps
+        (["--verify"], lambda k: [1] * 5, "oracle dimension 5 exceeds 4"),
         # about 250 000 distinct loads reachable: over 2 * 10^6 cells at 21 grid values per load
-        (lambda k: [k + 1, k * k % 17 + 1, (3 * k + 5) % 19 + 1, (7 * k + 2) % 13 + 1],
+        ([], lambda k: [k + 1, k * k % 17 + 1, (3 * k + 5) % 19 + 1, (7 * k + 2) % 13 + 1],
          "more than 2000000 table cells to build; instance too large"),
     ],
     ids=["dimension", "cells"],
 )
-def test_approx_over_its_table_caps_exits_3(tmp_path, weights, message):
+def test_approx_over_its_table_caps_exits_3(tmp_path, flags, weights, message):
     # 20 free boxes of sure rewards 1..20 (a grid of 21 values) under a knapsack side of capacity 200
     ids = [f"b{k:02d}" for k in range(20)]
     doc = {"boxes": [{"id": box_id, "cost": "1", "reward": [{"value": str(k + 1), "prob": "1"}]}
@@ -381,10 +386,30 @@ def test_approx_over_its_table_caps_exits_3(tmp_path, weights, message):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(doc))
     start = time.perf_counter()
-    res = run_cli("approx", "--input", str(path))
+    res = run_cli("approx", "--input", str(path), *flags)
     assert time.perf_counter() - start < 5
     assert_clean_exit_3(res)
     assert res.stderr == f"error: {message}\n"
+
+
+def test_approx_solves_a_side_of_five_parts_and_verify_refuses_it(tmp_path):
+    # five free boxes, each alone in a part of capacity 1: the side constrains nothing
+    ids = [f"b{k}" for k in range(5)]
+    doc = {"boxes": [{"id": box_id, "cost": "1", "reward": [{"value": str(2 * k + 3), "prob": "1/2"},
+                                                            {"value": "0", "prob": "1/2"}]}
+                     for k, box_id in enumerate(ids)],
+           "side": {"kind": "partition", "parts": {box_id: k for k, box_id in enumerate(ids)},
+                    "capacities": [1] * 5}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    inst = load_instance(path.read_text())
+    value = solve_approx(inst).value
+    assert value <= solve_exact(inst).value
+    res = run_cli("approx", "--input", str(path))
+    assert (res.returncode, res.stdout, res.stderr) == (0, f"value={format_rational(value)}\n", "")
+    res = run_cli("approx", "--input", str(path), "--verify")
+    assert_clean_exit_3(res)
+    assert res.stderr == "error: oracle dimension 5 exceeds 4\n"
 
 
 def test_oracle_refuses_a_side_dimension_over_the_cap_before_building(tmp_path):

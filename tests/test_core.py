@@ -290,6 +290,10 @@ class TestWeitzmanReservation:
         assert weitzman_reservation(BoxSpec("a", F(0), DiscreteDistribution.point(2))) == 2
         assert weitzman_reservation(BoxSpec("a", F(2), DiscreteDistribution.point(1))) == -1
 
+    def test_negative_cost_is_refused_naming_the_box(self):
+        with pytest.raises(ValidationError, match=r"^box 'neg' has negative cost -1/2$"):
+            weitzman_reservation(BoxSpec("neg", F(-1, 2), DiscreteDistribution.point(1)))
+
     def test_root_property_and_minimality(self):
         rng = random.Random(7)
         for _ in range(200):

@@ -192,6 +192,13 @@ class TestLearnModel:
         model = learn_model(inst, config, rng_seed=1)
         assert model.distribution("a").atoms == ((F(1, 4), F(1)),)
 
+    def test_an_atom_no_sample_draws_is_left_out(self):
+        box = BoxSpec("a", F(0), DiscreteDistribution.of([(F(0), F(999, 1000)), (F(1), F(1, 1000))]))
+        config = LearningConfig(F(1, 4), F(1, 10), samples_per_box=3)
+        model = learn_model(Instance(boxes=(box,)), config, rng_seed=1)
+        assert model.counts == {"a": ((0, 3),)}
+        assert model.distribution("a").atoms == ((F(0), F(1)),)
+
     def test_probabilities_are_exact_counts(self):
         rng = random.Random(5)
         inst = unit_tree(rng, 4)
