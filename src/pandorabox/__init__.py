@@ -26,7 +26,7 @@ _HOMES = {
     "oracle": ("OracleResult", "best_fixed_order", "best_half_reward_benchmark", "solve_exact"),
     "approx": ("ApproxPolicy", "GuaranteeReport", "exact_policy_value", "solve_approx", "verify_guarantee"),
     "learning": ("EmpiricalModel", "LearnReport", "LearningConfig", "learn_and_solve", "learn_model", "sample_bound"),
-    "instances": ("adaptivity_gap", "figure1", "figure1_tree_matroid", "guard_line"),
+    "instances": ("adaptivity_gap", "figure1", "guard_line"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

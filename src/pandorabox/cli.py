@@ -3,8 +3,9 @@
 Every command is deterministic given its arguments; randomized commands
 require an explicit --seed.  Output is a flat key=value block, or a JSON
 object with the same keys under --json.  Exit codes: 0 success, 2 input or
-validation error, 3 unsupported constraint or cap exceeded, 4 internal
-invariant violation.  Each command imports only the solver modules it runs.
+validation error or a failed write of the output, 3 unsupported constraint or
+cap exceeded, 4 internal invariant violation.  Each command imports only the
+solver modules it runs.
 
 Every command is a function ``cmd_<name>(args, instance)`` that turns its
 flags and the instance read from ``--input`` (None for ``example``, which
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -345,7 +347,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         instance = _read_instance(args.input) if "input" in args else None
-        emit(args.func(args, instance), args.json)
+        pairs = args.func(args, instance)
+        try:
+            emit(pairs, args.json)
+            sys.stdout.flush()
+        except OSError as exc:  # a full disk or a closed pipe; devnull takes the exit flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ParseError(f"cannot write output: {exc}") from None
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

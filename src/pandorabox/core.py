@@ -238,8 +238,11 @@ class DiscreteDistribution(Record):
 
 
 class IntDistribution:
-    """Atoms on ints: value ``keys[k] / scale`` with probability ``probs[k] / den``; checked by
-    int comparisons: keys strictly increasing from 0 or above, numerators positive summing to ``den``.
+    """Atoms on ints: value ``keys[k] / scale`` with probability ``probs[k] / den``, keys strictly
+    increasing from 0 or above, numerators positive summing to ``den``.  Stored unchecked: a
+    reward's int form comes from atoms :class:`DiscreteDistribution` has checked, and a max, a
+    capped value or the evaluation's running best is built sorted with positive CDF increments
+    (the tests' ``int_distribution_violation`` guard checks every such build).
 
     ``carrier`` is an int at most ``den`` that every prime of ``den`` divides (``den`` itself
     when not given or larger).  A common factor of the numerators divides ``den``, so gcds
@@ -249,9 +252,6 @@ class IntDistribution:
     __slots__ = ("keys", "scale", "probs", "den", "carrier")
 
     def __init__(self, keys: list[int], scale: int, probs: list[int], den: int, carrier: int | None = None) -> None:
-        if (not keys or len(keys) != len(probs) or keys[0] < 0 or min(probs) <= 0 or sum(probs) != den
-                or not all(map(operator.lt, keys, keys[1:]))):
-            raise InvariantError(f"{len(keys)} keys and {len(probs)} numerators are not a distribution")
         self.keys, self.scale, self.probs, self.den = keys, scale, probs, den
         self.carrier = den if carrier is None or carrier > den else carrier
 

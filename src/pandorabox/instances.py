@@ -12,7 +12,6 @@ from .core import (
     ConstraintKind,
     DiscreteDistribution,
     Instance,
-    MatroidSideConstraint,
     ValidationError,
     describe_rational,
     validate_instance,
@@ -59,28 +58,6 @@ def figure1(epsilon: Fraction = F(3, 2)) -> Instance:
         roots=("A",),
     )
     return validate_instance(Instance(boxes=boxes, constraint=constraint))
-
-
-def figure1_tree_matroid(epsilon: Fraction = F(3, 2)) -> Instance:
-    """Tree variant of :func:`figure1`: the shared sink is split into two
-    copies E and F (one per branch) and a cardinality-4 side constraint
-    keeps at most one of them reachable in any feasible set."""
-    base = figure1(epsilon)
-    a, b, c, d = base.boxes
-    boxes = (
-        a,
-        b,
-        c,
-        BoxSpec("E", d.cost, d.reward),
-        BoxSpec("F", d.cost, d.reward),
-    )
-    constraint = ConstraintGraph(
-        kind=ConstraintKind.TREE,
-        edges=(("A", "B"), ("A", "C"), ("B", "E"), ("C", "F")),
-        roots=("A",),
-    )
-    side = MatroidSideConstraint.knapsack({box.id: (1,) for box in boxes}, (4,))
-    return validate_instance(Instance(boxes=boxes, constraint=constraint, side=side))
 
 
 def adaptivity_gap(p: Fraction = F(1, 10), n: int | None = None) -> Instance:

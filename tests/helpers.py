@@ -25,6 +25,7 @@ from pandorabox import (
     ThresholdPolicy,
     ValidationError,
     build_preorder,
+    figure1,
     feasible_next,
     fixed_opening_order,
     merge,
@@ -145,6 +146,28 @@ def distinct_value_line(n: int, seed: int = 0) -> Instance:
     values = rng.sample(range(1, 10**6 + 1), n)
     return line_instance_of([BoxSpec(f"b{k:04d}", F(k + 1, 100), DiscreteDistribution.of([(0, F(1, 2)), (v, F(1, 2))]))
                              for k, v in enumerate(values)])
+
+
+def figure1_tree_matroid(epsilon: Fraction = F(3, 2)) -> Instance:
+    """Tree variant of :func:`figure1`: the shared sink is split into two
+    copies E and F (one per branch) and a cardinality-4 side constraint
+    keeps at most one of them reachable in any feasible set."""
+    base = figure1(epsilon)
+    a, b, c, d = base.boxes
+    boxes = (
+        a,
+        b,
+        c,
+        BoxSpec("E", d.cost, d.reward),
+        BoxSpec("F", d.cost, d.reward),
+    )
+    constraint = ConstraintGraph(
+        kind=ConstraintKind.TREE,
+        edges=(("A", "B"), ("A", "C"), ("B", "E"), ("C", "F")),
+        roots=("A",),
+    )
+    side = MatroidSideConstraint.knapsack({box.id: (1,) for box in boxes}, (4,))
+    return validate_instance(Instance(boxes=boxes, constraint=constraint, side=side))
 
 
 def rand_tree_instance(rng: random.Random, n: int) -> Instance:
@@ -318,6 +341,36 @@ def expected_excess(dist: DiscreteDistribution, z: Fraction) -> Fraction:
         if v > z:
             total += p * (v - z)
     return total
+
+
+# Int forms (keys over scale 1, numerators, den) that break the invariant, one way each
+MALFORMED_INT_FORMS = [
+    ([], [], 1),  # no atom
+    ([0, 2, 2], [1, 1, 1], 3),  # keys not strictly increasing
+    ([3, 1], [1, 1], 2),
+    ([-1, 2], [1, 1], 2),  # negative value
+    ([0, 2], [0, 2], 2),  # a numerator that is not positive
+    ([0, 2], [-1, 3], 2),
+    ([0, 2], [1, 1], 3),  # numerators that do not sum to den
+    ([0, 2], [1, 1, 1], 3),  # more numerators than keys
+]
+
+
+def int_distribution_violation(d) -> str | None:
+    """What is wrong with a ``core.IntDistribution``, or None: its keys must be
+    strictly increasing from 0 or above, its numerators positive and summing to
+    ``den``, one numerator per key.  ``IntDistribution`` stores its fields
+    unchecked, so the tests hold this check for every one the solvers build."""
+    keys, probs = d.keys, d.probs
+    if not keys or len(keys) != len(probs):
+        return f"{len(keys)} keys and {len(probs)} numerators"
+    if keys[0] < 0 or any(a >= b for a, b in zip(keys, keys[1:])):
+        return f"keys {keys} are not strictly increasing from 0 or above"
+    if min(probs) <= 0:
+        return f"numerators {probs} are not all positive"
+    if sum(probs) != d.den:
+        return f"numerators sum to {sum(probs)}, not den {d.den}"
+    return None
 
 
 def int_distribution(ints) -> DiscreteDistribution:

@@ -31,10 +31,11 @@ from pandorabox import (
 )
 from pandorabox import approx, cli
 from pandorabox.approx import _enumerate_set_margin
-from pandorabox.instances import figure1, figure1_tree_matroid, guard_line
+from pandorabox.instances import figure1, guard_line
 
 from helpers import (
     brute_max_distribution,
+    figure1_tree_matroid,
     graph_children,
     graph_parents,
     rand_box,

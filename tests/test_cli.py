@@ -11,7 +11,7 @@ import pytest
 from pandorabox import ConstraintKind, dump_instance, load_instance, parse_rational, solve_exact
 from pandorabox.instances import figure1, guard_line
 
-from helpers import rand_graph_instance
+from helpers import figure1_tree_matroid, rand_graph_instance
 
 F = Fraction
 
@@ -153,8 +153,6 @@ class TestOtherCommands:
         assert parse_rational(out["value"]) == F(1251, 320)
 
     def test_approx_with_verify(self, tmp_path):
-        from pandorabox.instances import figure1_tree_matroid
-
         path = tmp_path / "tm.json"
         path.write_text(dump_instance(figure1_tree_matroid()))
         res = run_cli("approx", "--input", str(path), "--verify")

@@ -3,8 +3,10 @@ size cap in exit 3, each with a one-line message, never a traceback."""
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,12 +14,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from pandorabox import CapExceededError, dump_instance, format_rational, load_instance, solve_approx, solve_exact
+from pandorabox import (CapExceededError, DiscreteDistribution, PandoraError, dump_instance, format_rational,
+                        load_instance, solve_approx, solve_exact)
 from pandorabox.core import MAX_DOCUMENT_BYTES, MAX_SIDE_ENTRIES
-from pandorabox.instances import ADAPTIVITY_GAP_BOX_CAP, adaptivity_gap, figure1_tree_matroid, guard_line
+from pandorabox.instances import ADAPTIVITY_GAP_BOX_CAP, adaptivity_gap, guard_line
 from pandorabox.oracle import BUILT_CELL_CAP, SCANNED_STATE_CAP
 from pandorabox.strategy import MAX_TRIALS
 
+from helpers import MALFORMED_INT_FORMS, figure1_tree_matroid, int_distribution_violation
 from test_cli import run_cli
 
 
@@ -269,6 +273,77 @@ def test_example_out_path_that_cannot_be_written_exits_2(tmp_path, name):
     assert_clean_exit_2(res)
     assert res.stderr.startswith(f"error: cannot write {out}: ")
     assert len(res.stderr.splitlines()) == 1
+
+
+def run_cli_into(stdout, *args: str):
+    """Runs the CLI with its stdout on the given file or descriptor; returns (exit code, stderr)."""
+    res = subprocess.run([sys.executable, "-m", "pandorabox.cli", *args],
+                         stdout=stdout, stderr=subprocess.PIPE, text=True)
+    return res.returncode, res.stderr
+
+
+def assert_failed_write_exits_2(code, stderr, err):
+    assert code == 2
+    assert stderr == f"error: cannot write output: [Errno {err}] {os.strerror(err)}\n"
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_output_to_a_full_device_exits_2(tmp_path, json_flag):
+    path = tmp_path / "guard.json"
+    path.write_text(dump_instance(guard_line()))
+    with open("/dev/full", "w") as full:
+        code, stderr = run_cli_into(full, "solve", "--input", str(path), *json_flag)
+    assert_failed_write_exits_2(code, stderr, errno.ENOSPC)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_output_to_a_closed_pipe_exits_2(tmp_path, json_flag):
+    path = tmp_path / "guard.json"
+    path.write_text(dump_instance(guard_line()))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader is left before the child starts, so its first write fails
+    try:
+        code, stderr = run_cli_into(write_end, "solve", "--input", str(path), *json_flag)
+    finally:
+        os.close(write_end)
+    assert_failed_write_exits_2(code, stderr, errno.EPIPE)
+
+
+@pytest.mark.parametrize(
+    "form, refusal",
+    zip(MALFORMED_INT_FORMS, [
+        "box 'g1' needs a nonempty 'reward' array",
+        None,  # the repeated value's atoms merge
+        None,  # the atoms sort
+        "box 'g1': reward value -1 is negative",
+        None,  # the zero atom drops
+        "box 'g1': atom probability -1/2 is not positive",
+        "box 'g1': atom probabilities sum to 2/3, not 1",
+        "box 'g1' has a malformed reward atom",  # the extra numerator is an atom without a value
+    ]),
+)
+def test_document_boundary_refuses_or_normalizes_malformed_int_forms(tmp_path, form, refusal):
+    """Each malformed int form written as a box's reward atoms is refused, or
+    normalized into a reward whose int form holds the invariant."""
+    keys, probs, den = form
+    doc = guard_doc()
+    atoms = [{"value": str(k), "prob": f"{p}/{den}"} for k, p in zip(keys, probs)]
+    doc["boxes"][0]["reward"] = atoms + [{"prob": f"{p}/{den}"} for p in probs[len(keys):]]
+    text = json.dumps(doc)
+    if refusal is None:
+        reward = load_instance(text).boxes[0].reward
+        assert reward == DiscreteDistribution.of(zip(keys, [F(p, den) for p in probs]))
+        assert int_distribution_violation(reward.integer) is None
+        return
+    with pytest.raises(PandoraError, match=re.escape(refusal)):
+        load_instance(text)
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    res = run_cli("solve", "--input", str(path))
+    assert_clean_exit_2(res)
+    assert res.stderr == f"error: {refusal}\n"
 
 
 @pytest.mark.parametrize(

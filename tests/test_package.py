@@ -33,7 +33,7 @@ EXPORTS = {
     "approx": ["ApproxPolicy", "GuaranteeReport", "exact_policy_value", "solve_approx", "verify_guarantee"],
     "learning": ["EmpiricalModel", "LearnReport", "LearningConfig", "learn_and_solve", "learn_model",
                  "sample_bound"],
-    "instances": ["adaptivity_gap", "figure1", "figure1_tree_matroid", "guard_line"],
+    "instances": ["adaptivity_gap", "figure1", "guard_line"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 

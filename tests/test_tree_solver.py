@@ -29,10 +29,11 @@ from pandorabox import (
     verify_guarantee,
     weitzman_reservation,
 )
-from pandorabox.instances import adaptivity_gap, figure1, figure1_tree_matroid
+from pandorabox.instances import adaptivity_gap, figure1
 from pandorabox.tree_solver import AnnotatedEntry, AnnotatedLine
 
 from helpers import (
+    figure1_tree_matroid,
     graph_children,
     line_instance_of,
     rand_box,
