@@ -68,10 +68,18 @@ def emit(pairs: Sequence[tuple[str, object]], as_json: bool) -> None:
     cannot be printed leaves stdout empty."""
     shown = [(key, _rational(key, value) if isinstance(value, Fraction) else value)
              for key, value in pairs]
-    if as_json:
-        print(json.dumps(dict(shown)))
-    else:
-        print("\n".join(f"{key}={_fmt(value)}" for key, value in shown))
+    text = json.dumps(dict(shown)) if as_json else "\n".join(f"{key}={_fmt(value)}" for key, value in shown)
+    _write(text + "\n")
+
+
+def _write(text: str) -> None:
+    """Writes and flushes stdout; a full disk or a closed pipe raises :class:`ParseError`."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:  # devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ParseError(f"cannot write output: {exc}") from None
 
 
 def _read_document(path: str) -> str:
@@ -285,6 +293,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise ParseError(message)
 
+    def print_help(self, file=None) -> None:  # --help fails on a failed write, as emit does
+        _write(self.format_help())
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -347,13 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         instance = _read_instance(args.input) if "input" in args else None
-        pairs = args.func(args, instance)
-        try:
-            emit(pairs, args.json)
-            sys.stdout.flush()
-        except OSError as exc:  # a full disk or a closed pipe; devnull takes the exit flush
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise ParseError(f"cannot write output: {exc}") from None
+        emit(args.func(args, instance), args.json)
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

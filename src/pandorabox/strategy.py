@@ -22,18 +22,19 @@ second field is never an int, so the two streams never meet.
 
 ``simulate`` walks the same stream on integer ranks, step by step over
 blocks of ``TRIAL_BLOCK`` trials, each head and tail encoded once.  Rewards
-become ranks in the sorted support of the opened boxes (0 included), and
-each step's threshold the smallest rank that stops there.  A block's live
-trials are grouped by best rank: at each step a group at or above the
-stopping rank is counted under (step, best rank), and the others open the
-box.  A group whose atoms all lift to one rank (a single atom, or none above
-the group's best) moves to that rank whole, with no hash: any point would
-draw it there, and the stream is counter-based, so a hash not taken shifts
-no other draw.  Every other group draws and is regrouped.  So ``simulate``
-hashes only the draws that can change a trial, and its counts are those of
-``run_threshold``, which takes every hash.  The exact mean and variance are
-formed from the counts after the loop; blocks bound the memory and do not
-change the counts.
+become int keys over L, the lcm of the opened boxes' reward scales, ranked in
+their sorted set (0 included); y/L >= z exactly when y >= ceil(z·L), so a
+step's threshold z stops from the rank of the first key >= ceil(z·L).  A
+block's live trials are grouped by best rank: at each step a group at or
+above the stopping rank is counted under (step, best rank), and the others
+open the box.  A group whose atoms all lift to one rank (a single atom, or
+none above the group's best) moves to that rank whole, with no hash: any
+point would draw it there, and the stream is counter-based, so a hash not
+taken shifts no other draw.  Every other group draws and is regrouped.  So
+``simulate`` hashes only the draws that can change a trial, and its counts
+are those of ``run_threshold``, which takes every hash.  Net revenues are
+ints over L·C (C the lcm of the cost denominators): the mean and variance
+are one exact ``Fraction`` each.  Blocks bound the memory and change no count.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .core import (
 )
 
 ZERO = Fraction(0)
-# Largest simulate trial count: 10^5 trials on small solved trees (4-10 boxes) took 0.02-0.24 s on a 2-vCPU VM.
+# Largest simulate trial count: 10^5 trials on small solved trees (4-10 boxes) took 0.01-0.3 s on a 2-vCPU VM.
 MAX_TRIALS = 1_000_000
 # Trials walked together by simulate: their heads are the only per-trial state held.
 TRIAL_BLOCK = 4096
@@ -264,8 +265,9 @@ def simulate(instance: Instance, policy: ThresholdPolicy, trials: int, rng_seed:
     Trial t draws from the (seed, t) stream, so results are reproducible and
     independent of any batching.  An opening that every atom would leave at
     one best reward takes no hash; the summary is still that of drawing every
-    opening, as ``run_threshold`` does.  The mean is exact over the sampled
-    trajectories (a rational); the sample stddev is reported as a float.
+    opening, as ``run_threshold`` does.  Rewards are int keys over L, spends ints
+    over C (the lcm of the reward scales, of the cost denominators); the mean and
+    the sample variance are one exact ``Fraction`` each, the stddev a float.
     More than ``MAX_TRIALS`` raise :class:`CapExceededError` before any work.
     """
     if trials < 1:
@@ -275,18 +277,21 @@ def simulate(instance: Instance, policy: ThresholdPolicy, trials: int, rng_seed:
         raise CapExceededError(f"simulate handles at most {MAX_TRIALS} trials, got {got}")
     order = fixed_opening_order(instance, policy)
     boxes = [instance.box_map[b] for b in order]
-    values = sorted({ZERO}.union(v for box in boxes for v, _ in box.reward.atoms))
+    scale = math.lcm(*[box.reward.integer.scale for box in boxes])
+    keys = [[y * (scale // box.reward.integer.scale) for y in box.reward.integer.keys] for box in boxes]
+    values = sorted({0}.union(*keys))  # reward keys over scale
     rank = {v: r for r, v in enumerate(values)}
     # per step: (smallest best rank that stops, payload tail, cut points, atom ranks)
     plan = [
-        (bisect_left(values, policy.thresholds[box.id]), f"|{step}|{box.id}".encode(),
-         box.reward.cut_points, [rank[v] for v, _ in box.reward.atoms])
-        for step, box in enumerate(boxes)
+        (bisect_left(values, -(-z.numerator * scale // z.denominator)), f"|{step}|{box.id}".encode(),
+         box.reward.cut_points, [rank[y] for y in ys])
+        for step, (box, ys, z) in enumerate(zip(boxes, keys, map(policy.thresholds.__getitem__, order)))
     ]
+    prefix = f"{rng_seed}|".encode()
     tally: dict[tuple[int, int], int] = {}  # (boxes opened, best rank) -> trials
     for start in range(0, trials, TRIAL_BLOCK):
         # live trials of the block by best rank (0 is the rank of the reward 0)
-        groups = {0: [f"{rng_seed}|{t}".encode() for t in range(start, min(start + TRIAL_BLOCK, trials))]}
+        groups = {0: [prefix + b"%d" % t for t in range(start, min(start + TRIAL_BLOCK, trials))]}
         for step, (stop, tail, cuts, ranks) in enumerate(plan):
             regrouped: dict[int, list[bytes]] = {}
             for best, heads in groups.items():
@@ -305,18 +310,18 @@ def simulate(instance: Instance, policy: ThresholdPolicy, trials: int, rng_seed:
                 break
         for best, heads in groups.items():  # opened every box
             tally[len(plan), best] = tally.get((len(plan), best), 0) + len(heads)
-    spent = [ZERO]
+    cost_den = math.lcm(*[box.cost.denominator for box in boxes])
+    spent = [0]  # over cost_den
     for box in boxes:
-        spent.append(spent[-1] + box.cost)
-    total = ZERO
-    total_sq = ZERO
+        spent.append(spent[-1] + box.cost.numerator * (cost_den // box.cost.denominator))
+    total = total_sq = 0  # over scale·cost_den and its square
     for (step, best), count in tally.items():
-        net = values[best] - spent[step]
+        net = values[best] * cost_den - spent[step] * scale
         total += count * net
         total_sq += count * net * net
-    mean = total / trials
-    if trials > 1:
-        variance = (total_sq - trials * mean * mean) / (trials - 1)
+    mean = Fraction(total, trials * scale * cost_den)
+    if trials > 1:  # (total_sq - trials·mean²) / (trials - 1), on the int sums
+        variance = Fraction(trials * total_sq - total * total, trials * (trials - 1) * (scale * cost_den) ** 2)
         try:
             stddev = math.sqrt(float(variance)) if variance > 0 else 0.0
         except OverflowError:

@@ -298,6 +298,16 @@ def test_output_to_a_full_device_exits_2(tmp_path, json_flag):
     assert_failed_write_exits_2(code, stderr, errno.ENOSPC)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [[], *([name] for name in ("solve", "evaluate", "simulate", "oracle",
+                                                                 "fixed-order", "approx", "learn", "example"))],
+                         ids=lambda command: command[0] if command else "bare")
+def test_help_to_a_full_device_exits_2(command):
+    with open("/dev/full", "w") as full:
+        code, stderr = run_cli_into(full, *command, "--help")
+    assert_failed_write_exits_2(code, stderr, errno.ENOSPC)
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_output_to_a_closed_pipe_exits_2(tmp_path, json_flag):
     path = tmp_path / "guard.json"

@@ -729,3 +729,85 @@ class TestHashCount:
             inst = load_instance(item["text"])
             total += counted_simulate(inst, solved_policy(inst), item["trials"], item["rng_seed"])[1]
         assert total <= 38_723  # every draw took a hash before: 90 503
+
+
+def scaled_boxes() -> Instance:
+    """Four boxes with reward scales 2, 3, 5 and 7, so the common scale 210
+    exceeds each box's, and cost denominators 11, 13, 17 and 19 coprime to them."""
+    rewards = ([(0, "1/3"), ("1/2", "1/3"), ("3/2", "1/3")], [("1/3", "1/2"), ("4/3", "1/2")],
+               [("2/5", "1/4"), ("7/5", "3/4")], [("3/7", "2/3"), ("10/7", "1/3")])
+    costs = (F(1, 11), F(2, 13), F(1, 17), F(3, 19))
+    return Instance(boxes=tuple(BoxSpec(box_id, cost, DiscreteDistribution.of(reward))
+                                for box_id, cost, reward in zip("abcd", costs, rewards)))
+
+
+# each an atom value; the greedy order is a, d, c, b, and a best of 10/7 reaches c, one of 1/2 reaches b
+ATOM_THRESHOLDS = {"a": F(3, 2), "b": F(1, 2), "c": F(10, 7), "d": F(3, 2)}
+EPS = F(1, (1 << 70) * ((1 << 70) + 1))  # 1/(d(d+1)) with d = 2^70
+
+
+class TestIntSetUp:
+    """``simulate`` ranks rewards as int keys over the lcm L of the reward scales
+    and stops a best key y at threshold z when y >= ceil(z·L)."""
+
+    CASES = {
+        "at atoms": ATOM_THRESHOLDS,
+        "just above atoms": {i: z + EPS for i, z in ATOM_THRESHOLDS.items()},
+        "just below atoms": {i: z - EPS for i, z in ATOM_THRESHOLDS.items()},
+        "zero": {**ATOM_THRESHOLDS, "c": F(0)},
+        "negative": {**ATOM_THRESHOLDS, "b": F(-1, 3)},
+        "all zero": dict.fromkeys(ATOM_THRESHOLDS, F(0)),
+        "above every value": dict.fromkeys(ATOM_THRESHOLDS, F(3, 2) + F(1, 11)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rounding_edges_match_reference(self, case):
+        inst = scaled_boxes()
+        policy = ThresholdPolicy.for_instance(inst, self.CASES[case])
+        cached = [(list(w.keys), w.scale, list(w.probs), w.den) for w in (b.reward.integer for b in inst.boxes)]
+        for trials in (1, 2, TRIAL_BLOCK + 1):
+            assert simulate(inst, policy, trials, 5) == reference_simulate(inst, policy, trials, 5)
+        assert [(w.keys, w.scale, w.probs, w.den) for w in (b.reward.integer for b in inst.boxes)] == cached
+
+
+def fraction_builds(call) -> int:
+    """How many ``Fraction``s ``call()`` builds, arithmetic included: the wrapper
+    sits on ``Fraction.__new__`` itself (and ``_from_coprime_ints``, where the
+    ``fractions`` module has it), since arithmetic builds base-class instances
+    that a subclass bound as ``strategy.Fraction`` would not see."""
+    builds = 0
+
+    def counting(make):
+        def counted(*args, **kwargs):
+            nonlocal builds
+            builds += 1
+            return make(*args, **kwargs)
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting(Fraction.__new__))
+        if "_from_coprime_ints" in vars(Fraction):
+            patch.setattr(Fraction, "_from_coprime_ints", classmethod(counting(Fraction._from_coprime_ints.__func__)))
+        call()
+    return builds
+
+
+class TestFractionBuilds:
+    """Set-up, ranks and tally run on ints: one ``simulate`` builds the mean,
+    and the variance when there are two trials or more."""
+
+    def test_seed_one_ten_box_tree(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        import gen
+
+        item = next(item for item in gen.simulate_pool(1) if item["name"].endswith("-10"))
+        inst = load_instance(item["text"])
+        policy = solved_policy(inst)
+        assert inst.n == 10
+        for trials, most in ((item["trials"], 2), (2, 2), (1, 1)):
+            assert fraction_builds(lambda: simulate(inst, policy, trials, item["rng_seed"])) <= most
+
+    def test_counter_sees_arithmetic(self):
+        a, b = F(1, 3), F(1, 5)
+        assert fraction_builds(lambda: a + b * 2) == 2
+        assert fraction_builds(lambda: F(7, 3)) == 1

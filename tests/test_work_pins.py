@@ -11,8 +11,9 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from pandorabox import ThresholdPolicy, evaluate_threshold_exact, load_instance, solve_tree
-from pandorabox import strategy, tree_solver
+from pandorabox import (ThresholdPolicy, best_fixed_order, evaluate_threshold_exact, load_instance, solve_approx,
+                        solve_exact, solve_tree)
+from pandorabox import core, strategy, tree_solver
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402
@@ -22,6 +23,12 @@ import gen  # noqa: E402
 CAPPED_STEPS = 4_920
 KAPPA_KEYS = 7_210
 EVALUATED_BOXES = 390
+# exhaustive_pool(1): oracle states scanned on the DAG documents, approx cells
+# reached on the tree+side documents, and IntegerBoxes.step calls of
+# best_fixed_order on the fixed-order documents
+ORACLE_STATES = 13_770
+APPROX_CELLS = 12_971
+FIXED_ORDER_STEPS = 10_025
 
 
 def test_tree_pool_work(monkeypatch):
@@ -51,3 +58,27 @@ def test_tree_pool_work(monkeypatch):
     assert steps <= CAPPED_STEPS
     assert keys <= KAPPA_KEYS
     assert walked <= EVALUATED_BOXES
+
+
+def test_exhaustive_pool_work(monkeypatch):
+    states = cells = steps = 0
+    step = core.IntegerBoxes.step
+
+    def counted_step(self, *args):
+        nonlocal steps
+        steps += 1
+        return step(self, *args)
+
+    for item in gen.exhaustive_pool(1):
+        instance = load_instance(item["text"])
+        if item["kind"] == "dag":
+            states += len(solve_exact(instance)._values)
+        elif item["kind"] == "approx":
+            cells += len(solve_approx(instance).values)
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(core.IntegerBoxes, "step", counted_step)
+                best_fixed_order(instance)
+    assert states <= ORACLE_STATES
+    assert cells <= APPROX_CELLS
+    assert steps <= FIXED_ORDER_STEPS
