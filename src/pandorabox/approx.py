@@ -22,9 +22,9 @@ best, oracle state).
 
 The resulting strategy is at least as good as opening any fixed feasible
 set, and earns at least half the expected best reward of any adaptive
-strategy minus its full expected cost.  The sweep runs on ints over one
-common denominator (``core.integer_boxes``, no floats), in one value row and
-one action row over the grid per reached (position, load); opening is
+strategy minus its full expected cost.  The sweep, grid included, runs on ints
+over one common denominator (``core.integer_boxes``, no floats), in one value
+row and one action row over the grid per reached (position, load); opening is
 ``IntegerBoxes.step``, and a cell becomes a ``Fraction`` only when it is read.
 The rows built bound the sweep at any side dimension; the guarantee check caps it.
 """
@@ -115,12 +115,12 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
     loads of its two ``OrderModel.add`` calls, and raises ``CapExceededError`` past ``TABLE_CELL_CAP``."""
     preorder = build_preorder(instance)
     model = instance.order_model
-    grid = instance.support_union()
     n = preorder.n
 
     boxes = [instance.box_map[b] for b in preorder.order]
     slots = [model.index[b.id] for b in boxes]
-    ints = integer_boxes(boxes, grid)
+    ints = integer_boxes(boxes)
+    grid = tuple(Fraction(y, ints.scale) for y in ints.grid)
     # a value at position i is N / (L * scale[i]), scale[i] = prod_{j >= i} D_j
     scale = [0] + [math.prod(ints.dens[k:]) for k in range(n + 1)]
     # forward: reach[i] maps each load a run can hold at position i to the

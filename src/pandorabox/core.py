@@ -218,9 +218,6 @@ class DiscreteDistribution(Record):
     def probs(self) -> tuple[Fraction, ...]:
         return tuple(p for _, p in self.atoms)
 
-    def expectation(self) -> Fraction:
-        return sum((v * p for v, p in self.atoms), Fraction(0))
-
     @cached_property
     def integer(self) -> "IntDistribution":
         """The atoms on ints: values and probabilities each over the lcm of their denominators."""
@@ -368,13 +365,6 @@ class Instance(Record):
     @cached_property
     def order_model(self) -> "OrderModel":
         return OrderModel.of(self)
-
-    def support_union(self) -> tuple[Fraction, ...]:
-        """Sorted union of {0} and every reward support value."""
-        values = {Fraction(0)}
-        for b in self.boxes:
-            values.update(b.reward.values())
-        return tuple(sorted(values))
 
 
 def _validate_constraint(instance: Instance) -> None:
@@ -675,16 +665,18 @@ class IntegerBoxes(Record):
         return out
 
 
-def integer_boxes(boxes: Sequence[BoxSpec], grid: Sequence[Fraction]) -> IntegerBoxes:
-    """:class:`IntegerBoxes` of ``boxes`` on ``grid`` (every support value in it).
-    D_i and the atom numerators are those of the box's cached ``reward.integer``."""
-    scale = math.lcm(*[q.denominator for q in (*grid, *[b.cost for b in boxes])])
-    index = {(y.numerator, y.denominator): k for k, y in enumerate(grid)}
+def integer_boxes(boxes: Sequence[BoxSpec], start: Fraction = Fraction(0)) -> IntegerBoxes:
+    """:class:`IntegerBoxes` of ``boxes`` on the grid {0, start} and every support value, on ints
+    from each cached ``reward.integer`` (D_i, the atom numerators, a key k over scale s at k * (L // s)):
+    L is the lcm of start's denominator, the reward scales and the cost denominators."""
     rewards = [b.reward.integer for b in boxes]
-    atoms = [[(index[v.numerator, v.denominator], a) for (v, _), a in zip(b.reward.atoms, r.probs)]
-             for b, r in zip(boxes, rewards)]
-    costs, ys = ([q.numerator * (scale // q.denominator) for q in qs] for qs in ([b.cost for b in boxes], grid))
-    return IntegerBoxes(scale, [r.den for r in rewards], costs, atoms, ys)
+    scale = math.lcm(start.denominator, *[r.scale for r in rewards], *[b.cost.denominator for b in boxes])
+    keys = [[k * (scale // r.scale) for k in r.keys] for r in rewards]
+    grid = sorted({0, start.numerator * (scale // start.denominator)}.union(*keys))
+    index = {y: k for k, y in enumerate(grid)}
+    atoms = [[(index[y], a) for y, a in zip(ys, r.probs)] for ys, r in zip(keys, rewards)]
+    costs = [b.cost.numerator * (scale // b.cost.denominator) for b in boxes]
+    return IntegerBoxes(scale, [r.den for r in rewards], costs, atoms, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -137,16 +137,13 @@ def solve_line(boxes: Sequence[BoxSpec]) -> LineSolution:
 def line_optimal_value(boxes: Sequence[BoxSpec]) -> Fraction:
     """Optimal expected net revenue of a line without threshold extraction.
 
-    Values are only ever queried at observed-max points, so a DP restricted
-    to {0} plus the support union is exact; the values in front of box i
-    are ints over L * prod_{j >= i} D_j, one ``IntegerBoxes.step`` per box.
-    It shares no step with :func:`solve_line`, so each checks the other.
+    Values are only ever queried at observed-max points, so a DP restricted to {0}
+    and every support value (the int grid of ``integer_boxes``) is exact; the values
+    in front of box i are ints over L * prod_{j >= i} D_j, one ``IntegerBoxes.step``
+    per box.  It shares no step with :func:`solve_line`, so each checks the other.
     """
-    grid = {ZERO}
-    for box in boxes:
-        grid.update(box.reward.values())
-    ints = integer_boxes(boxes, sorted(grid))
-    current, r, every = ints.grid, 1, range(len(grid))
+    ints = integer_boxes(boxes)
+    current, r, every = ints.grid, 1, range(len(ints.grid))
     for i in range(len(boxes) - 1, -1, -1):
         r *= ints.dens[i]
         current = ints.step(i, current, r, every)

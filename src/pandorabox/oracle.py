@@ -13,13 +13,13 @@ and the sets reached only through such openings are neither built nor solved:
 skipping the box keeps every later option and saves more than it could add
 (Kleinberg, Waggoner & Weyl's amortization).  Works for any constraint kind
 including DAGs and matroid side constraints; deliberately exponential,
-guarded by explicit caps.  The DP runs on ints over one common denominator
-(``core.integer_boxes``, no floats), so every comparison is exact;
-``Fraction``s are built only for reported values.  The best fixed order
-walks the same forward pass, one backward DP step (``IntegerBoxes.step``)
-per distinct suffix of the maximal feasible orders.  Every DP here pays the
-best reward y on stopping; the half-reward benchmark, which pays y / 2, is
-half the optimum of the same instance with every cost doubled.
+guarded by explicit caps.  The DP, grid included, runs on ints over one common
+denominator (``core.integer_boxes``, no floats), so every comparison is exact;
+``Fraction``s are built only for reported values.  The best fixed order walks
+the same forward pass, one backward DP step (``IntegerBoxes.step``) per
+distinct suffix of the maximal feasible orders.  Every DP here pays the best
+reward y on stopping; the half-reward benchmark, which pays y / 2, is half the
+optimum of the same instance with every cost doubled.
 """
 
 from __future__ import annotations
@@ -195,10 +195,10 @@ def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResu
     n = instance.n
     if n > HARD_BOX_CAP:
         raise CapExceededError(f"oracle handles at most {HARD_BOX_CAP} boxes, got {n}")
-    grid = sorted(set(instance.support_union()) | {initial_best})
     model = instance.order_model
-    ints = integer_boxes(instance.boxes, grid)
+    ints = integer_boxes(instance.boxes, initial_best)
     costs, dens, atoms, pay = ints.costs, ints.dens, ints.atoms, ints.grid
+    grid = tuple(Fraction(y, ints.scale) for y in pay)
     start, r0 = grid.index(initial_best), math.prod(dens)
     stops, strict = _stop_indices(instance.boxes, ints)
     levels = _opened_sets(model, ints, start, stops, strict)
@@ -260,7 +260,7 @@ def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResu
     den = ints.scale * r0
     value, e_max = Fraction(total, den), Fraction(best, den)
     # the value is E[final best] - E[total spend] under the recorded policy
-    return OracleResult(value, e_max, e_max - value, tuple(grid), model, policy, values, stops)
+    return OracleResult(value, e_max, e_max - value, grid, model, policy, values, stops)
 
 
 def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
@@ -281,7 +281,7 @@ def best_fixed_order(instance: Instance) -> tuple[tuple[str, ...], Fraction]:
             f"fixed-order enumeration handles at most {FIXED_ORDER_BOX_CAP} boxes, got {n}"
         )
     ids = instance.order_model.ids
-    ints = integer_boxes(instance.boxes, instance.support_union())
+    ints = integer_boxes(instance.boxes)
     costs, dens, atoms = ints.costs, ints.dens, ints.atoms
     never = [len(ints.grid)] * n  # every maximal set is needed, so no set stops early and no box is skipped
     sets = [entry for level in _opened_sets(instance.order_model, ints, 0, never, never) for entry in level]

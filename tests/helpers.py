@@ -13,6 +13,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from pandorabox import (
     BoxSpec,
     CapExceededError,
@@ -334,6 +336,20 @@ def reference_greedy_order(instance: Instance, thresholds, rank) -> list[str]:
 # simulator
 # ---------------------------------------------------------------------------
 
+def expectation(dist: DiscreteDistribution) -> Fraction:
+    """E[X], exactly."""
+    return sum((v * p for v, p in dist.atoms), Fraction(0))
+
+
+def support_union(instance: Instance) -> tuple[Fraction, ...]:
+    """Sorted union of {0} and every reward support value: the ``Fraction``
+    reference for the grid of ``core.integer_boxes``."""
+    values = {Fraction(0)}
+    for b in instance.boxes:
+        values.update(b.reward.values())
+    return tuple(sorted(values))
+
+
 def expected_excess(dist: DiscreteDistribution, z: Fraction) -> Fraction:
     """E[(X - z)_+], exactly.  ``z`` may be negative."""
     total = ZERO
@@ -405,7 +421,7 @@ def quadratic_reservation(box: BoxSpec) -> Fraction:
     if box.cost == 0:
         return values[-1]
     if expected_excess(box.reward, values[0]) <= box.cost:
-        return box.reward.expectation() - box.cost
+        return expectation(box.reward) - box.cost
     for left, right in zip(values, values[1:]):
         e_left = expected_excess(box.reward, left)
         e_right = expected_excess(box.reward, right)
@@ -469,7 +485,7 @@ def reference_engine(instance: Instance, initial_best: Fraction = ZERO, terminal
     the policy map and the value map, keyed like ``OracleResult`` by
     (opened bitmask, grid index)."""
     n = instance.n
-    grid = sorted(set(instance.support_union()) | {initial_best})
+    grid = sorted(set(support_union(instance)) | {initial_best})
     model = instance.order_model
     boxes = instance.boxes
     y_index = {y: k for k, y in enumerate(grid)}
@@ -535,7 +551,7 @@ def reference_undominated_states(instance: Instance, initial_best: Fraction = ZE
     already open at S and sum p * max(v - y, 0) < c_i / w over X_i's atoms at
     S's lowest best reward y: skipping it then keeps every later option and
     saves more than it could add."""
-    grid = sorted(set(instance.support_union()) | {initial_best})
+    grid = sorted(set(support_union(instance)) | {initial_best})
     ids = [b.id for b in instance.boxes]
     children = graph_children(instance.constraint)
 
@@ -569,7 +585,7 @@ def reference_approx(instance: Instance) -> tuple[dict, dict]:
     actions tables over (position, grid index, side load)."""
     preorder = build_preorder(instance)
     model = instance.order_model
-    grid = instance.support_union()
+    grid = support_union(instance)
     y_index = {y: k for k, y in enumerate(grid)}
     states = list(itertools.product(*(range(cap + 1) for cap in model.capacity)))
     n = preorder.n
@@ -609,7 +625,7 @@ def reachable_approx_cells(instance: Instance) -> set:
     position 1 with the empty load and every grid value, on ``Fraction``s."""
     preorder = build_preorder(instance)
     model = instance.order_model
-    grid = instance.support_union()
+    grid = support_union(instance)
     y_index = {y: k for k, y in enumerate(grid)}
     stack = [(1, yk, model.empty_load) for yk in range(len(grid))]
     seen: set = set()
@@ -929,3 +945,36 @@ def decision_tree_sup_half(instance: Instance) -> Fraction:
         return best
 
     return value((), ZERO)
+
+
+# ---------------------------------------------------------------------------
+# Work counters
+# ---------------------------------------------------------------------------
+
+# The methods that build a Fraction, arithmetic included (``_from_coprime_ints`` where the module has it)
+FRACTION_BUILDS = ("__new__", "_from_coprime_ints")
+
+
+def fraction_calls(call, *names: str) -> int:
+    """How many times ``call()`` calls the named ``Fraction`` methods, of those the
+    ``fractions`` module defines: the wrapper sits on ``Fraction`` itself, since
+    arithmetic builds and hashes base-class instances that a subclass bound as
+    ``strategy.Fraction`` would not see."""
+    calls = 0
+
+    def counting(method):
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in names:
+            method = vars(Fraction).get(name)
+            if isinstance(method, classmethod):
+                patch.setattr(Fraction, name, classmethod(counting(method.__func__)))
+            elif method is not None:
+                patch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+        call()
+    return calls

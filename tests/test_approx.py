@@ -47,6 +47,7 @@ from helpers import (
     reference_set_feasible,
     reference_set_margin,
     reference_side_ok,
+    support_union,
     with_negative_costs,
     with_side,
 )
@@ -303,7 +304,7 @@ class TestSolveApprox:
         checked = 0
         while checked < 40:
             inst = rand_case(rng, ConstraintKind.TREE, max_n=8)
-            full = (inst.n + 1) * len(inst.support_union()) * math.prod(c + 1 for c in inst.order_model.capacity)
+            full = (inst.n + 1) * len(support_union(inst)) * math.prod(c + 1 for c in inst.order_model.capacity)
             if full <= cap:
                 checked += 1
                 solve_approx(inst)

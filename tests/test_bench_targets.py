@@ -14,7 +14,6 @@ from __future__ import annotations
 import ast
 import importlib
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -69,9 +68,8 @@ def test_bench_reference_resolves(dotted):
 
 def scanned_states(inst) -> int:
     """The states below each set's stop index in ``_opened_sets``, called as ``solve_exact`` calls it."""
-    grid = sorted(set(inst.support_union()) | {Fraction(0)})
-    ints = integer_boxes(inst.boxes, grid)
-    levels = _opened_sets(inst.order_model, ints, grid.index(0), *_stop_indices(inst.boxes, ints))
+    ints = integer_boxes(inst.boxes)
+    levels = _opened_sets(inst.order_model, ints, ints.grid.index(0), *_stop_indices(inst.boxes, ints))
     return sum((ys & (1 << stop) - 1).bit_count() for level in levels for _, ys, stop, _, _ in level)
 
 

@@ -2,7 +2,8 @@
 
 ``oracle.solve_exact``, the ``solve_approx`` sweep and ``line_optimal_value``
 run on Python ints over one common denominator
-(``core.integer_boxes``).  ``helpers.reference_engine``,
+(``core.integer_boxes``, itself checked field by field against the
+``Fraction`` definition of its grid).  ``helpers.reference_engine``,
 ``helpers.reference_approx`` and ``helpers.reference_line_optimal_value``
 are the same recursions on ``Fraction``s, so every value, policy action and
 table entry must agree exactly, ties and stops at indifference included.
@@ -37,7 +38,9 @@ from helpers import (
     reference_engine,
     reference_line_optimal_value,
     reference_undominated_states,
+    support_union,
     with_costs_times,
+    with_negative_costs,
 )
 
 F = Fraction
@@ -63,7 +66,7 @@ def test_oracle_matches_fraction_reference(kind):
         assert result._values.keys() == result._policy.keys() <= values.keys()
         undominated = reference_undominated_states(inst, initial_best, weight)
         assert result._values.keys() <= undominated
-        ints = integer_boxes(priced.boxes, result.grid)
+        ints = integer_boxes(priced.boxes, initial_best)
         for (mask, yk), value in values.items():
             act = policy[mask, yk]
             if (mask, yk) in result._values:
@@ -79,7 +82,7 @@ def test_oracle_matches_fraction_reference(kind):
             assert result.action(opened, result.grid[yk]) == (None if act is None else ids[act])
         dropped += len(values) - len(result._values)
         half += weight != 1
-        off_grid += initial_best not in inst.support_union()
+        off_grid += initial_best not in support_union(inst)
         sided += inst.side.kind != MatroidSideConstraint.NONE
     assert half > 20 and off_grid > 20 and sided > 60 and dropped > 500
 
@@ -96,6 +99,31 @@ def reference_policy_states(inst, policy, grid, start: int) -> set:
         if act is not None:
             todo.extend((key[0] | 1 << act, max(key[1], grid.index(v))) for v in inst.boxes[act].reward.values())
     return reached
+
+
+@pytest.mark.parametrize("kind", ConstraintKind.ALL)
+def test_integer_boxes_match_fraction_definition(kind):
+    """The int grid against its ``Fraction`` definition: {start} and the support union,
+    L the lcm of the grid's and the costs' denominators, field by field."""
+    rng = random.Random(f"int-grid-{kind}")
+    for _ in range(40):
+        inst = rand_case(rng, kind, max_n=7)
+        atoms = [v for b in inst.boxes for v in b.reward.values()]
+        for case in (inst, with_negative_costs(inst, rng), with_costs_times(inst, 2)):
+            # 1/7 brings a denominator that no reward or cost has
+            assert math.lcm(*[q.denominator for q in (*atoms, *[b.cost for b in case.boxes])]) % 7
+            for start in (F(0), rng.choice(atoms), F(1, 7), max(atoms) + F(1, 3)):
+                ints = integer_boxes(case.boxes, start)
+                grid = sorted(set(support_union(case)) | {start})
+                scale = math.lcm(*[q.denominator for q in (*grid, *[b.cost for b in case.boxes])])
+                dens = [math.lcm(*[p.denominator for p in b.reward.probs()]) for b in case.boxes]
+                assert ints.scale == scale
+                assert ints.grid == [y * scale for y in grid]
+                assert ints.costs == [b.cost * scale for b in case.boxes]
+                assert ints.dens == dens
+                assert ints.atoms == [[(grid.index(v), p * d) for v, p in b.reward.atoms]
+                                      for b, d in zip(case.boxes, dens)]
+                assert all(type(y) is int for y in (*ints.grid, *ints.costs))
 
 
 @pytest.mark.parametrize(

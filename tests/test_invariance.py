@@ -7,7 +7,9 @@ same seed, since the sampler stream reads only the seed, trial, step, id and
 probabilities (the factor 3/7 also brings a new denominator into the common
 denominator of the integer DPs, and keeps every fixed-order tie);
 renaming the boxes leaves every value unchanged; adding a free zero box as a
-separate root changes no value and no other threshold.  The oracle's
+separate root (or at the end of a line) changes no value and no other threshold.
+Every engine on the exhaustive grid (``core.integer_boxes``) is checked under
+scaling and the free zero box.  The oracle's
 reward/cost split (e_max, e_cost) is checked under all three, and on DAGs
 under scaling and a renaming that keeps the ids' order (a tie goes to the
 smallest id, and a tie between optimal actions can change the split, not
@@ -31,6 +33,7 @@ from pandorabox import (
     best_fixed_order,
     best_half_reward_benchmark,
     evaluate_threshold_exact,
+    line_optimal_value,
     simulate,
     solve_approx,
     solve_exact,
@@ -128,6 +131,7 @@ def test_scaling_costs_and_rewards_scales_values_and_thresholds():
             assert big_line.horizons == line.horizons
             assert all(big_line.at(LAMBDA * x, i) == LAMBDA * line.at(x, i)
                        for i in range(1, inst.n + 2) for x in line.grid)
+            assert line_optimal_value(big.boxes) == LAMBDA * line_optimal_value(inst.boxes)
         order, fixed_value = best_fixed_order(inst)
         assert best_fixed_order(big) == (order, LAMBDA * fixed_value)
         assert best_half_reward_benchmark(big) == LAMBDA * best_half_reward_benchmark(inst)
@@ -188,3 +192,7 @@ def test_free_zero_root_keeps_values_and_thresholds():
         assert {i: ext_thresholds[i] for i in thresholds} == thresholds
         exact, ext_exact = solve_exact(inst), solve_exact(extended)
         assert (ext_exact.value, ext_exact.e_max, ext_exact.e_cost) == (exact.value, exact.e_max, exact.e_cost)
+        assert best_fixed_order(extended)[1] == best_fixed_order(inst)[1]
+        assert solve_approx(extended).value == solve_approx(inst).value
+        if inst.constraint.kind == ConstraintKind.LINE:  # the free box appended at the end of the line
+            assert line_optimal_value(extended.boxes) == line_optimal_value(inst.boxes)

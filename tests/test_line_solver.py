@@ -23,6 +23,7 @@ from pandorabox.line_solver import _horizons, capped_step
 from helpers import (
     check_line_submartingale,
     enumerate_realizations,
+    expectation,
     expected_excess,
     int_distribution,
     line_instance_of,
@@ -172,7 +173,7 @@ class TestCappedStep:
             make = (lambda: big_dist(rng)) if big else (lambda: rand_dist(rng, max_support=5, max_value=10))
             reward, after = make(), [make() for _ in range(rng.randint(0, 4))]
             w = DiscreteDistribution(tuple(quadratic_max_distribution([reward, *after])))
-            mean = w.expectation()
+            mean = expectation(w)
             kind = k % 5
             if kind == 0:
                 cost = F(0)

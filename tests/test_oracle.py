@@ -43,6 +43,7 @@ from helpers import (
     reference_order_ok,
     reference_set_feasible,
     reference_undominated_states,
+    support_union,
     with_costs_times,
     with_side,
 )
@@ -119,7 +120,7 @@ class TestSolveExact:
         refused, cap = 0, oracle.BUILT_CELL_CAP
         for _ in range(12):
             inst = rand_case(rng, ConstraintKind.DAG, max_n=7)
-            per_set = max(len(inst.support_union()), len(inst.order_model.capacity))
+            per_set = max(len(support_union(inst)), len(inst.order_model.capacity))
             for engine in (solve_exact, best_fixed_order, best_half_reward_benchmark):
                 monkeypatch.setattr(oracle, "BUILT_CELL_CAP", cap)
                 tried.clear()
@@ -144,7 +145,7 @@ class TestSolveExact:
         checked = 0
         while checked < 40:
             inst = rand_case(rng, rng.choice((ConstraintKind.TREE, ConstraintKind.DAG)), max_n=8)
-            if (1 << inst.n) * max(len(inst.support_union()), len(inst.order_model.capacity)) > cap:
+            if (1 << inst.n) * max(len(support_union(inst)), len(inst.order_model.capacity)) > cap:
                 continue
             checked += 1
             for engine in (solve_exact, best_fixed_order, best_half_reward_benchmark):
@@ -206,12 +207,12 @@ def test_opened_sets_match_brute_force(kind):
     unbuilt = skipped = 0
     for _ in range(40):
         inst = rand_case(rng, kind, max_n=7)
-        grid = inst.support_union()
+        grid = support_union(inst)
         start = rng.randrange(len(grid))
         # at w = 1/2 (the half-reward benchmark) the costs are doubled
         weight = rng.choice((F(1), F(1, 2)))
         priced = with_costs_times(inst, 1 / weight)
-        ints = integer_boxes(priced.boxes, grid)
+        ints = integer_boxes(priced.boxes)
         model, ids = inst.order_model, inst.order_model.ids
         children = graph_children(inst.constraint)
         stops, strict = oracle._stop_indices(priced.boxes, ints)
@@ -305,7 +306,7 @@ class TestDominatedOpen:
         inst = Instance(boxes=(BoxSpec("p", F(1), DiscreteDistribution.point(0)), coin_box("q", 1, 20)),
                         constraint=ConstraintGraph(ConstraintKind.TREE, (("p", "q"),)))
         res = solve_exact(inst, initial_best=F(1))
-        ints = integer_boxes(inst.boxes, res.grid)
+        ints = integer_boxes(inst.boxes, F(1))
         assert oracle._stop_indices(inst.boxes, ints)[1][0] <= res.grid.index(F(1))
         assert res.value == reference_engine(inst, F(1))[0] == F(17, 2)
         assert res.action((), F(1)) == "p" and res.action(("p",), F(1)) == "q"
@@ -315,7 +316,7 @@ class TestDominatedOpen:
         refund = BoxSpec("b", F(-1), DiscreteDistribution.point(0))
         inst = Instance(boxes=(free, refund, coin_box("c", 1, 10)))
         res = solve_exact(inst, initial_best=F(5))
-        ints = integer_boxes(inst.boxes, res.grid)
+        ints = integer_boxes(inst.boxes, F(5))
         assert oracle._stop_indices(inst.boxes, ints)[1][:2] == [len(res.grid)] * 2
         value, e_max, e_cost, policy, _ = reference_engine(inst, F(5))
         assert (res.value, res.e_max, res.e_cost) == (value, e_max, e_cost)
@@ -329,7 +330,7 @@ class TestDominatedOpen:
         for _ in range(40):
             inst = rand_tree_instance(rng, rng.randint(3, 7))
             inst = with_side(inst, rand_knapsack_side(rng, [b.id for b in inst.boxes]))
-            initial_best = rng.choice(inst.support_union())
+            initial_best = rng.choice(support_union(inst))
             res = solve_exact(inst, initial_best)
             value, e_max, e_cost, policy, values = reference_engine(inst, initial_best)
             assert (res.value, res.e_max, res.e_cost) == (value, e_max, e_cost)

@@ -34,7 +34,10 @@ from pandorabox import strategy
 from pandorabox.strategy import MAX_TRIALS, TRIAL_BLOCK, RewardSampler, u64
 
 from helpers import (
+    FRACTION_BUILDS,
     distinct_value_line,
+    expectation,
+    fraction_calls,
     graph_parents,
     line_instance_of,
     literal_u64,
@@ -172,7 +175,7 @@ class TestEvaluateThresholdExact:
             high = max(v for b in inst.boxes for v in b.reward.values()) + 1
             policy = policy_of(inst, [high] * inst.n)
             expected = (
-                max_distribution([b.reward for b in inst.boxes]).expectation()
+                expectation(max_distribution([b.reward for b in inst.boxes]))
                 - sum((b.cost for b in inst.boxes), F(0))
             )
             assert evaluate_threshold_exact(inst, policy) == expected
@@ -770,28 +773,6 @@ class TestIntSetUp:
         assert [(w.keys, w.scale, w.probs, w.den) for w in (b.reward.integer for b in inst.boxes)] == cached
 
 
-def fraction_builds(call) -> int:
-    """How many ``Fraction``s ``call()`` builds, arithmetic included: the wrapper
-    sits on ``Fraction.__new__`` itself (and ``_from_coprime_ints``, where the
-    ``fractions`` module has it), since arithmetic builds base-class instances
-    that a subclass bound as ``strategy.Fraction`` would not see."""
-    builds = 0
-
-    def counting(make):
-        def counted(*args, **kwargs):
-            nonlocal builds
-            builds += 1
-            return make(*args, **kwargs)
-        return counted
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Fraction, "__new__", counting(Fraction.__new__))
-        if "_from_coprime_ints" in vars(Fraction):
-            patch.setattr(Fraction, "_from_coprime_ints", classmethod(counting(Fraction._from_coprime_ints.__func__)))
-        call()
-    return builds
-
-
 class TestFractionBuilds:
     """Set-up, ranks and tally run on ints: one ``simulate`` builds the mean,
     and the variance when there are two trials or more."""
@@ -805,9 +786,9 @@ class TestFractionBuilds:
         policy = solved_policy(inst)
         assert inst.n == 10
         for trials, most in ((item["trials"], 2), (2, 2), (1, 1)):
-            assert fraction_builds(lambda: simulate(inst, policy, trials, item["rng_seed"])) <= most
+            assert fraction_calls(lambda: simulate(inst, policy, trials, item["rng_seed"]), *FRACTION_BUILDS) <= most
 
     def test_counter_sees_arithmetic(self):
         a, b = F(1, 3), F(1, 5)
-        assert fraction_builds(lambda: a + b * 2) == 2
-        assert fraction_builds(lambda: F(7, 3)) == 1
+        assert fraction_calls(lambda: a + b * 2, *FRACTION_BUILDS) == 2
+        assert fraction_calls(lambda: F(7, 3), *FRACTION_BUILDS) == 1

@@ -11,9 +11,11 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from pandorabox import (ThresholdPolicy, best_fixed_order, evaluate_threshold_exact, load_instance, solve_approx,
-                        solve_exact, solve_tree)
+from pandorabox import (ThresholdPolicy, best_fixed_order, best_half_reward_benchmark, evaluate_threshold_exact,
+                        line_optimal_value, load_instance, solve_approx, solve_exact, solve_tree)
 from pandorabox import core, strategy, tree_solver
+
+from helpers import fraction_calls
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402
@@ -82,3 +84,23 @@ def test_exhaustive_pool_work(monkeypatch):
     assert states <= ORACLE_STATES
     assert cells <= APPROX_CELLS
     assert steps <= FIXED_ORDER_STEPS
+
+
+def test_exhaustive_grid_hashes_no_fraction():
+    # integer_boxes builds the grid on ints, so no engine's set-up hashes a Fraction
+    pool = [(item["kind"], load_instance(item["text"])) for item in gen.exhaustive_pool(1)]
+    lines = [load_instance(item["text"]) for item in gen.tree_solve_pool(1) if item["shape"] == "line"]
+    assert lines
+
+    def run():
+        for kind, instance in pool:
+            solve_exact(instance)
+            if kind == "approx":
+                solve_approx(instance)
+            elif kind == "fixed":
+                best_fixed_order(instance)
+                best_half_reward_benchmark(instance)
+        for instance in lines:
+            line_optimal_value(instance.boxes)
+
+    assert fraction_calls(run, "__hash__") == 0
