@@ -171,38 +171,31 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
 
 
 def exact_policy_value(instance: Instance, policy: ApproxPolicy) -> Fraction:
-    """Expected net revenue of the recorded actions, by an independent
-    forward pass (no reuse of the DP table's numbers): the states reachable
-    from the start are found first, then valued backwards by position, as
-    every outcome of opening a box sits at a later position."""
-    model = instance.order_model
-    y_index = {y: k for k, y in enumerate(policy.grid)}
-    start = (1, 0, policy.start_state)
-    moves: dict = {}  # state -> (value on stopping or -cost, [(probability, next state)])
-    stack = [start]
-    while stack:
-        key = stack.pop()
-        if key in moves:
-            continue
-        _, yk, state = key
-        act = policy.actions[key]
-        if act is None:
-            moves[key] = (policy.grid[yk], [])
-            continue
-        box = instance.box_map[policy.preorder.order[act - 1]]
-        after = model.add(state, model.index[box.id])
-        if after is None:
-            raise ValidationError(f"policy opens {box.id!r} into an infeasible state")
-        y = policy.grid[yk]
-        outcomes = [(p, (act + 1, y_index[v] if v > y else yk, after)) for v, p in box.reward.atoms]
-        moves[key] = (-box.cost, outcomes)
-        stack.extend(nxt for _, nxt in outcomes)
-
-    value: dict = {}
-    for key in sorted(moves, key=lambda k: k[0], reverse=True):
-        base, outcomes = moves[key]
-        value[key] = base + sum(p * value[nxt] for p, nxt in outcomes)
-    return value[start]
+    """Expected net revenue of the recorded actions, by an independent forward
+    pass of int mass on the sweep's layout (no DP value read; ``instance`` gives
+    only the side): ``reach[i]`` maps each (best reward's grid index, load) a run
+    holds at position i to its mass over D = prod D_i.  Opens move mass forward,
+    so one ascending pass suffices: a stop adds mass * y, an open subtracts mass * c."""
+    model, ints, order = instance.order_model, policy.values.ints, policy.preorder.order
+    den = math.prod(ints.dens)
+    reach: list[dict] = [{} for _ in range(policy.preorder.n + 2)]
+    reach[1][0, policy.start_state] = den
+    total = 0
+    for i, masses in enumerate(reach):
+        for (yk, state), m in masses.items():
+            act = policy.actions[i, yk, state]
+            if act is None:
+                total += m * ints.grid[yk]
+                continue
+            after = model.add(state, model.index[order[act - 1]])
+            if after is None:
+                raise ValidationError(f"policy opens {order[act - 1]!r} into an infeasible state")
+            total -= m * ints.costs[act - 1]
+            m //= ints.dens[act - 1]
+            for vk, a in ints.atoms[act - 1]:
+                key = (vk if vk > yk else yk, after)
+                reach[act + 1][key] = reach[act + 1].get(key, 0) + m * a
+    return Fraction(total, den * ints.scale)
 
 
 class GuaranteeReport(Record):

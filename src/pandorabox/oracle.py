@@ -190,8 +190,10 @@ def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResu
     beaten by one that samples X_i privately instead, opens the same boxes
     after (i unlocks nothing, and loads only shrink) and saves
     c_i - E[(X_i - y)^+] > 0.  So the first strict argmax never picks it, and
-    every value, action, e_max and e_cost is as with it offered.  It raises
-    ``CapExceededError`` over ``HARD_BOX_CAP`` boxes or past a cap of :func:`_opened_sets`."""
+    every value, action, e_max and e_cost is as with it offered.  E[final best]
+    is one forward pass of int mass over r0 = prod D_i through the recorded
+    policy, level by level from the start.  It raises ``CapExceededError`` over
+    ``HARD_BOX_CAP`` boxes or past a cap of :func:`_opened_sets`."""
     n = instance.n
     if n > HARD_BOX_CAP:
         raise CapExceededError(f"oracle handles at most {HARD_BOX_CAP} boxes, got {n}")
@@ -238,25 +240,20 @@ def solve_exact(instance: Instance, initial_best: Fraction = ZERO) -> OracleResu
     total = rows[0][start]
     del rows, below
 
-    reward: dict[tuple[int, int], int] = {}
-
-    def split(mask: int, yk: int, r: int) -> int:
-        """N of E[final best] = N / (L * r) under the recorded policy."""
-        key = (mask, yk)
-        if key in reward:
-            return reward[key]
-        act = policy.get(key)  # None at a stop, scanned or not
-        if act is None:
-            rew = pay[yk] * r
-        else:
-            rew, child, sub = 0, mask | (1 << act), r // dens[act]
+    # E[final best] under the recorded policy: int masses over r0, carried level by level
+    best, level = 0, {(0, start): r0}
+    while level:
+        deeper: dict[tuple[int, int], int] = {}
+        for (mask, yk), m in level.items():
+            act = policy.get((mask, yk))  # None at a stop, scanned or not
+            if act is None:
+                best += m * pay[yk]
+                continue
+            child, m = mask | 1 << act, m // dens[act]
             for vk, a in atoms[act]:
-                rew += a * split(child, vk if vk > yk else yk, sub)
-        reward[key] = rew
-        return rew
-
-    best = split(0, start, r0)
-    del split  # free the memo table by refcount, not by a later cyclic GC pass
+                key = (child, vk if vk > yk else yk)
+                deeper[key] = deeper.get(key, 0) + m * a
+        level = deeper
     den = ints.scale * r0
     value, e_max = Fraction(total, den), Fraction(best, den)
     # the value is E[final best] - E[total spend] under the recorded policy

@@ -44,6 +44,7 @@ from helpers import (
     rand_partition_side,
     rand_tree_instance,
     reachable_approx_cells,
+    reference_engine,
     reference_set_feasible,
     reference_set_margin,
     reference_side_ok,
@@ -357,6 +358,13 @@ class TestSolveApprox:
             policy = solve_approx(inst)
             assert exact_policy_value(inst, policy) == policy.value
 
+    def test_exact_policy_value_refuses_an_open_the_side_forbids(self):
+        loose, tight = cardinality(guard_line(), 2), cardinality(guard_line(), 1)
+        policy = solve_approx(loose)  # opens g1, then g2
+        assert exact_policy_value(loose, policy) == policy.value == 1
+        with pytest.raises(ValidationError, match="policy opens 'g2' into an infeasible state"):
+            exact_policy_value(tight, policy)
+
     def test_literal_action_walk_matches_exact_value(self):
         # execute the recorded actions on every realization and average:
         # must reproduce exact_policy_value through a separate code path
@@ -404,6 +412,21 @@ def action_runs(instance: Instance, policy):
         y = policy.grid[key[1]]
         for v, _ in box.reward.atoms:
             stack.append(((act + 1, y_index[v] if v > y else key[1], after), opened + (box.id,)))
+
+
+class TestManyAtoms:
+    """Two boxes of 120 equiprobable atoms each, with interleaved values (the
+    pools' boxes have 1 to 3 atoms)."""
+
+    def test_forward_passes_match_the_references(self):
+        boxes = tuple(BoxSpec(bid, F(1, 7), DiscreteDistribution.of([(2 * k + odd, "1/120") for k in range(120)]))
+                      for bid, odd in (("a", 0), ("b", 1)))
+        inst = cardinality(Instance(boxes=boxes), 2)
+        policy = solve_approx(inst)
+        assert policy.value > 0
+        assert exact_policy_value(inst, policy) == policy.value
+        result = solve_exact(inst)
+        assert (result.value, result.e_max, result.e_cost) == reference_engine(inst)[:3]
 
 
 class TestRunApprox:

@@ -12,10 +12,10 @@ import sys
 from pathlib import Path
 
 from pandorabox import (ThresholdPolicy, best_fixed_order, best_half_reward_benchmark, evaluate_threshold_exact,
-                        line_optimal_value, load_instance, solve_approx, solve_exact, solve_tree)
+                        exact_policy_value, line_optimal_value, load_instance, solve_approx, solve_exact, solve_tree)
 from pandorabox import core, strategy, tree_solver
 
-from helpers import fraction_calls
+from helpers import FRACTION_BUILDS, fraction_calls
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402
@@ -87,7 +87,8 @@ def test_exhaustive_pool_work(monkeypatch):
 
 
 def test_exhaustive_grid_hashes_no_fraction():
-    # integer_boxes builds the grid on ints, so no engine's set-up hashes a Fraction
+    # integer_boxes builds the grid on ints, so no engine's set-up hashes a Fraction,
+    # and exact_policy_value values the approx policy on ints
     pool = [(item["kind"], load_instance(item["text"])) for item in gen.exhaustive_pool(1)]
     lines = [load_instance(item["text"]) for item in gen.tree_solve_pool(1) if item["shape"] == "line"]
     assert lines
@@ -96,7 +97,7 @@ def test_exhaustive_grid_hashes_no_fraction():
         for kind, instance in pool:
             solve_exact(instance)
             if kind == "approx":
-                solve_approx(instance)
+                exact_policy_value(instance, solve_approx(instance))
             elif kind == "fixed":
                 best_fixed_order(instance)
                 best_half_reward_benchmark(instance)
@@ -104,3 +105,9 @@ def test_exhaustive_grid_hashes_no_fraction():
             line_optimal_value(instance.boxes)
 
     assert fraction_calls(run, "__hash__") == 0
+
+    # one Fraction per call, its return value
+    policies = [(instance, solve_approx(instance)) for kind, instance in pool if kind == "approx"]
+    assert policies
+    builds = fraction_calls(lambda: [exact_policy_value(*pair) for pair in policies], *FRACTION_BUILDS)
+    assert builds <= len(policies)
