@@ -32,7 +32,6 @@ The rows built bound the sweep at any side dimension; the guarantee check caps i
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections import Counter
 from collections.abc import Mapping
@@ -56,12 +55,12 @@ ORACLE_COMPARISON_CAP = 10
 
 
 class _Cells(Mapping):
-    """Read-only view of the sweep's rows: cell (i, y_index, state) is entry y_index of
-    field 1 (values, N read as N / (L * scale[i]), L = ``ints.scale``) or 2 (actions) of
-    ``rows[i, state]``, when y_index is in its field 0, the grid indices reached there."""
+    """Read-only view of the sweep's rows: cell (i, y_index, state) is entry y_index of field 1
+    (values, N read as N / (L * scale[i]), L = ``ints.scale``, ``scale[i]`` = prod_{j >= i} D_j)
+    or 2 (actions) of ``rows[i, state]``, when y_index is in its field 0, the grid indices reached there."""
 
     def __init__(self, rows: dict, field: int, ints, scale: list[int]):
-        self._rows, self._field, self.ints, self._scale = rows, field, ints, scale
+        self._rows, self._field, self.ints, self.scale = rows, field, ints, scale
 
     def __getitem__(self, key):
         i, yk, state = key
@@ -69,7 +68,7 @@ class _Cells(Mapping):
         if yk not in row[0]:
             raise KeyError(key)
         entry = row[self._field][yk]
-        return Fraction(entry, self.ints.scale * self._scale[i]) if self._field == 1 else entry
+        return Fraction(entry, self.ints.scale * self.scale[i]) if self._field == 1 else entry
 
     def __iter__(self):
         return ((i, yk, state) for (i, state), (yks, _, _) in self._rows.items() for yk in yks)
@@ -121,8 +120,8 @@ def solve_approx(instance: Instance) -> ApproxPolicy:
     slots = [model.index[b.id] for b in boxes]
     ints = integer_boxes(boxes)
     grid = tuple(Fraction(y, ints.scale) for y in ints.grid)
-    # a value at position i is N / (L * scale[i]), scale[i] = prod_{j >= i} D_j
-    scale = [0] + [math.prod(ints.dens[k:]) for k in range(n + 1)]
+    # a value at position i is N / (L * scale[i]), scale[i] = prod_{j >= i} D_j, one product from the back
+    scale = [0, *reversed(list(itertools.accumulate(reversed(ints.dens), operator.mul, initial=1)))]
     # forward: reach[i] maps each load a run can hold at position i to the
     # grid indices of the best reward it can hold there with that load
     reach: list[dict] = [{} for _ in range(n + 2)]
@@ -174,10 +173,10 @@ def exact_policy_value(instance: Instance, policy: ApproxPolicy) -> Fraction:
     """Expected net revenue of the recorded actions, by an independent forward
     pass of int mass on the sweep's layout (no DP value read; ``instance`` gives
     only the side): ``reach[i]`` maps each (best reward's grid index, load) a run
-    holds at position i to its mass over D = prod D_i.  Opens move mass forward,
-    so one ascending pass suffices: a stop adds mass * y, an open subtracts mass * c."""
+    holds at position i to its mass over D = prod D_i = ``values.scale[1]``.  Opens move
+    mass forward, so one ascending pass suffices: a stop adds mass * y, an open subtracts mass * c."""
     model, ints, order = instance.order_model, policy.values.ints, policy.preorder.order
-    den = math.prod(ints.dens)
+    den = policy.values.scale[1]
     reach: list[dict] = [{} for _ in range(policy.preorder.n + 2)]
     reach[1][0, policy.start_state] = den
     total = 0
@@ -215,9 +214,9 @@ def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fra
     (skip first), on ints of ``integer_boxes`` on the policy grid y_0 = 0 < ...
     < y_K.  At position p the chosen prefix's best reward has the CDF F_k at
     y_k over prod_{j < p} D_j: including box p multiplies F_k by C_p[k], its
-    CDF numerator, and skipping the subtree at p multiplies every F_k by the
-    product of D_j over p .. next(p)-1.  So every set's F is over D = prod D_i,
-    and its value over D * L is the int sum_k (y_{k+1} - y_k)(D - F_k) - cost * D.
+    CDF numerator, and skipping the subtree at p multiplies every F_k by D_p * ... *
+    D_{next(p)-1}, the sweep's skip lift scale[p] // scale[next(p)].  So every set's F
+    is over D = ``scale[1]``, and its value over D * L is the int sum_k (y_{k+1} - y_k)(D - F_k) - cost * D.
 
     A branch is cut at position p when its bound, with G_p[k] = prod_{j >= p} C_j[k],
 
@@ -232,11 +231,10 @@ def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fra
     positions with :func:`solve_approx`'s skip and open moves."""
     preorder = policy.preorder
     n, nxt = preorder.n, preorder.next_position
-    boxes = [instance.box_map[b] for b in preorder.order]
     model = instance.order_model
-    slots = [model.index[b.id] for b in boxes]
-    ints = policy.values.ints  # solve_approx's layout of these boxes on the policy grid
-    den = math.prod(ints.dens)
+    slots = [model.index[b] for b in preorder.order]
+    ints, scale = policy.values.ints, policy.values.scale  # solve_approx's layout on the policy grid
+    den = scale[1]
     steps = [b - a for a, b in zip(ints.grid, ints.grid[1:])]
     cdfs = []  # C_i[k] for k < K; C_i[K] = D_i is in no sum
     for atoms in ints.atoms:
@@ -244,12 +242,11 @@ def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fra
         for vk, a in atoms:
             pmf[vk] = a
         cdfs.append(list(itertools.accumulate(pmf[:-1])))
-    # weights[p][k] = (y_{k+1} - y_k) * G_p[k]; spans[p] = D_p * ... * D_{next(p)-1}
+    # weights[p][k] = (y_{k+1} - y_k) * G_p[k]
     weights, ahead = [steps] * (n + 2), [0] * (n + 2)
     for p in range(n, 0, -1):
         weights[p] = list(map(operator.mul, weights[p + 1], cdfs[p - 1]))
         ahead[p] = ahead[p + 1] + min(ints.costs[p - 1], 0)
-    spans = [0] + [math.prod(ints.dens[p - 1:nxt[p - 1] - 1]) for p in range(1, n + 1)]
     top = ints.grid[-1]
     best, worst = [0], [()]  # the empty set, the first set the walk reaches
 
@@ -260,7 +257,7 @@ def _enumerate_set_margin(instance: Instance, policy: ApproxPolicy) -> tuple[Fra
         if p == n + 1:
             best[0], worst[0] = bound, chosen
             return
-        span = spans[p]
+        span = scale[p] // scale[nxt[p - 1]]
         walk(nxt[p - 1], load, [f * span for f in cdf], cost, chosen)  # skip the whole subtree
         after = model.add(load, slots[p - 1])
         if after is not None:

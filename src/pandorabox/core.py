@@ -625,8 +625,6 @@ def reservation_scan(w: IntDistribution, cost: Fraction, box_id: str) -> Fractio
     if c_num < 0:
         raise ValidationError(f"box {box_id!r} has negative cost {describe_rational(cost)}")
     keys, probs = w.keys, w.probs
-    if not c_num:
-        return Fraction(keys[-1], w.scale)
     bound = c_num * w.den * w.scale  # cost·den·scale·c_den
     mass = tail = 0
     for j in range(len(keys) - 1, -1, -1):
